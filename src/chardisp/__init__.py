@@ -25,7 +25,6 @@ from .deviance import (
     RegularityReport,
     UnitDeviancePair,
     check_unit_deviance,
-    deviance,
     regularity_probe,
 )
 from .model import (
@@ -35,7 +34,6 @@ from .model import (
     DomainError,
     EnvelopeError,
     classify,
-    density_eval,
     diagnostics,
     normalization_check,
     sample,
@@ -53,7 +51,6 @@ from .normalizer import (
     Zero,
     convolution_residual,
     fft_deconvolve_check,
-    kernel_eval,
     kernel_integral,
     perturbed_normalizer,
     trivial_normalizer,
@@ -106,15 +103,12 @@ __all__ = [
     "check_unit_deviance",
     "classify",
     "convolution_residual",
-    "density_eval",
-    "deviance",
     "diagnostics",
     "fft_deconvolve_check",
     "frame_bounds_estimate",
     "from_dict",
     "gram_matrix",
     "integrate",
-    "kernel_eval",
     "kernel_integral",
     "normalization_check",
     "orthogonality_residual",

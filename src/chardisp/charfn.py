@@ -3,8 +3,9 @@
 These are the building blocks for the unit deviances in
 :mod:`chardisp.deviance`.  Every member evaluates to a real number, equals
 1 at the origin, is even, and is strictly below 1 in modulus away from the
-origin.  The catalog is a closed set of five families; new families can be
-added through :func:`register_family`.
+origin.  The catalog holds five families; new ones can be added through
+:func:`register_family`.  :class:`Spec`, :func:`build` and
+:func:`parse_shorthand` serve the perturbation catalog as well.
 """
 from __future__ import annotations
 
@@ -43,10 +44,53 @@ def _scalar_ok(x: float, positive: bool = True) -> bool:
     return np.isfinite(x) and (x > 0 if positive else True)
 
 
-class CharFn(ABC):
-    """A real, even characteristic function with known moment behaviour."""
+class Spec:
+    """A member of a registered family: a frozen dataclass whose fields are
+    its parameters, serialized as ``{"family": ..., "params": {...}}``."""
 
     family: str = ""
+
+    def params(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def to_dict(self) -> dict:
+        """Serialize as ``{"family": ..., "params": {...}}``."""
+        return {"family": self.family, "params": self.params()}
+
+
+def build(registry: dict, kind: str, family, params) -> Spec:
+    """Instantiate ``registry[family](**params)``; errors name the ``kind``."""
+    try:
+        cls = registry[family]
+    except (TypeError, KeyError):
+        raise InvalidSpecError(f"unknown {kind} family {family!r}") from None
+    try:
+        return cls(**params)
+    except TypeError as exc:
+        raise InvalidSpecError(f"bad parameters for {kind} family {family!r}: {params!r}") from exc
+
+
+def parse_shorthand(registry: dict, kind: str, token: str) -> Spec:
+    """Parse FAMILY or FAMILY:P1,P2,... with the parameters given
+    positionally in the order of the family's dataclass fields."""
+    name, _, rest = token.partition(":")
+    if name not in registry:
+        raise InvalidSpecError(f"unknown {kind} family {name!r} in {token!r}")
+    names = [f.name for f in fields(registry[name])]
+    parts = rest.split(",") if rest else []
+    if len(parts) > len(names):
+        raise InvalidSpecError(f"too many parameters in {token!r} (expected at most {len(names)})")
+    params = {}
+    for pname, raw in zip(names, parts):
+        try:
+            params[pname] = float(raw)
+        except ValueError:
+            raise InvalidSpecError(f"bad numeric parameter {raw!r} in {token!r}") from None
+    return build(registry, kind, name, params)
+
+
+class CharFn(Spec, ABC):
+    """A real, even characteristic function with known moment behaviour."""
 
     @abstractmethod
     def eval(self, t: ArrayLike) -> ArrayLike:
@@ -59,13 +103,6 @@ class CharFn(ABC):
     @abstractmethod
     def has_finite_second_moment(self) -> bool:
         """True when the underlying law has finite first two moments."""
-
-    def params(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def to_dict(self) -> dict:
-        """Serialize as ``{"family": ..., "params": {...}}``."""
-        return {"family": self.family, "params": self.params()}
 
     def require_valid(self) -> "CharFn":
         res = self.validate()
@@ -219,24 +256,4 @@ def from_dict(d: dict) -> CharFn:
         params = d["params"]
     except (TypeError, KeyError) as exc:
         raise InvalidSpecError(f"characteristic function record needs 'family' and 'params': {d!r}") from exc
-    try:
-        cls = FAMILIES[family]
-    except KeyError:
-        raise InvalidSpecError(f"unknown characteristic function family {family!r}") from None
-    try:
-        return cls(**params)
-    except TypeError as exc:
-        raise InvalidSpecError(f"bad parameters for family {family!r}: {params!r}") from exc
-
-
-# Functional aliases mirroring the operation names.
-def evaluate(spec: CharFn, t: ArrayLike) -> ArrayLike:
-    return spec.eval(t)
-
-
-def validate(spec: CharFn) -> ValidationResult:
-    return spec.validate()
-
-
-def has_finite_second_moment(spec: CharFn) -> bool:
-    return spec.has_finite_second_moment()
+    return build(FAMILIES, "characteristic function", family, params)

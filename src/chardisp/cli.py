@@ -20,7 +20,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -31,8 +31,9 @@ from .charfn import CharFn, InvalidSpecError
 from .deviance import UnitDeviancePair, check_unit_deviance
 from .model import DispersionModel, DomainError, EnvelopeError, diagnostics, sample
 from .normalizer import (
+    PERTURBATION_FAMILIES,
+    CosineGaussian,
     KernelSpec,
-    NormalizerSpec,
     Perturbation,
     PositivityError,
     Window,
@@ -52,57 +53,15 @@ from .riesz import (
 
 FMT = "{:.17g}"
 
-# Positional parameter order for the FAMILY:PARAMS shorthand.
-_FAMILY_ARGS = {
-    "normal": ("scale",),
-    "cauchy": ("scale",),
-    "laplace": ("scale",),
-    "stable": ("alpha", "scale"),
-    "nig": ("alpha", "delta"),
-}
-_PERTURB_ARGS = {
-    "zero": (),
-    "cosgauss": ("amplitude", "frequency", "width"),
-    "oddgauss": ("amplitude", "width"),
-}
-
 
 def parse_charfn(token: str) -> CharFn:
     """Parse FAMILY or FAMILY:P1,P2 shorthand, e.g. normal:1 or stable:1.5,1."""
-    name, _, rest = token.partition(":")
-    if name not in _FAMILY_ARGS:
-        raise InvalidSpecError(f"unknown characteristic function family {name!r} in {token!r}")
-    params = {}
-    if rest:
-        parts = rest.split(",")
-        names = _FAMILY_ARGS[name]
-        if len(parts) > len(names):
-            raise InvalidSpecError(f"too many parameters in {token!r} (expected at most {len(names)})")
-        for pname, raw in zip(names, parts):
-            try:
-                params[pname] = float(raw)
-            except ValueError:
-                raise InvalidSpecError(f"bad numeric parameter {raw!r} in {token!r}") from None
-    return charfn.from_dict({"family": name, "params": params})
+    return charfn.parse_shorthand(charfn.FAMILIES, "characteristic function", token)
 
 
 def parse_perturbation(token: str) -> Perturbation:
     """Parse zero | cosgauss[:A,OMEGA,WIDTH] | oddgauss[:A,WIDTH] shorthand."""
-    name, _, rest = token.partition(":")
-    if name not in _PERTURB_ARGS:
-        raise InvalidSpecError(f"unknown perturbation family {name!r} in {token!r}")
-    params = {}
-    if rest:
-        parts = rest.split(",")
-        names = _PERTURB_ARGS[name]
-        if len(parts) > len(names):
-            raise InvalidSpecError(f"too many parameters in {token!r} (expected at most {len(names)})")
-        for pname, raw in zip(names, parts):
-            try:
-                params[pname] = float(raw)
-            except ValueError:
-                raise InvalidSpecError(f"bad numeric parameter {raw!r} in {token!r}") from None
-    return perturbation_from_dict({"family": name, "params": params})
+    return charfn.parse_shorthand(PERTURBATION_FAMILIES, "perturbation", token)
 
 
 @dataclass
@@ -130,15 +89,12 @@ class RunConfig:
     def kernel(self) -> KernelSpec:
         return KernelSpec(self.pair(), self.lam)
 
-    def normalizer(self, k: KernelSpec) -> NormalizerSpec:
-        base = trivial_normalizer(k, self.window, self.tol)
-        if self.perturb is None:
-            return base
-        return perturbed_normalizer(base, self.perturb)
-
     def model(self) -> DispersionModel:
         k = self.kernel()
-        return DispersionModel(k, self.normalizer(k))
+        norm = trivial_normalizer(k, self.window, self.tol)
+        if self.perturb is not None:
+            norm = perturbed_normalizer(norm, self.perturb)
+        return DispersionModel(k, norm)
 
 
 def _load_config_file(path: str) -> dict:
@@ -161,63 +117,57 @@ def _window_from_config(value) -> Window:
     raise InvalidSpecError(f"bad window record {value!r}")
 
 
+# Config-file key -> the RunConfig fields it sets, given (config so far,
+# value).  Applied in this order: "window" before "grid", and "perturbation"
+# after "perturb" so that it wins.  "tol" carries "residual_tol" with it.
+_FILE_KEYS = {
+    "phi": lambda c, v: {"phi": charfn.from_dict(v)},
+    "psi": lambda c, v: {"psi": charfn.from_dict(v)},
+    "lambda": lambda c, v: {"lam": float(v)},
+    "window": lambda c, v: {"window": _window_from_config(v)},
+    "grid": lambda c, v: {"window": Window(c.window.lo, c.window.hi, int(v))},
+    "perturb": lambda c, v: {"perturb": perturbation_from_dict(v)},
+    "perturbation": lambda c, v: {"perturb": perturbation_from_dict(v)},
+    "mu": lambda c, v: {"mu": float(v)},
+    "tol": lambda c, v: {"tol": float(v), "residual_tol": float(v)},
+    "seed": lambda c, v: {"seed": int(v)},
+    "n": lambda c, v: {"n": int(v)},
+    "out": lambda c, v: {"out": str(v)},
+}
+# The same for flags, keyed by argparse dest; argparse has typed the values.
+_FLAG_KEYS = {
+    "phi": lambda c, v: {"phi": parse_charfn(v)},
+    "psi": lambda c, v: {"psi": parse_charfn(v)},
+    "lam": lambda c, v: {"lam": v},
+    "window": lambda c, v: {"window": Window(v[0], v[1], c.window.n_grid)},
+    "grid": lambda c, v: {"window": Window(c.window.lo, c.window.hi, v)},
+    "mu": lambda c, v: {"mu": v},
+    "perturb": lambda c, v: {"perturb": parse_perturbation(v)},
+    "tol": lambda c, v: {"tol": v, "residual_tol": v},
+    "seed": lambda c, v: {"seed": v},
+    "n": lambda c, v: {"n": v},
+    "out": lambda c, v: {"out": v},
+}
+
+
+def _merge(cfg: RunConfig, keys: dict, values: dict) -> RunConfig:
+    for key, update in keys.items():
+        if key in values:
+            cfg = replace(cfg, **update(cfg, values[key]))
+    return cfg
+
+
 def build_config(args: argparse.Namespace) -> RunConfig:
     """Merge the optional config file with flags; flags win."""
     cfg = RunConfig(subcommand=args.subcommand)
     if args.config:
         doc = _load_config_file(args.config)
-        known = {"phi", "psi", "lambda", "window", "grid", "mu", "perturbation",
-                 "perturb", "tol", "seed", "n", "out"}
-        unknown = set(doc) - known
+        unknown = set(doc) - set(_FILE_KEYS)
         if unknown:
             raise InvalidSpecError(f"unknown config keys {sorted(unknown)!r}")
-        if "phi" in doc:
-            cfg.phi = charfn.from_dict(doc["phi"])
-        if "psi" in doc:
-            cfg.psi = charfn.from_dict(doc["psi"])
-        if "lambda" in doc:
-            cfg.lam = float(doc["lambda"])
-        if "window" in doc:
-            cfg.window = _window_from_config(doc["window"])
-        if "grid" in doc:
-            cfg.window = Window(cfg.window.lo, cfg.window.hi, int(doc["grid"]))
-        if "perturbation" in doc or "perturb" in doc:
-            cfg.perturb = perturbation_from_dict(doc.get("perturbation", doc.get("perturb")))
-        if "mu" in doc:
-            cfg.mu = float(doc["mu"])
-        if "tol" in doc:
-            cfg.tol = float(doc["tol"])
-            cfg.residual_tol = cfg.tol
-        for key in ("seed", "n"):
-            if key in doc:
-                setattr(cfg, key, int(doc[key]))
-        if "out" in doc:
-            cfg.out = str(doc["out"])
-
-    if args.phi is not None:
-        cfg.phi = parse_charfn(args.phi)
-    if args.psi is not None:
-        cfg.psi = parse_charfn(args.psi)
-    if args.lam is not None:
-        cfg.lam = args.lam
-    if args.window is not None:
-        cfg.window = Window(args.window[0], args.window[1], cfg.window.n_grid)
-    if args.grid is not None:
-        cfg.window = Window(cfg.window.lo, cfg.window.hi, args.grid)
-    if args.mu is not None:
-        cfg.mu = args.mu
-    if getattr(args, "perturb", None) is not None:
-        cfg.perturb = parse_perturbation(args.perturb)
-    if args.tol is not None:
-        cfg.tol = args.tol
-        cfg.residual_tol = args.tol
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if getattr(args, "n", None) is not None:
-        cfg.n = args.n
-    if args.out is not None:
-        cfg.out = args.out
-    return cfg
+        cfg = _merge(cfg, _FILE_KEYS, doc)
+    flags = {key: value for key, value in vars(args).items() if value is not None}
+    return _merge(cfg, _FLAG_KEYS, flags)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +260,7 @@ def _cmd_riesz(cfg: RunConfig) -> _Emitter:
     report = gram_matrix(system, tol=cfg.tol)
     bounds = frame_bounds_estimate(report)
 
-    f = cfg.perturb if cfg.perturb is not None else perturbation_from_dict({"family": "cosgauss", "params": {}})
+    f = cfg.perturb if cfg.perturb is not None else CosineGaussian()
     half = cfg.window.middle_half()
     mu_lo, mu_hi = max(half[0], -5.0), min(half[1], 5.0)
     mu_grid = np.linspace(mu_lo, mu_hi, 21)
@@ -352,24 +302,16 @@ def _t3_pdf(y: np.ndarray) -> np.ndarray:
 def _cmd_figures(cfg: RunConfig) -> _Emitter:
     """The four showcase models at the configured index parameter, plus the
     standard normal and t (3 degrees of freedom) reference densities."""
-    w = cfg.window
-    ys = _symmetric_grid(w, w.n_grid)
-    tol = cfg.tol
+    ys = _symmetric_grid(cfg.window, cfg.window.n_grid)
 
     def curve(phi, psi, perturb=None):
-        k = KernelSpec(UnitDeviancePair(phi, psi), cfg.lam)
-        norm = trivial_normalizer(k, w, tol)
-        if perturb is not None:
-            norm = perturbed_normalizer(norm, perturb)
-        m = DispersionModel(k, norm)
-        return m.density(ys, 0.0)
+        return replace(cfg, phi=phi, psi=psi, perturb=perturb).model().density(ys, 0.0)
 
-    cosgauss = perturbation_from_dict({"family": "cosgauss", "params": {}})
     curves = {
         "fig1A.csv": curve(charfn.Normal(1.0), charfn.Normal(1.0)),
         "fig1B.csv": curve(charfn.Cauchy(1.0), charfn.Normal(1.0)),
         "fig2C.csv": curve(charfn.Laplace(1.0), charfn.Laplace(1.0)),
-        "fig2D.csv": curve(charfn.Laplace(1.0), charfn.Laplace(1.0), cosgauss),
+        "fig2D.csv": curve(charfn.Laplace(1.0), charfn.Laplace(1.0), CosineGaussian()),
         "reference_normal.csv": _std_normal_pdf(ys),
         "reference_t3.csv": _t3_pdf(ys),
     }
@@ -379,12 +321,13 @@ def _cmd_figures(cfg: RunConfig) -> _Emitter:
     return em
 
 
+# Subcommand -> (handler, help text).
 _COMMANDS = {
-    "density": _cmd_density,
-    "verify": _cmd_verify,
-    "riesz": _cmd_riesz,
-    "sample": _cmd_sample,
-    "figures": _cmd_figures,
+    "density": (_cmd_density, "emit a density curve as CSV"),
+    "verify": (_cmd_verify, "run axiom, regularity and normalization diagnostics"),
+    "riesz": (_cmd_riesz, "Gram matrix, frame bounds, orthogonality residuals"),
+    "sample": (_cmd_sample, "draw from a model"),
+    "figures": (_cmd_figures, "emit the four showcase curves plus reference densities"),
 }
 
 
@@ -394,13 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Construct and probe dispersion models built from characteristic functions.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, help_text in [
-        ("density", "emit a density curve as CSV"),
-        ("verify", "run axiom, regularity and normalization diagnostics"),
-        ("riesz", "Gram matrix, frame bounds, orthogonality residuals"),
-        ("sample", "draw from a model"),
-        ("figures", "emit the four showcase curves plus reference densities"),
-    ]:
+    for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--phi", help="characteristic function FAMILY[:PARAMS], e.g. normal:1")
         p.add_argument("--psi", help="characteristic function FAMILY[:PARAMS], e.g. laplace:1")
@@ -428,7 +365,7 @@ def run(argv: list[str]) -> int:
         return 0 if exc.code == 0 else 1
     try:
         cfg = build_config(args)
-        emitter = _COMMANDS[cfg.subcommand](cfg)
+        emitter = _COMMANDS[cfg.subcommand][0](cfg)
     except (InvalidSpecError, PositivityError, DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

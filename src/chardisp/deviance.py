@@ -14,14 +14,11 @@ the diagonal, which the probe flags through mismatched one-sided slopes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Union
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .charfn import CharFn
-
-ArrayLike = Union[float, np.ndarray]
+from .charfn import ArrayLike, CharFn
 
 DIAGONAL_TOL = 1e-14
 MAX_WITNESSES = 10
@@ -56,10 +53,6 @@ class UnitDeviancePair:
         return {"phi": self.phi.to_dict(), "psi": self.psi.to_dict()}
 
 
-def deviance(pair: UnitDeviancePair, y: ArrayLike, mu: ArrayLike) -> ArrayLike:
-    return pair.deviance(y, mu)
-
-
 @dataclass(frozen=True)
 class AxiomReport:
     """Outcome of the grid check of the unit-deviance axioms."""
@@ -73,15 +66,7 @@ class AxiomReport:
     violations: tuple = field(default_factory=tuple)  # (y, mu, value) triples
 
     def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "max_abs_diagonal": self.max_abs_diagonal,
-            "min_off_diagonal": self.min_off_diagonal,
-            "n_diagonal": self.n_diagonal,
-            "n_off_diagonal": self.n_off_diagonal,
-            "diagonal_tol": self.diagonal_tol,
-            "violations": [list(v) for v in self.violations],
-        }
+        return {**asdict(self), "violations": [list(v) for v in self.violations]}
 
 
 def check_unit_deviance(pair, y_grid, mu_grid, diagonal_tol: float = DIAGONAL_TOL) -> AxiomReport:
@@ -150,14 +135,7 @@ class RegularityReport:
     h: float
 
     def to_dict(self) -> dict:
-        return {
-            "second_derivative_at_diagonal": self.second_derivative_at_diagonal,
-            "left_slope": self.left_slope,
-            "right_slope": self.right_slope,
-            "is_regular": self.is_regular,
-            "kink_detected": self.kink_detected,
-            "h": self.h,
-        }
+        return asdict(self)
 
 
 def regularity_probe(pair: UnitDeviancePair, mu: float = 0.0, h: float = 1e-4) -> RegularityReport:

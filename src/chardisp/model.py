@@ -16,11 +16,12 @@ fitted test.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from dataclasses import asdict, dataclass, field
+from typing import Optional
 
 import numpy as np
 
+from .charfn import ArrayLike
 from .deviance import RegularityReport, regularity_probe
 from .normalizer import (
     POSITIVITY_OVERSAMPLE,
@@ -29,9 +30,9 @@ from .normalizer import (
     convolution_residual,
 )
 
-ArrayLike = Union[float, np.ndarray]
-
 ENVELOPE_SAFETY = 1.01
+# Largest proposal batch in sample(): bounds its working memory for large n.
+MAX_PROPOSAL_BATCH = 2 ** 21
 EDM_EXCLUSION_NOTE = (
     "unit deviances of the product form (1 - phi)|psi| do not decompose "
     "into the additive form y*f(mu) + g(mu) + h(y)"
@@ -87,17 +88,17 @@ class DispersionModel:
     def window(self):
         return self.normalizer.window
 
-    def _check_domains(self, y: ArrayLike, mu: float):
+    def _check_position(self, mu: float):
         lo, hi = self.position_domain
         if not lo <= mu <= hi:
             raise DomainError(f"position mu={mu} outside position domain ({lo}, {hi})")
-        if not self.window.contains(y):
-            raise DomainError("observation values fall outside the window")
 
     def density(self, y: ArrayLike, mu: float) -> ArrayLike:
         """p(y; mu); strictly positive on the window."""
         mu = float(mu)
-        self._check_domains(y, mu)
+        self._check_position(mu)
+        if not self.window.contains(y):
+            raise DomainError("observation values fall outside the window")
         yv = np.asarray(y, dtype=float)
         out = np.asarray(self.normalizer.value(yv)) * np.asarray(self.kernel.eval(yv - mu))
         return float(out) if np.ndim(y) == 0 else out
@@ -110,19 +111,13 @@ class DispersionModel:
         }
 
 
-def density_eval(m: DispersionModel, y: ArrayLike, mu: float) -> ArrayLike:
-    return m.density(y, mu)
-
-
 def normalization_check(m: DispersionModel, mu: float, tol: float = 1e-8) -> float:
     """Residual of the unit-mass condition at mu: integral of p(.; mu) - 1.
 
     A measurement; nonzero drift is expected near the window edges and for
     perturbed normalizers.
     """
-    lo, hi = m.position_domain
-    if not lo <= mu <= hi:
-        raise DomainError(f"position mu={mu} outside position domain ({lo}, {hi})")
+    m._check_position(mu)
     return float(convolution_residual(m.normalizer, m.kernel, [mu], tol=tol)[0])
 
 
@@ -139,14 +134,13 @@ def sample(m: DispersionModel, mu: float, n: int, seed: int) -> np.ndarray:
 
     The envelope is the density supremum over an oversampled grid times a
     small safety factor; seeing a density above it aborts with
-    :class:`EnvelopeError`.  Deterministic for a fixed seed.
+    :class:`EnvelopeError`.  Proposals come in batches of at most
+    ``MAX_PROPOSAL_BATCH``.  Deterministic for a fixed seed.
     """
     if n < 0:
         raise ValueError(f"sample size must be >= 0, got {n}")
     mu = float(mu)
-    lo, hi = m.position_domain
-    if not lo <= mu <= hi:
-        raise DomainError(f"position mu={mu} outside position domain ({lo}, {hi})")
+    m._check_position(mu)
     w = m.window
     if n == 0:
         return np.empty(0)
@@ -157,7 +151,7 @@ def sample(m: DispersionModel, mu: float, n: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     out = np.empty(n)
     got = 0
-    batch = max(1024, 2 * n)
+    batch = min(max(1024, 2 * n), MAX_PROPOSAL_BATCH)
     while got < n:
         ys = rng.uniform(w.lo, w.hi, size=batch)
         us = rng.uniform(0.0, envelope, size=batch)
@@ -186,12 +180,9 @@ class DiagnosticsReport:
 
     def to_dict(self) -> dict:
         return {
+            **asdict(self),
             "normalization_residuals": {str(k): v for k, v in self.normalization_residuals.items()},
             "classification": self.classification.value,
-            "edm_excluded": self.edm_excluded,
-            "edm_exclusion_note": self.edm_exclusion_note,
-            "regularity": None if self.regularity is None else self.regularity.to_dict(),
-            "truncation_drift": self.truncation_drift,
         }
 
 

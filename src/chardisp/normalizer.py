@@ -18,14 +18,13 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
+from .charfn import ArrayLike, InvalidSpecError, Spec, build
 from .deviance import UnitDeviancePair
 from .quadrature import DEFAULT_TOL, integrate
-
-ArrayLike = Union[float, np.ndarray]
 
 DEFAULT_WINDOW = (-20.0, 20.0)
 POSITIVITY_OVERSAMPLE = 4
@@ -101,10 +100,6 @@ class KernelSpec:
         return (0.0,)
 
 
-def kernel_eval(k: KernelSpec, y: ArrayLike) -> ArrayLike:
-    return k.eval(y)
-
-
 def kernel_integral(k: KernelSpec, w: Window, tol: float = DEFAULT_TOL) -> float:
     """Adaptive quadrature of K over the window, absolute tolerance tol.
 
@@ -119,15 +114,13 @@ def kernel_integral(k: KernelSpec, w: Window, tol: float = DEFAULT_TOL) -> float
 # Perturbations of the constant normalizer
 # ---------------------------------------------------------------------------
 
-class Perturbation(ABC):
+class Perturbation(Spec, ABC):
     """Square-integrable perturbation added to the constant normalizer.
 
     Even members (symmetric about zero) form the class from which
     non-constant normalizing functions are drawn; odd members are kept in
     the catalog as controls and flagged as outside that class.
     """
-
-    family: str = ""
 
     @abstractmethod
     def eval(self, y: ArrayLike) -> ArrayLike: ...
@@ -140,8 +133,11 @@ class Perturbation(ABC):
     def is_zero(self) -> bool:
         return isinstance(self, Zero)
 
-    def to_dict(self) -> dict:
-        return {"family": self.family, "params": {}}
+    def critical_points(self) -> tuple[float, ...]:
+        """Abscissae off any uniform grid where the minimum may sit, such as
+        the corners of a piecewise-linear table; the positivity check
+        evaluates them beside its grid."""
+        return ()
 
 
 @dataclass(frozen=True)
@@ -179,12 +175,6 @@ class CosineGaussian(Perturbation):
     def even(self):
         return True
 
-    def to_dict(self):
-        return {
-            "family": self.family,
-            "params": {"amplitude": self.amplitude, "frequency": self.frequency, "width": self.width},
-        }
-
 
 @dataclass(frozen=True)
 class OddGaussian(Perturbation):
@@ -202,9 +192,6 @@ class OddGaussian(Perturbation):
     @property
     def even(self):
         return False
-
-    def to_dict(self):
-        return {"family": self.family, "params": {"amplitude": self.amplitude, "width": self.width}}
 
 
 @dataclass(frozen=True)
@@ -225,6 +212,8 @@ class TabulatedEven(Perturbation):
             raise ValueError("knots must be >= 0, strictly increasing, with at least two entries")
         if len(self.values) != k.size:
             raise ValueError("knots and values must have equal length")
+        object.__setattr__(self, "knots", tuple(self.knots))
+        object.__setattr__(self, "values", tuple(self.values))
 
     def eval(self, y):
         yy = np.abs(np.asarray(y, dtype=float))
@@ -235,8 +224,8 @@ class TabulatedEven(Perturbation):
     def even(self):
         return True
 
-    def to_dict(self):
-        return {"family": self.family, "params": {"knots": list(self.knots), "values": list(self.values)}}
+    def critical_points(self):
+        return tuple(-k for k in self.knots) + self.knots
 
 
 PERTURBATION_FAMILIES: dict[str, type] = {
@@ -248,20 +237,12 @@ PERTURBATION_FAMILIES: dict[str, type] = {
 
 
 def perturbation_from_dict(d: dict) -> Perturbation:
-    from .charfn import InvalidSpecError
-
+    """Inverse of :meth:`Perturbation.to_dict`; ``params`` may be omitted."""
     try:
-        cls = PERTURBATION_FAMILIES[d["family"]]
+        family = d["family"]
     except (TypeError, KeyError):
         raise InvalidSpecError(f"unknown perturbation record {d!r}") from None
-    params = dict(d.get("params", {}))
-    for key in ("knots", "values"):
-        if key in params:
-            params[key] = tuple(params[key])
-    try:
-        return cls(**params)
-    except TypeError as exc:
-        raise InvalidSpecError(f"bad perturbation parameters {params!r}") from exc
+    return build(PERTURBATION_FAMILIES, "perturbation", family, d.get("params", {}))
 
 
 # ---------------------------------------------------------------------------
@@ -317,18 +298,42 @@ def perturbed_normalizer(base: NormalizerSpec, f: Perturbation) -> NormalizerSpe
     """Attach a perturbation to a trivial normalizer, enforcing positivity.
 
     The sum a_tilde + f is checked on a grid oversampled by
-    ``POSITIVITY_OVERSAMPLE``; the first offending abscissa is raised in
+    ``POSITIVITY_OVERSAMPLE`` and at the perturbation's critical points
+    inside the window; the abscissa of the smallest value is raised in
     :class:`PositivityError`.
     """
     if base.kind != "trivial":
         raise ValueError("base normalizer must be trivial (constant)")
-    ys = base.window.grid(POSITIVITY_OVERSAMPLE)
+    w = base.window
+    extra = np.asarray(f.critical_points(), dtype=float)
+    ys = np.concatenate([w.grid(POSITIVITY_OVERSAMPLE), extra[(extra >= w.lo) & (extra <= w.hi)]])
     vals = base.a_tilde + np.asarray(f.eval(ys), dtype=float)
     bad = vals <= 0.0
     if bad.any():
         i = int(np.argmin(vals))
         raise PositivityError(float(ys[i]), float(vals[i]))
     return NormalizerSpec(a_tilde=base.a_tilde, window=base.window, perturbation=f)
+
+
+def window_convolve(g, k: KernelSpec, shifts, window: Window, tol: float) -> np.ndarray:
+    """Integral over the window of g(y) K(s - y) dy, for each shift s.
+
+    ``g`` is a vectorized callable.  Each shift gets its own adaptive
+    quadrature, cut at s (the corner of K(s - y)) and at 0 (where ``g``
+    may have one); an unconverged integral raises :class:`QuadratureError`.
+    """
+    shifts = np.atleast_1d(np.asarray(shifts, dtype=float))
+    out = np.empty(shifts.shape)
+    for i, s in enumerate(shifts):
+        res = integrate(
+            lambda y: np.asarray(g(y)) * np.asarray(k.eval(s - y)),
+            window.lo,
+            window.hi,
+            tol=tol,
+            breakpoints=(s, 0.0),
+        )
+        out[i] = res.require()
+    return out
 
 
 def convolution_residual(
@@ -346,18 +351,7 @@ def convolution_residual(
     mu_grid = np.atleast_1d(np.asarray(mu_grid, dtype=float))
     if not norm.window.contains(mu_grid):
         raise ValueError("mu grid must lie inside the window")
-    w = norm.window
-    out = np.empty(mu_grid.shape)
-    for i, mu in enumerate(mu_grid):
-        res = integrate(
-            lambda y: np.asarray(norm.value(y)) * np.asarray(k.eval(mu - y)),
-            w.lo,
-            w.hi,
-            tol=tol,
-            breakpoints=(mu, 0.0),
-        )
-        out[i] = res.require() - 1.0
-    return out
+    return window_convolve(norm.value, k, mu_grid, norm.window, tol) - 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ error in practice.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -75,6 +76,15 @@ class QuadratureError(RuntimeError):
         )
 
 
+class NonFiniteIntegrandError(QuadratureError):
+    """The integrand returned NaN or an infinity, or a panel sum overflowed."""
+
+    def __init__(self, x: float, value: float):
+        self.x = x
+        self.value = value
+        super().__init__(math.nan, math.inf, f"integrand is not finite: value {value!r} at x={x!r}")
+
+
 @dataclass(frozen=True)
 class QuadResult:
     value: float
@@ -93,8 +103,15 @@ def _gk15(f: Callable[[np.ndarray], np.ndarray], a: float, b: float):
     """One Gauss-Kronrod panel: returns (kronrod value, error estimate)."""
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    fx = np.asarray(f(mid + half * _NODES), dtype=float)
+    x = mid + half * _NODES
+    fx = np.asarray(f(x), dtype=float)
     k = half * float(fx @ _WEIGHTS_K)
+    # The Kronrod sum is finite only if every sample is: check the sum, and
+    # look for the culprit only on failure.
+    if not math.isfinite(k):
+        bad = np.flatnonzero(~np.isfinite(fx))
+        i = int(bad[0]) if bad.size else int(np.argmax(np.abs(fx)))
+        raise NonFiniteIntegrandError(float(x[i]), float(fx[i]))
     g = half * float(fx[1::2] @ _WEIGHTS_G)
     return k, abs(k - g)
 
@@ -112,7 +129,8 @@ def integrate(
     Parameters
     ----------
     f : callable
-        Vectorized integrand; receives an ndarray of abscissae.
+        Vectorized integrand; receives an ndarray of abscissae.  A NaN or
+        infinite value raises :class:`NonFiniteIntegrandError`.
     a, b : float
         Integration limits, ``a <= b``.
     tol : float

@@ -20,15 +20,15 @@ the relative coordinate rather than to a fixed absolute frame.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from math import floor
 from typing import NamedTuple
 
 import numpy as np
 
-from .normalizer import KernelSpec, Perturbation, Window
-from .quadrature import DEFAULT_TOL, integrate
+from .normalizer import KernelSpec, Perturbation, Window, window_convolve
+from .quadrature import DEFAULT_TOL
 
 
 def rational_enumeration(n: int) -> list[float]:
@@ -91,13 +91,7 @@ class GramReport:
     tight_claim_gap: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "gram": self.gram.tolist(),
-            "min_eigenvalue": self.min_eigenvalue,
-            "max_eigenvalue": self.max_eigenvalue,
-            "k_norm_sq": self.k_norm_sq,
-            "tight_claim_gap": self.tight_claim_gap,
-        }
+        return {**asdict(self), "gram": self.gram.tolist()}
 
 
 def gram_matrix(sys: TranslateSystem, tol: float = DEFAULT_TOL) -> GramReport:
@@ -106,34 +100,16 @@ def gram_matrix(sys: TranslateSystem, tol: float = DEFAULT_TOL) -> GramReport:
 
     Entry (i, j) is the integral over the window of K(u) K(u - (p_i - p_j)),
     the inner product of the two translates written in the coordinate of
-    the first one.  Entries with equal displacement (the whole diagonal in
+    the first one; K is even, so that is K convolved with itself at shift
+    |p_i - p_j|.  Entries with equal |displacement| (the whole diagonal in
     particular) share a single computed value, so the matrix is symmetric
     exactly as stored and the diagonal is constant by construction.
     """
     k = sys.kernel
-    w = sys.window
-    pts = sys.points
-    n = len(pts)
-
-    cache: dict[float, float] = {}
-
-    def inner(delta: float) -> float:
-        delta = abs(delta)  # K is even, so the overlap depends on |delta|
-        if delta not in cache:
-            res = integrate(
-                lambda u: np.asarray(k.eval(u)) * np.asarray(k.eval(u - delta)),
-                w.lo,
-                w.hi,
-                tol=tol,
-                breakpoints=(0.0, delta),
-            )
-            cache[delta] = res.require()
-        return cache[delta]
-
-    gram = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            gram[i, j] = gram[j, i] = inner(pts[i] - pts[j])
+    pts = np.asarray(sys.points)
+    n = pts.size
+    deltas, which = np.unique(np.abs(np.subtract.outer(pts, pts)).ravel(), return_inverse=True)
+    gram = window_convolve(k.eval, k, deltas, sys.window, tol)[which].reshape(n, n)
 
     eigs = np.linalg.eigvalsh(gram)
     off_gap = 0.0
@@ -144,7 +120,7 @@ def gram_matrix(sys: TranslateSystem, tol: float = DEFAULT_TOL) -> GramReport:
         gram=gram,
         min_eigenvalue=float(eigs[0]),
         max_eigenvalue=float(eigs[-1]),
-        k_norm_sq=inner(0.0),
+        k_norm_sq=float(gram[0, 0]),
         tight_claim_gap=off_gap,
     )
 
@@ -182,14 +158,4 @@ def orthogonality_residual(
     mu_grid = np.atleast_1d(np.asarray(mu_grid, dtype=float))
     if not w.contains(mu_grid):
         raise ValueError("mu grid must lie inside the window")
-    out = np.empty(mu_grid.shape)
-    for i, mu in enumerate(mu_grid):
-        res = integrate(
-            lambda y: np.asarray(f.eval(y)) * np.asarray(k.eval(mu - y)),
-            w.lo,
-            w.hi,
-            tol=tol,
-            breakpoints=(0.0, mu),
-        )
-        out[i] = res.require()
-    return out
+    return window_convolve(f.eval, k, mu_grid, w, tol)

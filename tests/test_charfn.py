@@ -113,13 +113,6 @@ def test_from_dict_rejects_garbage():
         from_dict({"family": "normal", "params": {"sigma": 1.0}})
 
 
-def test_functional_aliases():
-    spec = Laplace(1.0)
-    assert charfn.evaluate(spec, 1.0) == spec.eval(1.0)
-    assert charfn.validate(spec).ok
-    assert charfn.has_finite_second_moment(spec)
-
-
 def test_register_family_extension_point():
     from dataclasses import dataclass
 

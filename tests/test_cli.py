@@ -1,9 +1,10 @@
 import json
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from chardisp import cli
+from chardisp import charfn, cli
 from chardisp.charfn import InvalidSpecError, Laplace, Normal, SymmetricStable
 from chardisp.normalizer import CosineGaussian, OddGaussian, Zero
 
@@ -30,6 +31,24 @@ class TestParsers:
         assert cli.parse_perturbation("oddgauss:1,2") == OddGaussian(1.0, 2.0)
         with pytest.raises(InvalidSpecError):
             cli.parse_perturbation("bump:1")
+
+    def test_registered_family_in_shorthand(self):
+        @dataclass(frozen=True)
+        class ScaledLaplace(Laplace):
+            # parameters follow the dataclass field order: scale, then shift
+            shift: float = 0.0
+            family = "scaled_laplace_test"
+
+        try:
+            charfn.register_family(ScaledLaplace)
+            assert cli.parse_charfn("scaled_laplace_test:2,0.5") == ScaledLaplace(2.0, 0.5)
+            assert cli.parse_charfn("scaled_laplace_test") == ScaledLaplace()
+            with pytest.raises(InvalidSpecError, match="too many"):
+                cli.parse_charfn("scaled_laplace_test:1,2,3")
+        finally:
+            charfn.FAMILIES.pop("scaled_laplace_test", None)
+        with pytest.raises(InvalidSpecError, match="unknown characteristic function family"):
+            cli.parse_charfn("scaled_laplace_test:2")
 
 
 class TestDensity:

@@ -9,7 +9,6 @@ from chardisp.charfn import Cauchy, InvalidSpecError, Laplace, Normal, Symmetric
 from chardisp.deviance import (
     UnitDeviancePair,
     check_unit_deviance,
-    deviance,
     regularity_probe,
 )
 
@@ -55,7 +54,6 @@ def test_mixed_pair_pinned_value():
     expect = (1.0 - math.exp(-1.0)) * math.exp(-0.5)
     assert CN.deviance(1.0, 0.0) == pytest.approx(expect, rel=1e-15)
     assert expect == pytest.approx(0.383401, abs=1e-6)
-    assert deviance(CN, 1.0, 0.0) == CN.deviance(1.0, 0.0)
 
 
 def test_check_unit_deviance_passes_on_catalog():

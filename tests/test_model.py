@@ -9,7 +9,6 @@ from chardisp.model import (
     DomainError,
     EnvelopeError,
     classify,
-    density_eval,
     diagnostics,
     normalization_check,
     sample,
@@ -85,7 +84,6 @@ class TestDensity:
             m.density(25.0, 0.0)
         with pytest.raises(DomainError):
             m.density(0.0, 15.0)  # default position domain is [-10, 10]
-        assert density_eval(m, 1.0, 0.0) == m.density(1.0, 0.0)
 
     def test_default_position_domain_is_middle_half(self):
         assert trivial_model().position_domain == (-10.0, 10.0)
@@ -153,6 +151,15 @@ class TestSample:
         c = sample(m, 0.0, 5000, seed=43)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    def test_proposal_batches_are_capped(self, monkeypatch):
+        m = trivial_model()
+        monkeypatch.setattr("chardisp.model.MAX_PROPOSAL_BATCH", 1024)
+        a = sample(m, 0.0, 5000, seed=42)
+        assert a.size == 5000
+        assert a.min() >= -20.0 and a.max() <= 20.0
+        assert np.array_equal(a, sample(m, 0.0, 5000, seed=42))
+        assert not np.array_equal(a, sample(m, 0.0, 5000, seed=43))
 
     def test_draws_respect_window(self):
         draws = sample(trivial_model(), 0.0, 20000, seed=3)

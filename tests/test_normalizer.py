@@ -16,7 +16,6 @@ from chardisp.normalizer import (
     Zero,
     convolution_residual,
     fft_deconvolve_check,
-    kernel_eval,
     kernel_integral,
     perturbation_from_dict,
     perturbed_normalizer,
@@ -67,7 +66,6 @@ class TestKernel:
         k = KernelSpec(NN, 1.0)
         t_star = math.sqrt(2.0 * math.log(2.0))
         assert k.eval(t_star) == pytest.approx(math.exp(-0.25), rel=1e-15)
-        assert kernel_eval(k, t_star) == k.eval(t_star)
 
     def test_lower_bound_from_deviance_range(self):
         k = KernelSpec(NN, 3.0)
@@ -169,6 +167,17 @@ class TestPerturbations:
         # the minimum of a_tilde + f sits at the origin where f = -4 a_tilde
         assert abs(exc.value.y) < 0.2
         assert exc.value.value <= 0.0
+
+    def test_rejected_on_dip_between_grid_points(self):
+        # a dip of width 0.002 falls between the 4x oversampled grid points
+        # (spacing 0.0098); the table's knots must be checked too
+        base = trivial_normalizer(KernelSpec(LL, 1.0), W20)
+        dip = TabulatedEven((0.003, 0.004, 0.005, 1.0), (0.0, -1.0, 0.0, 0.0))
+        assert dip.critical_points() == (-0.003, -0.004, -0.005, -1.0, 0.003, 0.004, 0.005, 1.0)
+        with pytest.raises(PositivityError) as exc:
+            perturbed_normalizer(base, dip)
+        assert abs(exc.value.y) == 0.004
+        assert exc.value.value == base.a_tilde - 1.0
 
     def test_requires_trivial_base(self):
         base = trivial_normalizer(KernelSpec(LL, 1.0), W20)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chardisp.quadrature import QuadratureError, integrate
+from chardisp.quadrature import NonFiniteIntegrandError, QuadratureError, integrate
 
 from oracles import midpoint_integral
 
@@ -68,3 +68,15 @@ def test_degenerate_and_invalid_limits():
         integrate(np.sin, 1.0, 0.0)
     with pytest.raises(ValueError):
         integrate(np.sin, 0.0, 1.0, tol=0.0)
+
+
+def test_non_finite_integrand_names_the_abscissa():
+    f = lambda x: np.where(x > 0.7, np.nan, 1.0)
+    with pytest.raises(NonFiniteIntegrandError) as exc:
+        integrate(f, 0.0, 1.0)
+    assert isinstance(exc.value, QuadratureError)  # the CLI still exits with code 2
+    assert exc.value.x > 0.7 and np.isnan(exc.value.value)
+    assert "not finite" in str(exc.value) and "did not converge" not in str(exc.value)
+    with pytest.raises(NonFiniteIntegrandError) as exc:
+        integrate(lambda x: np.where(x < -0.5, -np.inf, x), -1.0, 1.0)
+    assert exc.value.x < -0.5 and exc.value.value == -np.inf
