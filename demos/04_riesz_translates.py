@@ -18,7 +18,6 @@ from chardisp import (
     UnitDeviancePair,
     Window,
     Zero,
-    frame_bounds_estimate,
     gram_matrix,
     orthogonality_residual,
     rational_enumeration,
@@ -38,7 +37,7 @@ print("\nframe bounds of nested translate systems (laplace kernel, lam = 1):")
 print(f"  {'n':>2}  {'lower':>12}  {'upper':>12}  {'lower/|K|^2':>12}  {'upper/|K|^2':>12}")
 for n in (1, 2, 4, 8):
     rep = gram_matrix(TranslateSystem(k, tuple(points[:n]), window), tol=1e-10)
-    lo, hi = frame_bounds_estimate(rep)
+    lo, hi = rep.min_eigenvalue, rep.max_eigenvalue
     print(f"  {n:>2}  {lo:12.6f}  {hi:12.6f}  {lo / rep.k_norm_sq:12.6f}  {hi / rep.k_norm_sq:12.6f}")
 
 rep8 = gram_matrix(TranslateSystem(k, tuple(points), window), tol=1e-10)

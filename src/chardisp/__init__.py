@@ -57,10 +57,8 @@ from .normalizer import (
 )
 from .quadrature import QuadratureError, QuadResult, integrate
 from .riesz import (
-    FrameBounds,
     GramReport,
     TranslateSystem,
-    frame_bounds_estimate,
     gram_matrix,
     orthogonality_residual,
     rational_enumeration,
@@ -79,7 +77,6 @@ __all__ = [
     "DispersionModel",
     "DomainError",
     "EnvelopeError",
-    "FrameBounds",
     "GramReport",
     "InvalidSpecError",
     "KernelSpec",
@@ -105,7 +102,6 @@ __all__ = [
     "convolution_residual",
     "diagnostics",
     "fft_deconvolve_check",
-    "frame_bounds_estimate",
     "from_dict",
     "gram_matrix",
     "integrate",

@@ -40,10 +40,6 @@ def _clamp(t: ArrayLike) -> np.ndarray:
     return np.clip(t, -T_CAP, T_CAP)
 
 
-def _scalar_ok(x: float, positive: bool = True) -> bool:
-    return np.isfinite(x) and (x > 0 if positive else True)
-
-
 class Spec:
     """A member of a registered family: a frozen dataclass whose fields are
     its parameters, serialized as ``{"family": ..., "params": {...}}``."""
@@ -94,11 +90,16 @@ class CharFn(Spec, ABC):
 
     @abstractmethod
     def eval(self, t: ArrayLike) -> ArrayLike:
-        """Evaluate the characteristic function at ``t`` (scalar or array)."""
+        """Evaluate the characteristic function at ``t``: a numpy float
+        scalar for scalar ``t``, an array of the shape of ``t`` otherwise."""
 
-    @abstractmethod
     def validate(self) -> ValidationResult:
-        """Check that the parameters lie in their admissible domain."""
+        """Check that the parameters lie in their admissible domain: by
+        default, every parameter positive and finite."""
+        for name, v in self.params().items():
+            if not (np.isfinite(v) and v > 0):
+                return ValidationResult(False, f"{self.family} {name} must be positive and finite, got {v}")
+        return ValidationResult(True)
 
     @abstractmethod
     def has_finite_second_moment(self) -> bool:
@@ -110,10 +111,6 @@ class CharFn(Spec, ABC):
             raise InvalidSpecError(res.message)
         return self
 
-    @staticmethod
-    def _finish(out: np.ndarray, t: ArrayLike):
-        return float(out) if np.ndim(t) == 0 else out
-
 
 @dataclass(frozen=True)
 class Normal(CharFn):
@@ -123,13 +120,7 @@ class Normal(CharFn):
     family = "normal"
 
     def eval(self, t):
-        tt = _clamp(t)
-        return self._finish(np.exp(-0.5 * (self.scale * tt) ** 2), t)
-
-    def validate(self):
-        if not _scalar_ok(self.scale):
-            return ValidationResult(False, f"normal scale must be positive and finite, got {self.scale}")
-        return ValidationResult(True)
+        return np.exp(-0.5 * (self.scale * _clamp(t)) ** 2)
 
     def has_finite_second_moment(self):
         return True
@@ -143,13 +134,7 @@ class Cauchy(CharFn):
     family = "cauchy"
 
     def eval(self, t):
-        tt = _clamp(t)
-        return self._finish(np.exp(-self.scale * np.abs(tt)), t)
-
-    def validate(self):
-        if not _scalar_ok(self.scale):
-            return ValidationResult(False, f"cauchy scale must be positive and finite, got {self.scale}")
-        return ValidationResult(True)
+        return np.exp(-self.scale * np.abs(_clamp(t)))
 
     def has_finite_second_moment(self):
         return False
@@ -163,13 +148,7 @@ class Laplace(CharFn):
     family = "laplace"
 
     def eval(self, t):
-        tt = _clamp(t)
-        return self._finish(1.0 / (1.0 + (self.scale * tt) ** 2), t)
-
-    def validate(self):
-        if not _scalar_ok(self.scale):
-            return ValidationResult(False, f"laplace scale must be positive and finite, got {self.scale}")
-        return ValidationResult(True)
+        return 1.0 / (1.0 + (self.scale * _clamp(t)) ** 2)
 
     def has_finite_second_moment(self):
         return True
@@ -188,15 +167,12 @@ class SymmetricStable(CharFn):
     family = "stable"
 
     def eval(self, t):
-        tt = _clamp(t)
-        return self._finish(np.exp(-np.abs(self.scale * tt) ** self.alpha), t)
+        return np.exp(-np.abs(self.scale * _clamp(t)) ** self.alpha)
 
     def validate(self):
         if not (np.isfinite(self.alpha) and 0.0 < self.alpha <= 2.0):
             return ValidationResult(False, f"stable index alpha must lie in (0, 2], got {self.alpha}")
-        if not _scalar_ok(self.scale):
-            return ValidationResult(False, f"stable scale must be positive and finite, got {self.scale}")
-        return ValidationResult(True)
+        return super().validate()
 
     def has_finite_second_moment(self):
         return self.alpha == 2.0
@@ -215,16 +191,7 @@ class SymmetricNIG(CharFn):
     family = "nig"
 
     def eval(self, t):
-        tt = _clamp(t)
-        out = np.exp(self.delta * (self.alpha - np.sqrt(self.alpha ** 2 + tt ** 2)))
-        return self._finish(out, t)
-
-    def validate(self):
-        if not _scalar_ok(self.alpha):
-            return ValidationResult(False, f"nig tail parameter alpha must be positive and finite, got {self.alpha}")
-        if not _scalar_ok(self.delta):
-            return ValidationResult(False, f"nig scale delta must be positive and finite, got {self.delta}")
-        return ValidationResult(True)
+        return np.exp(self.delta * (self.alpha - np.sqrt(self.alpha ** 2 + _clamp(t) ** 2)))
 
     def has_finite_second_moment(self):
         return True

@@ -45,7 +45,6 @@ from .normalizer import (
 from .quadrature import QuadratureError
 from .riesz import (
     TranslateSystem,
-    frame_bounds_estimate,
     gram_matrix,
     orthogonality_residual,
     rational_enumeration,
@@ -258,7 +257,6 @@ def _cmd_riesz(cfg: RunConfig) -> _Emitter:
     points = rational_enumeration(cfg.n if cfg.n is not None else 8)
     system = TranslateSystem(k, tuple(points), cfg.window)
     report = gram_matrix(system, tol=cfg.tol)
-    bounds = frame_bounds_estimate(report)
 
     f = cfg.perturb if cfg.perturb is not None else CosineGaussian()
     half = cfg.window.middle_half()
@@ -270,10 +268,10 @@ def _cmd_riesz(cfg: RunConfig) -> _Emitter:
         "points": points,
         "gram_report": report.to_dict(),
         "frame_bounds": {
-            "lower": bounds.lower,
-            "upper": bounds.upper,
-            "lower_over_k_norm_sq": bounds.lower / report.k_norm_sq,
-            "upper_over_k_norm_sq": bounds.upper / report.k_norm_sq,
+            "lower": report.min_eigenvalue,
+            "upper": report.max_eigenvalue,
+            "lower_over_k_norm_sq": report.min_eigenvalue / report.k_norm_sq,
+            "upper_over_k_norm_sq": report.max_eigenvalue / report.k_norm_sq,
         },
         "perturbation": f.to_dict(),
     }

@@ -100,8 +100,7 @@ class DispersionModel:
         if not self.window.contains(y):
             raise DomainError("observation values fall outside the window")
         yv = np.asarray(y, dtype=float)
-        out = np.asarray(self.normalizer.value(yv)) * np.asarray(self.kernel.eval(yv - mu))
-        return float(out) if np.ndim(y) == 0 else out
+        return self.normalizer.value(yv) * self.kernel.eval(yv - mu)
 
     def to_dict(self) -> dict:
         return {

@@ -91,8 +91,7 @@ class KernelSpec:
             raise ValueError(f"index parameter lam must be >= 0, got {self.lam}")
 
     def eval(self, y: ArrayLike) -> ArrayLike:
-        out = np.exp(-self.lam * np.asarray(self.pair.deviance(y, 0.0), dtype=float))
-        return float(out) if np.ndim(y) == 0 else out
+        return np.exp(-self.lam * self.pair.deviance(y, 0.0))
 
     @property
     def breakpoints(self) -> tuple[float, ...]:
@@ -122,13 +121,11 @@ class Perturbation(Spec, ABC):
     the catalog as controls and flagged as outside that class.
     """
 
+    # True when f(y) = f(-y) for all y.
+    even = True
+
     @abstractmethod
     def eval(self, y: ArrayLike) -> ArrayLike: ...
-
-    @property
-    @abstractmethod
-    def even(self) -> bool:
-        """True when f(y) = f(-y) for all y."""
 
     def is_zero(self) -> bool:
         return isinstance(self, Zero)
@@ -147,12 +144,7 @@ class Zero(Perturbation):
     family = "zero"
 
     def eval(self, y):
-        out = np.zeros_like(np.asarray(y, dtype=float))
-        return float(out) if np.ndim(y) == 0 else out
-
-    @property
-    def even(self):
-        return True
+        return np.zeros(np.shape(y))[()]
 
 
 @dataclass(frozen=True)
@@ -166,14 +158,9 @@ class CosineGaussian(Perturbation):
 
     def eval(self, y):
         yy = np.asarray(y, dtype=float)
-        out = self.amplitude * (np.cos(self.frequency * yy) + 1.0) * np.exp(
+        return self.amplitude * (np.cos(self.frequency * yy) + 1.0) * np.exp(
             -yy ** 2 / (2.0 * self.width ** 2)
         )
-        return float(out) if np.ndim(y) == 0 else out
-
-    @property
-    def even(self):
-        return True
 
 
 @dataclass(frozen=True)
@@ -183,15 +170,11 @@ class OddGaussian(Perturbation):
     amplitude: float = 1.0
     width: float = 1.0
     family = "oddgauss"
+    even = False
 
     def eval(self, y):
         yy = np.asarray(y, dtype=float)
-        out = self.amplitude * yy * np.exp(-yy ** 2 / (2.0 * self.width ** 2))
-        return float(out) if np.ndim(y) == 0 else out
-
-    @property
-    def even(self):
-        return False
+        return self.amplitude * yy * np.exp(-yy ** 2 / (2.0 * self.width ** 2))
 
 
 @dataclass(frozen=True)
@@ -216,13 +199,7 @@ class TabulatedEven(Perturbation):
         object.__setattr__(self, "values", tuple(self.values))
 
     def eval(self, y):
-        yy = np.abs(np.asarray(y, dtype=float))
-        out = np.interp(yy, self.knots, self.values, right=0.0)
-        return float(out) if np.ndim(y) == 0 else out
-
-    @property
-    def even(self):
-        return True
+        return np.interp(np.abs(y), self.knots, self.values, right=0.0)
 
     def critical_points(self):
         return tuple(-k for k in self.knots) + self.knots
@@ -271,8 +248,7 @@ class NormalizerSpec:
 
     def value(self, y: ArrayLike) -> ArrayLike:
         if self.perturbation is None:
-            out = np.full_like(np.asarray(y, dtype=float), self.a_tilde)
-            return float(out) if np.ndim(y) == 0 else out
+            return np.full(np.shape(y), self.a_tilde)[()]
         return self.a_tilde + self.perturbation.eval(y)
 
     def is_constant(self) -> bool:
@@ -307,7 +283,7 @@ def perturbed_normalizer(base: NormalizerSpec, f: Perturbation) -> NormalizerSpe
     w = base.window
     extra = np.asarray(f.critical_points(), dtype=float)
     ys = np.concatenate([w.grid(POSITIVITY_OVERSAMPLE), extra[(extra >= w.lo) & (extra <= w.hi)]])
-    vals = base.a_tilde + np.asarray(f.eval(ys), dtype=float)
+    vals = base.a_tilde + f.eval(ys)
     bad = vals <= 0.0
     if bad.any():
         i = int(np.argmin(vals))
@@ -326,7 +302,7 @@ def window_convolve(g, k: KernelSpec, shifts, window: Window, tol: float) -> np.
     out = np.empty(shifts.shape)
     for i, s in enumerate(shifts):
         res = integrate(
-            lambda y: np.asarray(g(y)) * np.asarray(k.eval(s - y)),
+            lambda y: g(y) * k.eval(s - y),
             window.lo,
             window.hi,
             tol=tol,
@@ -400,7 +376,7 @@ def fft_deconvolve_check(k: KernelSpec, w: Window) -> DeconvolutionReport:
     # Kernel sampled at signed circular displacements j*dy, j = -n/2..n/2-1.
     j = np.arange(n)
     disp = np.where(j <= n // 2, j, j - n) * dy
-    kv = np.asarray(k.eval(disp), dtype=float)
+    kv = k.eval(disp)
 
     khat = np.fft.fft(kv)
     bhat = np.fft.fft(np.ones(n))

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from math import floor
-from typing import NamedTuple
 
 import numpy as np
 
@@ -80,8 +79,12 @@ class TranslateSystem:
 class GramReport:
     """Gram matrix of a translate system with its eigenvalue range.
 
-    ``tight_claim_gap`` is the largest off-diagonal magnitude: the distance
-    of the finite system from an exactly orthogonal (tight) one.
+    ``min_eigenvalue`` and ``max_eigenvalue`` are the best Riesz (frame)
+    constants of the finite system.  Divide them by ``k_norm_sq`` to compare
+    against the claimed tight constant (both ratios equal 1 only for an
+    exactly orthogonal system).  ``tight_claim_gap`` is the largest
+    off-diagonal magnitude: the distance of the finite system from an
+    exactly orthogonal (tight) one.
     """
 
     gram: np.ndarray = field(repr=False)
@@ -123,20 +126,6 @@ def gram_matrix(sys: TranslateSystem, tol: float = DEFAULT_TOL) -> GramReport:
         k_norm_sq=float(gram[0, 0]),
         tight_claim_gap=off_gap,
     )
-
-
-class FrameBounds(NamedTuple):
-    lower: float
-    upper: float
-
-
-def frame_bounds_estimate(report: GramReport) -> FrameBounds:
-    """Best Riesz constants of the finite system: the extreme Gram eigenvalues.
-
-    Divide by ``report.k_norm_sq`` to compare against the claimed tight
-    constant (both ratios equal 1 only for an exactly orthogonal system).
-    """
-    return FrameBounds(report.min_eigenvalue, report.max_eigenvalue)
 
 
 def orthogonality_residual(

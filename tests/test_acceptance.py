@@ -25,7 +25,6 @@ from chardisp.normalizer import (
 from chardisp.quadrature import integrate
 from chardisp.riesz import (
     TranslateSystem,
-    frame_bounds_estimate,
     gram_matrix,
     orthogonality_residual,
     rational_enumeration,
@@ -142,7 +141,7 @@ def test_c7_riesz_probes():
             rep = gram_matrix(TranslateSystem(k, tuple(pts[:n]), W20), tol=1e-10)
             rel = np.abs(rep.gram.diagonal() / rep.k_norm_sq - 1.0)
             assert np.max(rel) <= 1e-10
-            lo, hi = frame_bounds_estimate(rep)
+            lo, hi = rep.min_eigenvalue, rep.max_eigenvalue
             lowers.append(lo)
             uppers.append(hi)
             if n == 2:

@@ -116,6 +116,37 @@ def test_regularity_laplace_pair():
     assert rep.second_derivative_at_diagonal > 0.0
 
 
+@pytest.mark.parametrize(
+    "phi, psi, exponent",
+    [
+        (Normal(1.0), Normal(1.0), 2.0),
+        (Laplace(1.0), Laplace(1.0), 2.0),
+        (SymmetricNIG(1.0, 1.0), SymmetricNIG(1.0, 1.0), 2.0),
+        (Normal(1.0), Cauchy(1.0), 2.0),
+        (Cauchy(1.0), Normal(1.0), 1.0),
+        (SymmetricStable(0.7, 1.0), Normal(1.0), 0.7),
+        (SymmetricStable(1.8, 1.0), Normal(1.0), 1.8),
+        (SymmetricStable(1.9, 1.0), Normal(1.0), 1.9),
+        (SymmetricStable(1.99, 1.0), Normal(1.0), 1.99),
+    ],
+)
+def test_kink_detected_by_local_exponent(phi, psi, exponent):
+    # d grows like |t|^alpha off the diagonal: alpha = 2 is smooth, any
+    # smaller alpha is a kink, however close to 2
+    rep = regularity_probe(UnitDeviancePair(phi, psi), mu=0.0, h=1e-4)
+    assert rep.local_exponent == pytest.approx(exponent, abs=1e-3)
+    assert rep.kink_detected is (exponent < 2.0)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1e-7])
+def test_local_exponent_unresolved_at_rounding_level(scale):
+    # 1 - phi(h/10) is within a few rounding units of zero (exactly zero at
+    # 1e-7), so the slope ratio cannot tell a kink from a smooth pair
+    rep = regularity_probe(UnitDeviancePair(Normal(scale), Normal(1.0)), mu=0.0, h=1e-4)
+    assert math.isnan(rep.local_exponent)
+    assert rep.kink_detected is False
+
+
 def test_regularity_probe_rejects_bad_step():
     with pytest.raises(ValueError):
         regularity_probe(NN, h=0.5)

@@ -8,7 +8,6 @@ from chardisp.deviance import UnitDeviancePair
 from chardisp.normalizer import CosineGaussian, KernelSpec, OddGaussian, Window, Zero
 from chardisp.riesz import (
     TranslateSystem,
-    frame_bounds_estimate,
     gram_matrix,
     orthogonality_residual,
     rational_enumeration,
@@ -135,12 +134,12 @@ class TestGramMatrix:
 class TestFrameBounds:
     def test_single_translate_tight(self):
         rep = gram_matrix(TranslateSystem(KernelSpec(LL, 1.0), (0.0,), W20), tol=1e-10)
-        lo, hi = frame_bounds_estimate(rep)
+        lo, hi = rep.min_eigenvalue, rep.max_eigenvalue
         assert lo == hi == rep.k_norm_sq
 
     def test_two_translates_straddle_k_norm(self):
         rep = gram_matrix(TranslateSystem(KernelSpec(NN, 1.0), (0.0, 1.0), W20), tol=1e-10)
-        lo, hi = frame_bounds_estimate(rep)
+        lo, hi = rep.min_eigenvalue, rep.max_eigenvalue
         assert lo < rep.k_norm_sq < hi
 
     def test_nested_monotone_containment(self):
@@ -148,7 +147,7 @@ class TestFrameBounds:
         lowers, uppers = [], []
         for n in (1, 2, 4, 8):
             rep = gram_matrix(TranslateSystem(KernelSpec(LL, 1.0), tuple(pts[:n]), W20), tol=1e-10)
-            lo, hi = frame_bounds_estimate(rep)
+            lo, hi = rep.min_eigenvalue, rep.max_eigenvalue
             lowers.append(lo)
             uppers.append(hi)
         assert all(a >= b for a, b in zip(lowers, lowers[1:]))
