@@ -182,8 +182,9 @@ class SymmetricStable(CharFn):
 class SymmetricNIG(CharFn):
     """Normal inverse Gaussian law with zero asymmetry.
 
-    Characteristic function exp(delta * (alpha - sqrt(alpha^2 + t^2))).
-    All moments are finite.
+    Characteristic function exp(delta * (alpha - sqrt(alpha^2 + t^2))),
+    evaluated as exp(-delta t^2 / (alpha + sqrt(alpha^2 + t^2))) so that
+    the exponent does not cancel near t = 0.  All moments are finite.
     """
 
     alpha: float = 1.0
@@ -191,7 +192,8 @@ class SymmetricNIG(CharFn):
     family = "nig"
 
     def eval(self, t):
-        return np.exp(self.delta * (self.alpha - np.sqrt(self.alpha ** 2 + _clamp(t) ** 2)))
+        t2 = _clamp(t) ** 2
+        return np.exp(-self.delta * t2 / (self.alpha + np.sqrt(self.alpha ** 2 + t2)))
 
     def has_finite_second_moment(self):
         return True

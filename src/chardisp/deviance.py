@@ -85,32 +85,18 @@ def check_unit_deviance(pair, y_grid, mu_grid, diagonal_tol: float = DIAGONAL_TO
     d = np.asarray(pair.deviance(y[:, None], mu[None, :]), dtype=float)
     diag = y[:, None] == mu[None, :]
 
-    witnesses = []
-    if diag.any():
-        dvals = d[diag]
-        max_diag = float(np.max(np.abs(dvals)))
-        if max_diag > diagonal_tol:
-            ii, jj = np.nonzero(diag & (np.abs(d) > diagonal_tol))
-            for i, j in zip(ii[:MAX_WITNESSES], jj[:MAX_WITNESSES]):
-                witnesses.append((float(y[i]), float(mu[j]), float(d[i, j])))
-    else:
-        max_diag = 0.0
-
     off = ~diag
-    if off.any():
-        min_off = float(np.min(d[off]))
-        if min_off <= 0.0:
-            ii, jj = np.nonzero(off & (d <= 0.0))
-            for i, j in zip(ii[:MAX_WITNESSES], jj[:MAX_WITNESSES]):
-                witnesses.append((float(y[i]), float(mu[j]), float(d[i, j])))
-    else:
-        min_off = np.inf
+    # Written as failures of the axioms, so that NaN entries are witnesses.
+    witnesses = []
+    for bad in (diag & ~(np.abs(d) <= diagonal_tol), off & ~(d > 0.0)):
+        ii, jj = np.nonzero(bad)
+        for i, j in zip(ii[:MAX_WITNESSES], jj[:MAX_WITNESSES]):
+            witnesses.append((float(y[i]), float(mu[j]), float(d[i, j])))
 
-    passed = max_diag <= diagonal_tol and min_off > 0.0
     return AxiomReport(
-        passed=passed,
-        max_abs_diagonal=max_diag,
-        min_off_diagonal=min_off,
+        passed=not witnesses,
+        max_abs_diagonal=float(np.max(np.abs(d[diag]))) if diag.any() else 0.0,
+        min_off_diagonal=float(np.min(d[off])) if off.any() else np.inf,
         n_diagonal=int(diag.sum()),
         n_off_diagonal=int(off.sum()),
         diagonal_tol=diagonal_tol,

@@ -23,12 +23,7 @@ import numpy as np
 
 from .charfn import ArrayLike
 from .deviance import RegularityReport, regularity_probe
-from .normalizer import (
-    POSITIVITY_OVERSAMPLE,
-    KernelSpec,
-    NormalizerSpec,
-    convolution_residual,
-)
+from .normalizer import KernelSpec, NormalizerSpec, convolution_residual
 
 ENVELOPE_SAFETY = 1.01
 # Largest proposal batch in sample(): bounds its working memory for large n.
@@ -131,8 +126,9 @@ def classify(m: DispersionModel) -> Classification:
 def sample(m: DispersionModel, mu: float, n: int, seed: int) -> np.ndarray:
     """Draw n values by rejection from a uniform proposal on the window.
 
-    The envelope is the density supremum over an oversampled grid times a
-    small safety factor; seeing a density above it aborts with
+    The envelope is the largest density at the normalizer's scan points
+    (the points its positivity was checked at) times a small safety
+    factor; seeing a density above it aborts with
     :class:`EnvelopeError`.  Proposals come in batches of at most
     ``MAX_PROPOSAL_BATCH``.  Deterministic for a fixed seed.
     """
@@ -144,8 +140,7 @@ def sample(m: DispersionModel, mu: float, n: int, seed: int) -> np.ndarray:
     if n == 0:
         return np.empty(0)
 
-    grid = w.grid(POSITIVITY_OVERSAMPLE)
-    envelope = ENVELOPE_SAFETY * float(np.max(m.density(grid, mu)))
+    envelope = ENVELOPE_SAFETY * float(np.max(m.density(m.normalizer.scan_points(), mu)))
 
     rng = np.random.default_rng(seed)
     out = np.empty(n)

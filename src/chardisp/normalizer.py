@@ -93,20 +93,15 @@ class KernelSpec:
     def eval(self, y: ArrayLike) -> ArrayLike:
         return np.exp(-self.lam * self.pair.deviance(y, 0.0))
 
-    @property
-    def breakpoints(self) -> tuple[float, ...]:
-        """Abscissae where the kernel may have a corner (the deviance zero)."""
-        return (0.0,)
-
 
 def kernel_integral(k: KernelSpec, w: Window, tol: float = DEFAULT_TOL) -> float:
     """Adaptive quadrature of K over the window, absolute tolerance tol.
 
+    K is even, so this is the window convolution of 1 with K at shift 0.
     Raises :class:`QuadratureError` (carrying the best estimate and its
     error bound) if the subdivision budget is exhausted first.
     """
-    res = integrate(k.eval, w.lo, w.hi, tol=tol, breakpoints=k.breakpoints)
-    return res.require()
+    return float(window_convolve(np.ones_like, k, 0.0, w, tol))
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +249,14 @@ class NormalizerSpec:
     def is_constant(self) -> bool:
         return self.perturbation is None or self.perturbation.is_zero()
 
+    def scan_points(self) -> np.ndarray:
+        """Where the extremes of a(y) are looked for: the window grid
+        oversampled by ``POSITIVITY_OVERSAMPLE``, followed by the
+        perturbation's critical points inside the window."""
+        w, f = self.window, self.perturbation
+        extra = np.asarray(() if f is None else f.critical_points(), dtype=float)
+        return np.concatenate([w.grid(POSITIVITY_OVERSAMPLE), extra[(extra >= w.lo) & (extra <= w.hi)]])
+
     def to_dict(self) -> dict:
         d = {
             "kind": self.kind,
@@ -273,43 +276,36 @@ def trivial_normalizer(k: KernelSpec, w: Window, tol: float = DEFAULT_TOL) -> No
 def perturbed_normalizer(base: NormalizerSpec, f: Perturbation) -> NormalizerSpec:
     """Attach a perturbation to a trivial normalizer, enforcing positivity.
 
-    The sum a_tilde + f is checked on a grid oversampled by
-    ``POSITIVITY_OVERSAMPLE`` and at the perturbation's critical points
-    inside the window; the abscissa of the smallest value is raised in
-    :class:`PositivityError`.
+    The sum a_tilde + f must be positive at every one of its
+    :meth:`NormalizerSpec.scan_points`; otherwise the abscissa of the first
+    NaN, or else of the smallest value, is raised in :class:`PositivityError`.
     """
     if base.kind != "trivial":
         raise ValueError("base normalizer must be trivial (constant)")
-    w = base.window
-    extra = np.asarray(f.critical_points(), dtype=float)
-    ys = np.concatenate([w.grid(POSITIVITY_OVERSAMPLE), extra[(extra >= w.lo) & (extra <= w.hi)]])
-    vals = base.a_tilde + f.eval(ys)
-    bad = vals <= 0.0
-    if bad.any():
-        i = int(np.argmin(vals))
+    norm = NormalizerSpec(a_tilde=base.a_tilde, window=base.window, perturbation=f)
+    ys = norm.scan_points()
+    vals = norm.value(ys)
+    if not np.all(vals > 0.0):
+        i = int(np.argmin(vals))  # argmin stops at the first NaN
         raise PositivityError(float(ys[i]), float(vals[i]))
-    return NormalizerSpec(a_tilde=base.a_tilde, window=base.window, perturbation=f)
+    return norm
 
 
 def window_convolve(g, k: KernelSpec, shifts, window: Window, tol: float) -> np.ndarray:
     """Integral over the window of g(y) K(s - y) dy, for each shift s.
 
-    ``g`` is a vectorized callable.  Each shift gets its own adaptive
+    ``g`` is a vectorized callable and ``shifts`` an array of any shape;
+    the result has that shape.  Each distinct shift gets one adaptive
     quadrature, cut at s (the corner of K(s - y)) and at 0 (where ``g``
-    may have one); an unconverged integral raises :class:`QuadratureError`.
+    may have one), so equal shifts share one value; an unconverged
+    integral raises :class:`QuadratureError`.
     """
-    shifts = np.atleast_1d(np.asarray(shifts, dtype=float))
-    out = np.empty(shifts.shape)
-    for i, s in enumerate(shifts):
-        res = integrate(
-            lambda y: g(y) * k.eval(s - y),
-            window.lo,
-            window.hi,
-            tol=tol,
-            breakpoints=(s, 0.0),
-        )
-        out[i] = res.require()
-    return out
+    distinct, which = np.unique(np.asarray(shifts, dtype=float), return_inverse=True)
+    values = np.array([
+        integrate(lambda y: g(y) * k.eval(s - y), window.lo, window.hi, tol=tol, breakpoints=(s, 0.0)).value
+        for s in distinct
+    ])
+    return values[which].reshape(np.shape(shifts))
 
 
 def convolution_residual(

@@ -5,8 +5,9 @@ is deliberately simple: the interval is cut at caller-supplied breakpoints
 (kink locations must be panel boundaries, otherwise the error estimate is
 useless there), each panel is evaluated with a 7-point Gauss rule embedded
 in a 15-point Kronrod rule, and the panel with the largest error estimate
-is bisected until the summed estimate drops below the absolute tolerance
-or the panel budget runs out.
+is bisected until the summed estimate drops below the absolute tolerance.
+If the panel budget runs out first, :class:`QuadratureError` is raised, so
+a returned :class:`QuadResult` is always converged.
 
 The per-panel error estimate is the conservative ``|kronrod - gauss|``
 difference.  For smooth integrands the Kronrod value is far more accurate
@@ -90,13 +91,6 @@ class QuadResult:
     value: float
     error_bound: float
     n_panels: int
-    converged: bool
-
-    def require(self) -> float:
-        """Return the value, raising :class:`QuadratureError` if unconverged."""
-        if not self.converged:
-            raise QuadratureError(self.value, self.error_bound)
-        return self.value
 
 
 def _gk15(f: Callable[[np.ndarray], np.ndarray], a: float, b: float):
@@ -139,15 +133,16 @@ def integrate(
         Points forced to be panel boundaries (kinks, corners).  Values
         outside ``(a, b)`` are ignored.
     max_panels : int
-        Subdivision budget.  On exhaustion the result carries
-        ``converged=False`` together with the best estimate and bound.
+        Subdivision budget.  If it runs out before the summed bound drops
+        to ``tol``, :class:`QuadratureError` is raised carrying the best
+        estimate and bound.
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
     if b < a:
         raise ValueError(f"integration limits out of order: [{a}, {b}]")
     if a == b:
-        return QuadResult(0.0, 0.0, 0, True)
+        return QuadResult(0.0, 0.0, 0)
 
     cuts = sorted({float(p) for p in breakpoints if a < p < b})
     edges = [a, *cuts, b]
@@ -188,4 +183,6 @@ def integrate(
         n_panels += 1
 
     bound = total_err + stuck_err
-    return QuadResult(total_val, bound, n_panels, bound <= tol)
+    if not bound <= tol:  # NaN from an overflowed panel bound counts too
+        raise QuadratureError(total_val, bound)
+    return QuadResult(total_val, bound, n_panels)

@@ -111,8 +111,7 @@ def gram_matrix(sys: TranslateSystem, tol: float = DEFAULT_TOL) -> GramReport:
     k = sys.kernel
     pts = np.asarray(sys.points)
     n = pts.size
-    deltas, which = np.unique(np.abs(np.subtract.outer(pts, pts)).ravel(), return_inverse=True)
-    gram = window_convolve(k.eval, k, deltas, sys.window, tol)[which].reshape(n, n)
+    gram = window_convolve(k.eval, k, np.abs(np.subtract.outer(pts, pts)), sys.window, tol)
 
     eigs = np.linalg.eigvalsh(gram)
     off_gap = 0.0
@@ -133,7 +132,8 @@ def orthogonality_residual(
     k: KernelSpec,
     mu_grid,
     tol: float = DEFAULT_TOL,
-    window: Window | None = None,
+    *,
+    window: Window,
 ) -> np.ndarray:
     """Inner products rho(mu) of the perturbation against each translate.
 
@@ -143,8 +143,7 @@ def orthogonality_residual(
     to be zero.  For nonnegative even f and a strictly positive kernel they
     are strictly positive.
     """
-    w = window if window is not None else Window()
     mu_grid = np.atleast_1d(np.asarray(mu_grid, dtype=float))
-    if not w.contains(mu_grid):
+    if not window.contains(mu_grid):
         raise ValueError("mu grid must lie inside the window")
-    return window_convolve(f.eval, k, mu_grid, w, tol)
+    return window_convolve(f.eval, k, mu_grid, window, tol)

@@ -81,6 +81,22 @@ def test_check_unit_deviance_catches_corruption():
     assert any(val < 0.0 for _, _, val in rep.violations)
 
 
+def test_check_unit_deviance_names_nan_entries():
+    class NaNAtHalf:
+        def deviance(self, y, mu):
+            t = y - mu
+            return np.where(np.abs(t) == 0.5, np.nan, t * t)
+
+    grid = np.linspace(-1.0, 1.0, 5)
+    rep = check_unit_deviance(NaNAtHalf(), grid, grid)
+    assert not rep.passed
+    # off-diagonal witnesses in row-major order, each with |y - mu| = 0.5
+    assert [(y, mu) for y, mu, _ in rep.violations] == [
+        (-1.0, -0.5), (-0.5, -1.0), (-0.5, 0.0), (0.0, -0.5), (0.0, 0.5), (0.5, 0.0), (0.5, 1.0), (1.0, 0.5)
+    ]
+    assert all(math.isnan(v) for _, _, v in rep.violations)
+
+
 def test_check_unit_deviance_rejects_empty_grid():
     with pytest.raises(ValueError):
         check_unit_deviance(NN, [], [0.0])
@@ -144,6 +160,15 @@ def test_local_exponent_unresolved_at_rounding_level(scale):
     # 1e-7), so the slope ratio cannot tell a kink from a smooth pair
     rep = regularity_probe(UnitDeviancePair(Normal(scale), Normal(1.0)), mu=0.0, h=1e-4)
     assert math.isnan(rep.local_exponent)
+    assert rep.kink_detected is False
+
+
+@pytest.mark.parametrize("alpha", [1.0, 333.0, 1000.0])
+def test_nig_smooth_for_large_alpha(alpha):
+    # 1 - phi(t) for nig is about delta t^2 / (2 alpha); computed as
+    # alpha - sqrt(alpha^2 + t^2) it drowns in rounding once alpha is large
+    rep = regularity_probe(UnitDeviancePair(SymmetricNIG(alpha, 1.0), Normal(1.0)), mu=0.0, h=1e-4)
+    assert rep.local_exponent == pytest.approx(2.0, abs=1e-3)
     assert rep.kink_detected is False
 
 

@@ -176,13 +176,29 @@ class TestSample:
         grid, cdf = cumulative_cdf(lambda y: m.density(y, 0.0), -20.0, 20.0)
         assert ks_statistic(draws, grid, cdf) <= 1.95 / np.sqrt(draws.size)
 
+    def test_envelope_sees_critical_points(self):
+        # a bump of width 0.002 between the envelope grid points (spacing
+        # 0.0098): the envelope must scan the table's knots, as the
+        # positivity check does, or the valid model cannot be sampled
+        k = KernelSpec(NN, 1.0)
+        bump = TabulatedEven((0.003, 0.004, 0.005, 1.0), (0.0, 1.0, 0.0, 0.0))
+        m = DispersionModel(k, perturbed_normalizer(trivial_normalizer(k, Window()), bump))
+        draws = sample(m, 0.0, 100_000, seed=0)
+        assert draws.size == 100_000
+        assert np.any(np.abs(np.abs(draws) - 0.004) < 0.001)
+
     def test_envelope_failure_aborts_with_diagnostics(self):
-        # a spike narrower than the envelope grid spacing escapes the
-        # supremum scan; sampling must notice and abort
+        # a spike narrower than the envelope grid spacing, at a point the
+        # perturbation does not declare critical, escapes the supremum
+        # scan; sampling must notice and abort
+        class HiddenKnots(TabulatedEven):
+            def critical_points(self):
+                return ()
+
         k = KernelSpec(NN, 1.0)
         w = Window(-20.0, 20.0, 16)
         base = trivial_normalizer(k, w)
-        spike = TabulatedEven(knots=(0.0, 0.1, 0.2, 0.3), values=(0.0, 0.0, 100.0, 0.0))
+        spike = HiddenKnots(knots=(0.0, 0.1, 0.2, 0.3), values=(0.0, 0.0, 100.0, 0.0))
         m = DispersionModel(k, perturbed_normalizer(base, spike))
         with pytest.raises(EnvelopeError) as exc:
             sample(m, 0.0, 500, seed=0)

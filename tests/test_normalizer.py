@@ -1,9 +1,10 @@
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 
-from chardisp.charfn import Laplace, Normal
+from chardisp.charfn import Cauchy, Laplace, Normal, SymmetricNIG, SymmetricStable
 from chardisp.deviance import UnitDeviancePair
 from chardisp.normalizer import (
     CosineGaussian,
@@ -20,6 +21,7 @@ from chardisp.normalizer import (
     perturbation_from_dict,
     perturbed_normalizer,
     trivial_normalizer,
+    window_convolve,
 )
 from chardisp.quadrature import integrate
 
@@ -33,6 +35,17 @@ W20 = Window(-20.0, 20.0, 1024)
 # (stable to ~7e-15 under doubling of the resolution).
 GOLDEN_INTEGRAL_NN = 39.327251983583842
 GOLDEN_INTEGRAL_LL = 38.621340936110386
+
+
+@dataclass(frozen=True)
+class CountingKernel(KernelSpec):
+    """KernelSpec that records the size of every evaluation."""
+
+    calls: list = field(default_factory=list, compare=False, repr=False)
+
+    def eval(self, y):
+        self.calls.append(np.size(y))
+        return super().eval(y)
 
 
 class TestWindow:
@@ -111,6 +124,36 @@ class TestKernelIntegral:
         assert abs(r1.value - r2.value) <= r1.error_bound + r2.error_bound
 
 
+    @pytest.mark.parametrize(
+        "charfn", [Normal(1.3), Cauchy(0.7), Laplace(1.1), SymmetricStable(0.7, 1.0), SymmetricNIG(2.0, 1.0)]
+    )
+    def test_is_the_plain_integral_of_the_kernel(self, charfn):
+        # the window convolution of 1 with K at shift 0 integrates K(0 - y),
+        # which equals K(y) bit for bit, cut at the same single point
+        k = KernelSpec(UnitDeviancePair(charfn, Normal(1.0)), 1.0)
+        plain = integrate(k.eval, W20.lo, W20.hi, tol=1e-10, breakpoints=(0.0,)).value
+        assert kernel_integral(k, W20, tol=1e-10) == plain
+
+
+class TestWindowConvolve:
+    def test_any_shape_one_integral_per_distinct_shift(self):
+        shifts = np.array([[0.0, 1.5, -2.0], [1.5, 0.0, 3.0]])
+        g = CosineGaussian().eval
+        k = CountingKernel(LL, 1.0)
+        got = window_convolve(g, k, shifts, W20, 1e-10)
+        assert got.shape == (2, 3)
+        for idx, s in np.ndenumerate(shifts):
+            assert got[idx] == window_convolve(g, KernelSpec(LL, 1.0), s, W20, 1e-10)
+        # as many kernel calls as the distinct shifts take one at a time:
+        # the repeated 0 and 1.5 are integrated once each
+        calls = 0
+        for s in (0.0, 1.5, -2.0, 3.0):
+            single = CountingKernel(LL, 1.0)
+            window_convolve(g, single, s, W20, 1e-10)
+            calls += len(single.calls)
+        assert len(k.calls) == calls
+
+
 class TestTrivialNormalizer:
     def test_flat_boundary_case(self):
         norm = trivial_normalizer(KernelSpec(NN, 0.0), Window(-10.0, 10.0))
@@ -131,7 +174,7 @@ class TestTrivialNormalizer:
         for c in rng.uniform(-30.0, 30.0, size=5):
             shifted = integrate(
                 lambda y: k.eval(y - c), W20.lo + c, W20.hi + c, tol=1e-12, breakpoints=(c,)
-            ).require()
+            ).value
             assert abs(shifted - base) <= 1e-12 * abs(base)
 
 
@@ -179,6 +222,18 @@ class TestPerturbations:
         assert abs(exc.value.y) == 0.004
         assert exc.value.value == base.a_tilde - 1.0
 
+    @pytest.mark.parametrize(
+        "f", [CosineGaussian(amplitude=math.nan), TabulatedEven((0.0, 1.0), (math.nan, 0.0))]
+    )
+    def test_rejected_on_nan(self, f):
+        # NaN fails every comparison, so "not > 0" must be the test, not "<= 0"
+        base = trivial_normalizer(KernelSpec(LL, 1.0), W20)
+        with pytest.raises(PositivityError) as exc:
+            perturbed_normalizer(base, f)
+        assert math.isnan(exc.value.value)
+        ys = base.window.grid(4)
+        assert exc.value.y == ys[np.flatnonzero(np.isnan(f.eval(ys)))[0]]
+
     def test_requires_trivial_base(self):
         base = trivial_normalizer(KernelSpec(LL, 1.0), W20)
         pert = perturbed_normalizer(base, Zero())
@@ -201,7 +256,7 @@ class TestPerturbations:
     def test_square_integrable_on_window(self):
         for f in (Zero(), CosineGaussian(), OddGaussian(), TabulatedEven((0.0, 1.0), (1.0, 0.0))):
             sq = integrate(lambda y: np.asarray(f.eval(y)) ** 2, -20.0, 20.0, tol=1e-9)
-            assert np.isfinite(sq.require())
+            assert np.isfinite(sq.value)
 
     def test_perturbation_round_trip(self):
         for f in (Zero(), CosineGaussian(2.0, 1.0, 3.0), OddGaussian(0.5, 2.0),

@@ -9,7 +9,6 @@ from oracles import midpoint_integral
 def test_exact_on_polynomials():
     # a single Gauss-Kronrod panel integrates low-degree polynomials exactly
     res = integrate(lambda x: 3 * x**2, 0.0, 2.0, tol=1e-12)
-    assert res.converged
     assert res.value == pytest.approx(8.0, abs=1e-13)
 
     res = integrate(lambda x: x**7 - x + 1.0, -1.0, 3.0, tol=1e-12)
@@ -45,13 +44,10 @@ def test_error_bound_dominates_true_error():
 
 def test_budget_exhaustion_reports_estimate():
     # highly oscillatory integrand with a tiny budget cannot converge
-    res = integrate(lambda x: np.sin(1e4 * x), 0.0, 1.0, tol=1e-14, max_panels=4)
-    assert not res.converged
-    assert res.error_bound > 1e-14
     with pytest.raises(QuadratureError) as exc:
-        res.require()
-    assert exc.value.estimate == res.value
-    assert exc.value.error_bound == res.error_bound
+        integrate(lambda x: np.sin(1e4 * x), 0.0, 1.0, tol=1e-14, max_panels=4)
+    assert np.isfinite(exc.value.estimate)
+    assert exc.value.error_bound > 1e-14
 
 
 def test_tolerance_halving_consistency():
