@@ -9,6 +9,7 @@ origin.  The catalog holds five families; new ones can be added through
 """
 from __future__ import annotations
 
+import numbers
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, fields
 from typing import Union
@@ -54,16 +55,28 @@ class Spec:
         return {"family": self.family, "params": self.params()}
 
 
+def is_number(v) -> bool:
+    """True for a real number; False for a bool, a string, None, a list..."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
 def build(registry: dict, kind: str, family, params) -> Spec:
-    """Instantiate ``registry[family](**params)``; errors name the ``kind``."""
+    """Instantiate ``registry[family](**params)``; errors name the ``kind``.
+
+    Every parameter must be a number, or a tuple of numbers for table
+    fields that the family stores as tuples."""
     try:
         cls = registry[family]
     except (TypeError, KeyError):
         raise InvalidSpecError(f"unknown {kind} family {family!r}") from None
     try:
-        return cls(**params)
+        spec = cls(**params)
     except TypeError as exc:
         raise InvalidSpecError(f"bad parameters for {kind} family {family!r}: {params!r}") from exc
+    for name, v in spec.params().items():
+        if not all(map(is_number, v if isinstance(v, tuple) else (v,))):
+            raise InvalidSpecError(f"{kind} family {family!r} parameter {name!r} must be a number, got {v!r}")
+    return spec
 
 
 def parse_shorthand(registry: dict, kind: str, token: str) -> Spec:

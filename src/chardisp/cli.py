@@ -11,8 +11,8 @@ figures   the four showcase model curves plus normal and t3 reference curves
 All numeric output uses 17 significant digits so runs are reproducible
 byte for byte.  Outputs are accumulated in memory and written only after
 every computation has succeeded; a failing run leaves no partial files.
-Exit codes: 0 success, 1 validation or configuration error, 2 numerical
-failure (quadrature budget, sampling envelope).
+Exit codes: 0 success, 1 validation, configuration or output error, 2
+numerical failure (quadrature budget, sampling envelope).
 """
 from __future__ import annotations
 
@@ -29,13 +29,12 @@ import numpy as np
 from . import charfn
 from .charfn import CharFn, InvalidSpecError
 from .deviance import UnitDeviancePair, check_unit_deviance
-from .model import DispersionModel, DomainError, EnvelopeError, diagnostics, sample
+from .model import DispersionModel, EnvelopeError, diagnostics, sample
 from .normalizer import (
     PERTURBATION_FAMILIES,
     CosineGaussian,
     KernelSpec,
     Perturbation,
-    PositivityError,
     Window,
     fft_deconvolve_check,
     perturbation_from_dict,
@@ -108,51 +107,44 @@ def _load_config_file(path: str) -> dict:
     return doc
 
 
-def _window_from_config(value) -> Window:
-    if isinstance(value, dict):
-        return Window(**value)
+def _window(cfg: RunConfig, value) -> Window:
+    """A window from [LO, HI(, N_GRID)] or {"lo", "hi"(, "n_grid")}; the
+    configured n_grid stays unless the value gives one."""
     if isinstance(value, (list, tuple)) and len(value) in (2, 3):
-        return Window(*value)
-    raise InvalidSpecError(f"bad window record {value!r}")
+        value = dict(zip(("lo", "hi", "n_grid"), value))
+    if not isinstance(value, dict):
+        raise InvalidSpecError(f"bad window record {value!r}")
+    return Window(**{"n_grid": cfg.window.n_grid, **value})
 
 
-# Config-file key -> the RunConfig fields it sets, given (config so far,
-# value).  Applied in this order: "window" before "grid", and "perturbation"
-# after "perturb" so that it wins.  "tol" carries "residual_tol" with it.
-_FILE_KEYS = {
-    "phi": lambda c, v: {"phi": charfn.from_dict(v)},
-    "psi": lambda c, v: {"psi": charfn.from_dict(v)},
-    "lambda": lambda c, v: {"lam": float(v)},
-    "window": lambda c, v: {"window": _window_from_config(v)},
-    "grid": lambda c, v: {"window": Window(c.window.lo, c.window.hi, int(v))},
-    "perturb": lambda c, v: {"perturb": perturbation_from_dict(v)},
-    "perturbation": lambda c, v: {"perturb": perturbation_from_dict(v)},
-    "mu": lambda c, v: {"mu": float(v)},
-    "tol": lambda c, v: {"tol": float(v), "residual_tol": float(v)},
-    "seed": lambda c, v: {"seed": int(v)},
-    "n": lambda c, v: {"n": int(v)},
-    "out": lambda c, v: {"out": str(v)},
-}
-# The same for flags, keyed by argparse dest; argparse has typed the values.
-_FLAG_KEYS = {
-    "phi": lambda c, v: {"phi": parse_charfn(v)},
-    "psi": lambda c, v: {"psi": parse_charfn(v)},
-    "lam": lambda c, v: {"lam": v},
-    "window": lambda c, v: {"window": Window(v[0], v[1], c.window.n_grid)},
-    "grid": lambda c, v: {"window": Window(c.window.lo, c.window.hi, v)},
-    "mu": lambda c, v: {"mu": v},
-    "perturb": lambda c, v: {"perturb": parse_perturbation(v)},
-    "tol": lambda c, v: {"tol": v, "residual_tol": v},
-    "seed": lambda c, v: {"seed": v},
-    "n": lambda c, v: {"n": v},
-    "out": lambda c, v: {"out": v},
+# Setting -> the RunConfig fields it sets, given (config so far, value, the
+# source's (charfn, perturbation) spec readers).  Config keys and flag dests
+# share these names; "perturbation" is a config-file alias of "perturb".
+# Applied in this order: "window" before "grid", and "perturbation" after
+# "perturb" so that it wins.  "tol" carries "residual_tol" with it.
+_KEYS = {
+    "phi": lambda c, v, read: {"phi": read[0](v)},
+    "psi": lambda c, v, read: {"psi": read[0](v)},
+    "lambda": lambda c, v, read: {"lam": float(v)},
+    "window": lambda c, v, read: {"window": _window(c, v)},
+    "grid": lambda c, v, read: {"window": replace(c.window, n_grid=int(v))},
+    "perturb": lambda c, v, read: {"perturb": read[1](v)},
+    "perturbation": lambda c, v, read: {"perturb": read[1](v)},
+    "mu": lambda c, v, read: {"mu": float(v)},
+    "tol": lambda c, v, read: {"tol": float(v), "residual_tol": float(v)},
+    "seed": lambda c, v, read: {"seed": int(v)},
+    "n": lambda c, v, read: {"n": int(v)},
+    "out": lambda c, v, read: {"out": str(v)},
 }
 
 
-def _merge(cfg: RunConfig, keys: dict, values: dict) -> RunConfig:
-    for key, update in keys.items():
+def _merge(cfg: RunConfig, values: dict, read: tuple) -> RunConfig:
+    for key, update in _KEYS.items():
         if key in values:
-            cfg = replace(cfg, **update(cfg, values[key]))
+            try:
+                cfg = replace(cfg, **update(cfg, values[key], read))
+            except TypeError as exc:
+                raise InvalidSpecError(f"bad value for {key!r}: {exc}") from exc
     return cfg
 
 
@@ -161,12 +153,12 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(subcommand=args.subcommand)
     if args.config:
         doc = _load_config_file(args.config)
-        unknown = set(doc) - set(_FILE_KEYS)
+        unknown = set(doc) - set(_KEYS)
         if unknown:
             raise InvalidSpecError(f"unknown config keys {sorted(unknown)!r}")
-        cfg = _merge(cfg, _FILE_KEYS, doc)
+        cfg = _merge(cfg, doc, (charfn.from_dict, perturbation_from_dict))
     flags = {key: value for key, value in vars(args).items() if value is not None}
-    return _merge(cfg, _FLAG_KEYS, flags)
+    return _merge(cfg, flags, (parse_charfn, parse_perturbation))
 
 
 # ---------------------------------------------------------------------------
@@ -189,42 +181,29 @@ def _symmetric_grid(w: Window, n: int) -> np.ndarray:
     return np.linspace(w.lo, w.hi, n + 1)
 
 
-class _Emitter:
-    """Collects outputs and writes them only when the run has succeeded."""
-
-    def __init__(self, out: Optional[str], multi: bool):
-        self.out = out
-        self.multi = multi  # out names a directory rather than a file
-        self.items: list[tuple[Optional[str], str]] = []
-
-    def add(self, name: Optional[str], text: str):
-        self.items.append((name, text))
-
-    def flush(self):
-        for name, text in self.items:
-            if self.out is None:
-                sys.stdout.write(text)
-                continue
-            base = Path(self.out)
-            path = base / name if self.multi else base
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(text)
+def _write(out: Optional[str], files: dict) -> None:
+    """Write each text to out/name, or to out itself when name is None;
+    everything goes to stdout when out is None."""
+    for name, text in files.items():
+        if out is None:
+            sys.stdout.write(text)
+            continue
+        path = Path(out) if name is None else Path(out) / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each returns {file name: text}, name None for the single file
 # ---------------------------------------------------------------------------
 
-def _cmd_density(cfg: RunConfig) -> _Emitter:
+def _cmd_density(cfg: RunConfig) -> dict:
     m = cfg.model()
     ys = _symmetric_grid(cfg.window, cfg.window.n_grid)
-    ps = m.density(ys, cfg.mu)
-    em = _Emitter(cfg.out, multi=False)
-    em.add(None, _csv("y,density", zip(ys, ps)))
-    return em
+    return {None: _csv("y,density", zip(ys, m.density(ys, cfg.mu)))}
 
 
-def _cmd_verify(cfg: RunConfig) -> _Emitter:
+def _cmd_verify(cfg: RunConfig) -> dict:
     m = cfg.model()
     lo, hi = m.position_domain
     span = np.linspace(lo, hi, 101)
@@ -239,20 +218,14 @@ def _cmd_verify(cfg: RunConfig) -> _Emitter:
         "diagnostics": diag.to_dict(),
         "fft_deconvolution": fft.to_dict(),
     }
-    em = _Emitter(cfg.out, multi=True)
-    em.add("verify.json", json.dumps(doc, indent=2) + "\n")
-    em.add(
-        "residuals.csv",
-        _csv("mu,residual", diag.normalization_residuals.items()),
-    )
-    em.add(
-        "deconvolution.csv",
-        _csv("index,y,value", zip(range(fft.solution.size), fft.ys, fft.solution)),
-    )
-    return em
+    return {
+        "verify.json": json.dumps(doc, indent=2) + "\n",
+        "residuals.csv": _csv("mu,residual", diag.normalization_residuals.items()),
+        "deconvolution.csv": _csv("index,y,value", zip(range(fft.solution.size), fft.ys, fft.solution)),
+    }
 
 
-def _cmd_riesz(cfg: RunConfig) -> _Emitter:
+def _cmd_riesz(cfg: RunConfig) -> dict:
     k = cfg.kernel()
     points = rational_enumeration(cfg.n if cfg.n is not None else 8)
     system = TranslateSystem(k, tuple(points), cfg.window)
@@ -275,18 +248,16 @@ def _cmd_riesz(cfg: RunConfig) -> _Emitter:
         },
         "perturbation": f.to_dict(),
     }
-    em = _Emitter(cfg.out, multi=True)
-    em.add("riesz.json", json.dumps(doc, indent=2) + "\n")
-    em.add("orthogonality.csv", _csv("mu,residual", zip(mu_grid, rho)))
-    return em
+    return {
+        "riesz.json": json.dumps(doc, indent=2) + "\n",
+        "orthogonality.csv": _csv("mu,residual", zip(mu_grid, rho)),
+    }
 
 
-def _cmd_sample(cfg: RunConfig) -> _Emitter:
+def _cmd_sample(cfg: RunConfig) -> dict:
     m = cfg.model()
     draws = sample(m, cfg.mu, cfg.n if cfg.n is not None else 1000, cfg.seed)
-    em = _Emitter(cfg.out, multi=False)
-    em.add(None, _csv("value", ((v,) for v in draws)))
-    return em
+    return {None: _csv("value", ((v,) for v in draws))}
 
 
 def _std_normal_pdf(y: np.ndarray) -> np.ndarray:
@@ -297,7 +268,7 @@ def _t3_pdf(y: np.ndarray) -> np.ndarray:
     return 2.0 / (math.sqrt(3.0) * math.pi * (1.0 + y * y / 3.0) ** 2)
 
 
-def _cmd_figures(cfg: RunConfig) -> _Emitter:
+def _cmd_figures(cfg: RunConfig) -> dict:
     """The four showcase models at the configured index parameter, plus the
     standard normal and t (3 degrees of freedom) reference densities."""
     ys = _symmetric_grid(cfg.window, cfg.window.n_grid)
@@ -313,19 +284,16 @@ def _cmd_figures(cfg: RunConfig) -> _Emitter:
         "reference_normal.csv": _std_normal_pdf(ys),
         "reference_t3.csv": _t3_pdf(ys),
     }
-    em = _Emitter(cfg.out if cfg.out is not None else "figures", multi=True)
-    for name, ps in curves.items():
-        em.add(name, _csv("y,density", zip(ys, ps)))
-    return em
+    return {name: _csv("y,density", zip(ys, ps)) for name, ps in curves.items()}
 
 
-# Subcommand -> (handler, help text).
+# Subcommand -> (handler, help text, default --out).
 _COMMANDS = {
-    "density": (_cmd_density, "emit a density curve as CSV"),
-    "verify": (_cmd_verify, "run axiom, regularity and normalization diagnostics"),
-    "riesz": (_cmd_riesz, "Gram matrix, frame bounds, orthogonality residuals"),
-    "sample": (_cmd_sample, "draw from a model"),
-    "figures": (_cmd_figures, "emit the four showcase curves plus reference densities"),
+    "density": (_cmd_density, "emit a density curve as CSV", None),
+    "verify": (_cmd_verify, "run axiom, regularity and normalization diagnostics", None),
+    "riesz": (_cmd_riesz, "Gram matrix, frame bounds, orthogonality residuals", None),
+    "sample": (_cmd_sample, "draw from a model", None),
+    "figures": (_cmd_figures, "emit the four showcase curves plus reference densities", "figures"),
 }
 
 
@@ -335,11 +303,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Construct and probe dispersion models built from characteristic functions.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (_, help_text) in _COMMANDS.items():
+    for name, (_, help_text, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--phi", help="characteristic function FAMILY[:PARAMS], e.g. normal:1")
         p.add_argument("--psi", help="characteristic function FAMILY[:PARAMS], e.g. laplace:1")
-        p.add_argument("--lambda", dest="lam", type=float, help="index parameter (default 1)")
+        p.add_argument("--lambda", type=float, metavar="LAM", help="index parameter (default 1)")
         p.add_argument("--window", nargs=2, type=float, metavar=("LO", "HI"))
         p.add_argument("--grid", type=int, help="window grid size (default 1024)")
         p.add_argument("--mu", type=float, help="position parameter (default 0)")
@@ -363,14 +331,14 @@ def run(argv: list[str]) -> int:
         return 0 if exc.code == 0 else 1
     try:
         cfg = build_config(args)
-        emitter = _COMMANDS[cfg.subcommand][0](cfg)
-    except (InvalidSpecError, PositivityError, DomainError, ValueError) as exc:
+        handler, _, default_out = _COMMANDS[cfg.subcommand]
+        _write(cfg.out if cfg.out is not None else default_out, handler(cfg))
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (QuadratureError, EnvelopeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    emitter.flush()
     return 0
 
 

@@ -127,8 +127,8 @@ def sample(m: DispersionModel, mu: float, n: int, seed: int) -> np.ndarray:
     """Draw n values by rejection from a uniform proposal on the window.
 
     The envelope is the largest density at the normalizer's scan points
-    (the points its positivity was checked at) times a small safety
-    factor; seeing a density above it aborts with
+    (the points its positivity was checked at) and at mu, where the kernel
+    peaks, times a small safety factor; seeing a density above it aborts with
     :class:`EnvelopeError`.  Proposals come in batches of at most
     ``MAX_PROPOSAL_BATCH``.  Deterministic for a fixed seed.
     """
@@ -140,7 +140,8 @@ def sample(m: DispersionModel, mu: float, n: int, seed: int) -> np.ndarray:
     if n == 0:
         return np.empty(0)
 
-    envelope = ENVELOPE_SAFETY * float(np.max(m.density(m.normalizer.scan_points(), mu)))
+    peaks = np.append(m.normalizer.scan_points(), mu)  # K(y - mu) peaks at mu
+    envelope = ENVELOPE_SAFETY * float(np.max(m.density(peaks, mu)))
 
     rng = np.random.default_rng(seed)
     out = np.empty(n)

@@ -16,13 +16,14 @@ functions whose residuals the rest of the package quantifies.
 """
 from __future__ import annotations
 
+import numbers
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .charfn import ArrayLike, InvalidSpecError, Spec, build
+from .charfn import ArrayLike, InvalidSpecError, Spec, build, is_number
 from .deviance import UnitDeviancePair
 from .quadrature import DEFAULT_TOL, integrate
 
@@ -48,9 +49,10 @@ class Window:
     n_grid: int = 1024
 
     def __post_init__(self):
-        if not (np.isfinite(self.lo) and np.isfinite(self.hi) and self.hi > self.lo):
-            raise ValueError(f"window needs lo < hi, got [{self.lo}, {self.hi}]")
-        if self.n_grid < 16:
+        lo, hi = self.lo, self.hi
+        if not (is_number(lo) and is_number(hi) and np.isfinite(lo) and np.isfinite(hi) and hi > lo):
+            raise ValueError(f"window needs lo < hi, got [{lo}, {hi}]")
+        if not (isinstance(self.n_grid, numbers.Integral) and self.n_grid >= 16):
             raise ValueError(f"n_grid must be at least 16, got {self.n_grid}")
 
     @property
@@ -118,6 +120,12 @@ class Perturbation(Spec, ABC):
 
     # True when f(y) = f(-y) for all y.
     even = True
+
+    def __post_init__(self):
+        # the Gaussian envelopes exp(-y^2 / (2 s^2)) need s > 0 (NaN fails)
+        width = getattr(self, "width", 1.0)
+        if not width > 0:
+            raise InvalidSpecError(f"{self.family} width must be positive, got {width!r}")
 
     @abstractmethod
     def eval(self, y: ArrayLike) -> ArrayLike: ...
@@ -270,7 +278,10 @@ class NormalizerSpec:
 
 def trivial_normalizer(k: KernelSpec, w: Window, tol: float = DEFAULT_TOL) -> NormalizerSpec:
     """Constant solution of the window-restricted integral equation."""
-    return NormalizerSpec(a_tilde=1.0 / kernel_integral(k, w, tol), window=w)
+    integral = kernel_integral(k, w, tol)
+    if not integral > 0.0:  # a kernel too sharp for every quadrature node
+        raise ValueError(f"kernel integral over the window is {integral!r}; no constant normalizes it")
+    return NormalizerSpec(a_tilde=1.0 / integral, window=w)
 
 
 def perturbed_normalizer(base: NormalizerSpec, f: Perturbation) -> NormalizerSpec:

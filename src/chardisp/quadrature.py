@@ -137,7 +137,7 @@ def integrate(
         to ``tol``, :class:`QuadratureError` is raised carrying the best
         estimate and bound.
     """
-    if tol <= 0:
+    if not tol > 0:  # NaN too
         raise ValueError(f"tol must be positive, got {tol}")
     if b < a:
         raise ValueError(f"integration limits out of order: [{a}, {b}]")

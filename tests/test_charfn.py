@@ -17,6 +17,7 @@ from chardisp.charfn import (
     from_dict,
     register_family,
 )
+from chardisp.normalizer import PERTURBATION_FAMILIES, TabulatedEven
 
 CATALOG = [
     Normal(1.0),
@@ -111,6 +112,28 @@ def test_from_dict_rejects_garbage():
         from_dict({"params": {}})
     with pytest.raises(InvalidSpecError):
         from_dict({"family": "normal", "params": {"sigma": 1.0}})
+
+
+@pytest.mark.parametrize(
+    "registry, kind, family, params, name",
+    [
+        (charfn.FAMILIES, "characteristic function", "normal", {"scale": "x"}, "scale"),
+        (charfn.FAMILIES, "characteristic function", "stable", {"alpha": None}, "alpha"),
+        (charfn.FAMILIES, "characteristic function", "nig", {"delta": [1.0]}, "delta"),
+        (charfn.FAMILIES, "characteristic function", "laplace", {"scale": True}, "scale"),
+        (PERTURBATION_FAMILIES, "perturbation", "cosgauss", {"amplitude": "x"}, "amplitude"),
+        (PERTURBATION_FAMILIES, "perturbation", "oddgauss", {"amplitude": {}}, "amplitude"),
+        (PERTURBATION_FAMILIES, "perturbation", "custom", {"knots": [0, 1], "values": [0, "x"]}, "values"),
+    ],
+)
+def test_build_rejects_non_number_parameters(registry, kind, family, params, name):
+    with pytest.raises(InvalidSpecError, match=f"{family}.*{name}"):
+        charfn.build(registry, kind, family, params)
+
+
+def test_build_accepts_table_fields():
+    f = charfn.build(PERTURBATION_FAMILIES, "perturbation", "custom", {"knots": [0, 1], "values": [1, 0]})
+    assert f == TabulatedEven((0, 1), (1, 0))
 
 
 def test_register_family_extension_point():

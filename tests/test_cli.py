@@ -1,8 +1,16 @@
+import io
 import json
+import math
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chardisp import charfn, cli
 from chardisp.charfn import InvalidSpecError, Laplace, Normal, SymmetricStable
@@ -242,3 +250,82 @@ class TestFigures:
         run(args + ["--out", str(out2)])
         for name in ("fig1A.csv", "fig2D.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+# JSON values holding no number at the top level; numbers nested inside stay
+# small so that no run can allocate much.  Strings have no path separator,
+# so a run writes nothing outside its working directory.
+_WORDS = ["", ".", "..", "x", "normal", "normal:1", "cosgauss", "custom", "zero",
+          "family", "params", "scale", "width", "knots", "values", "lo", "hi", "n_grid", "nan"]
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.sampled_from(_WORDS), st.text("abc:,.-_ ", max_size=6),
+    st.integers(-30, 40), st.floats(-30.0, 30.0), st.just(math.nan),
+)
+_JSON = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.sampled_from(_WORDS), inner, max_size=4),
+    max_leaves=8,
+)
+_NON_NUMERIC = st.one_of(
+    st.none(), st.booleans(), st.sampled_from(_WORDS), st.text("abc:,.-_ ", max_size=6),
+    st.lists(_JSON, max_size=4), st.dictionaries(st.sampled_from(_WORDS), _JSON, max_size=4),
+)
+
+
+class TestConfigValues:
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(key=st.deferred(lambda: st.sampled_from(sorted(cli._KEYS))), value=_NON_NUMERIC)
+    @example(key="lambda", value=None)
+    @example(key="mu", value=[1])
+    @example(key="window", value={"lo": -5, "high": 5})
+    @example(key="phi", value={"family": "normal", "params": {"scale": "x"}})
+    @example(key="perturb", value={"family": "cosgauss", "params": {"amplitude": "x"}})
+    def test_malformed_value_exits_cleanly(self, key, value):
+        with tempfile.TemporaryDirectory() as tmp:
+            cwd = os.getcwd()
+            os.chdir(tmp)
+            try:
+                Path("run.json").write_text(json.dumps({key: value}))
+                with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+                    code = cli.run(["density", "--phi", "normal:1", "--psi", "normal:1",
+                                    "--grid", "16", "--config", "run.json"])
+            finally:
+                os.chdir(cwd)
+        assert code in (0, 1)
+        if code == 1:
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+    @pytest.mark.parametrize("key, value", [("lambda", None), ("mu", [1]), ("window", {"lo": -5, "high": 5})])
+    def test_malformed_value_names_the_key(self, tmp_path, capsys, key, value):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({key: value}))
+        assert run(["density", "--phi", "normal:1", "--psi", "normal:1", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: bad value for {key!r}: ")
+
+    def test_no_shorthand_in_config_file(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"phi": "normal:1", "psi": {"family": "normal", "params": {}}}))
+        assert run(["density", "--config", str(path)]) == 1
+        assert "characteristic function record" in capsys.readouterr().err
+
+
+class TestPerturbationWidth:
+    @pytest.mark.parametrize("token", ["cosgauss:1,3,0", "cosgauss:1,3,-2", "cosgauss:1,3,nan", "oddgauss:1,0"])
+    def test_rejected_naming_the_width(self, capsys, token):
+        code = run(["density", "--phi", "normal:1", "--psi", "normal:1", "--grid", "16",
+                    "--perturb", token])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "width must be positive" in err
+
+
+class TestFiguresDefaultOut:
+    def test_writes_under_figures(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run(["figures", "--grid", "64"]) == 0
+        assert capsys.readouterr().out == ""
+        assert sorted(p.name for p in (tmp_path / "figures").iterdir()) == [
+            "fig1A.csv", "fig1B.csv", "fig2C.csv", "fig2D.csv",
+            "reference_normal.csv", "reference_t3.csv",
+        ]

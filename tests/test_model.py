@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chardisp.charfn import Laplace, Normal
+from chardisp.charfn import Cauchy, Laplace, Normal
 from chardisp.deviance import UnitDeviancePair
 from chardisp.model import (
     Classification,
@@ -186,6 +186,14 @@ class TestSample:
         draws = sample(m, 0.0, 100_000, seed=0)
         assert draws.size == 100_000
         assert np.any(np.abs(np.abs(draws) - 0.004) < 0.001)
+
+    def test_envelope_sees_the_kernel_peak_at_mu(self):
+        # a sharp kernel peaks at mu, midway between envelope grid points
+        k = KernelSpec(UnitDeviancePair(Normal(1.0), Cauchy(0.01)), 1000.0)
+        m = DispersionModel(k, trivial_normalizer(k, Window()))
+        draws = sample(m, 0.0048828125, 1000, seed=0)
+        assert draws.size == 1000
+        assert np.all(np.abs(draws - 0.0048828125) < 20.0)
 
     def test_envelope_failure_aborts_with_diagnostics(self):
         # a spike narrower than the envelope grid spacing, at a point the

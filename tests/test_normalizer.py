@@ -57,6 +57,11 @@ class TestWindow:
         with pytest.raises(ValueError):
             Window(-1.0, 1.0, n_grid=8)
 
+    @pytest.mark.parametrize("lo, hi, n_grid", [([1.0], [2.0], 16), (True, 5.0, 16), ("a", 1.0, 16), (-1.0, 1.0, 20.5)])
+    def test_rejects_non_numbers(self, lo, hi, n_grid):
+        with pytest.raises(ValueError):
+            Window(lo, hi, n_grid)
+
     def test_grids(self):
         w = Window(-2.0, 2.0, 16)
         assert w.width == 4.0
@@ -160,6 +165,11 @@ class TestTrivialNormalizer:
         assert norm.a_tilde == pytest.approx(0.05, abs=1e-14)
         assert norm.kind == "trivial"
         assert norm.value(3.2) == norm.a_tilde
+
+    def test_rejected_when_the_kernel_integrates_to_zero(self):
+        # K vanishes at every quadrature node: no constant normalizes it
+        with pytest.raises(ValueError, match="kernel integral over the window is 0.0"):
+            trivial_normalizer(KernelSpec(NN, 1e300), W20)
 
     def test_reciprocal_of_golden_integral(self):
         norm = trivial_normalizer(KernelSpec(NN, 1.0), W20)
