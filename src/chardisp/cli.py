@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -117,6 +118,24 @@ def _window(cfg: RunConfig, value) -> Window:
     return Window(**{"n_grid": cfg.window.n_grid, **value})
 
 
+def _number(value) -> float:
+    if not charfn.is_number(value):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _integer(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
 # Setting -> the RunConfig fields it sets, given (config so far, value, the
 # source's (charfn, perturbation) spec readers).  Config keys and flag dests
 # share these names; "perturbation" is a config-file alias of "perturb".
@@ -125,16 +144,16 @@ def _window(cfg: RunConfig, value) -> Window:
 _KEYS = {
     "phi": lambda c, v, read: {"phi": read[0](v)},
     "psi": lambda c, v, read: {"psi": read[0](v)},
-    "lambda": lambda c, v, read: {"lam": float(v)},
+    "lambda": lambda c, v, read: {"lam": _number(v)},
     "window": lambda c, v, read: {"window": _window(c, v)},
-    "grid": lambda c, v, read: {"window": replace(c.window, n_grid=int(v))},
+    "grid": lambda c, v, read: {"window": replace(c.window, n_grid=_integer(v))},
     "perturb": lambda c, v, read: {"perturb": read[1](v)},
     "perturbation": lambda c, v, read: {"perturb": read[1](v)},
-    "mu": lambda c, v, read: {"mu": float(v)},
-    "tol": lambda c, v, read: {"tol": float(v), "residual_tol": float(v)},
-    "seed": lambda c, v, read: {"seed": int(v)},
-    "n": lambda c, v, read: {"n": int(v)},
-    "out": lambda c, v, read: {"out": str(v)},
+    "mu": lambda c, v, read: {"mu": _number(v)},
+    "tol": lambda c, v, read: {"tol": _number(v), "residual_tol": _number(v)},
+    "seed": lambda c, v, read: {"seed": _integer(v)},
+    "n": lambda c, v, read: {"n": _integer(v)},
+    "out": lambda c, v, read: {"out": _string(v)},
 }
 
 
@@ -344,3 +363,7 @@ def run(argv: list[str]) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -25,7 +25,7 @@ import numpy as np
 
 from .charfn import ArrayLike, InvalidSpecError, Spec, build, is_number
 from .deviance import UnitDeviancePair
-from .quadrature import DEFAULT_TOL, integrate
+from .quadrature import DEFAULT_TOL, integrate_shifts
 
 DEFAULT_WINDOW = (-20.0, 20.0)
 POSITIVITY_OVERSAMPLE = 4
@@ -305,17 +305,18 @@ def perturbed_normalizer(base: NormalizerSpec, f: Perturbation) -> NormalizerSpe
 def window_convolve(g, k: KernelSpec, shifts, window: Window, tol: float) -> np.ndarray:
     """Integral over the window of g(y) K(s - y) dy, for each shift s.
 
-    ``g`` is a vectorized callable and ``shifts`` an array of any shape;
-    the result has that shape.  Each distinct shift gets one adaptive
-    quadrature, cut at s (the corner of K(s - y)) and at 0 (where ``g``
-    may have one), so equal shifts share one value; an unconverged
-    integral raises :class:`QuadratureError`.
+    ``g`` is a vectorized elementwise callable and ``shifts`` an array of
+    any shape; the result has that shape.  The distinct shifts are
+    integrated together by :func:`quadrature.integrate_shifts`, each cut at
+    s (the corner of K(s - y)) and at 0 (where ``g`` may have one), so equal
+    shifts share one value; an unconverged integral raises
+    :class:`QuadratureError` naming its shift.
     """
     distinct, which = np.unique(np.asarray(shifts, dtype=float), return_inverse=True)
-    values = np.array([
-        integrate(lambda y: g(y) * k.eval(s - y), window.lo, window.hi, tol=tol, breakpoints=(s, 0.0)).value
-        for s in distinct
-    ])
+    results = integrate_shifts(
+        lambda y, s: g(y) * k.eval(s - y), window.lo, window.hi, distinct, tol=tol, breakpoints=(0.0,)
+    )
+    values = np.array([r.value for r in results])
     return values[which].reshape(np.shape(shifts))
 
 

@@ -1,13 +1,26 @@
 """Globally adaptive panel quadrature with an embedded Gauss-Kronrod pair.
 
-Every integral in this package runs through :func:`integrate`.  The scheme
-is deliberately simple: the interval is cut at caller-supplied breakpoints
-(kink locations must be panel boundaries, otherwise the error estimate is
-useless there), each panel is evaluated with a 7-point Gauss rule embedded
-in a 15-point Kronrod rule, and the panel with the largest error estimate
-is bisected until the summed estimate drops below the absolute tolerance.
-If the panel budget runs out first, :class:`QuadratureError` is raised, so
-a returned :class:`QuadResult` is always converged.
+Every integral in this package runs through one refinement engine.  The
+scheme is deliberately simple: the interval is cut at caller-supplied
+breakpoints (kink locations must be panel boundaries, otherwise the error
+estimate is useless there), each panel is evaluated with a 7-point Gauss
+rule embedded in a 15-point Kronrod rule, and the panel with the largest
+error estimate is bisected until the summed estimate drops below the
+absolute tolerance.  If the panel budget runs out first,
+:class:`QuadratureError` is raised, so a returned :class:`QuadResult` is
+always converged.
+
+:func:`integrate_shifts` integrates a family ``f(x, s)`` for many shifts
+``s`` at once.  Every shift keeps its own heap of panels, its own budget
+and the bisection rule above; the engine advances them together in
+rounds.  Each round pops the worst splittable panel of every unconverged
+shift, bisects it, and evaluates all new panels in one integrand call on
+an ``(m, 15)`` array of abscissae, with ``s`` broadcast per row.  Panel
+sums are row-wise reductions, so a shift's value, bound and panel count
+are bit-identical whether it is integrated alone or in a batch.  Shifts
+are processed ``SHIFT_CHUNK`` at a time and a shift's heap is dropped as
+soon as it converges, which bounds memory for any number of shifts.
+:func:`integrate` is the one-integral case of the same engine.
 
 The per-panel error estimate is the conservative ``|kronrod - gauss|``
 difference.  For smooth integrands the Kronrod value is far more accurate
@@ -19,7 +32,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -59,20 +72,27 @@ _WEIGHTS_G = np.concatenate([_WG[:-1], _WG[::-1]])
 
 DEFAULT_TOL = 1e-10
 MAX_PANELS = 10_000
+# Shifts advanced together by one run of rounds; bounds the heaps and the
+# abscissa array held at once, whatever the number of shifts.
+SHIFT_CHUNK = 64
 
 
 class QuadratureError(RuntimeError):
     """Adaptive subdivision exhausted its budget before reaching tolerance.
 
-    Carries the best available estimate so callers can still report it.
+    Carries the best available estimate so callers can still report it, and
+    the shift whose integral failed when it came from :func:`integrate_shifts`
+    (``None`` otherwise).
     """
 
-    def __init__(self, estimate: float, error_bound: float, message: str = ""):
+    def __init__(self, estimate: float, error_bound: float, message: str = "", shift: Optional[float] = None):
         self.estimate = estimate
         self.error_bound = error_bound
+        self.shift = shift
+        where = "" if shift is None else f" at shift {shift!r}"
         super().__init__(
             message
-            or f"quadrature did not converge: estimate={estimate!r}, "
+            or f"quadrature did not converge{where}: estimate={estimate!r}, "
                f"error bound={error_bound!r}"
         )
 
@@ -93,21 +113,117 @@ class QuadResult:
     n_panels: int
 
 
-def _gk15(f: Callable[[np.ndarray], np.ndarray], a: float, b: float):
-    """One Gauss-Kronrod panel: returns (kronrod value, error estimate)."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    x = mid + half * _NODES
-    fx = np.asarray(f(x), dtype=float)
-    k = half * float(fx @ _WEIGHTS_K)
-    # The Kronrod sum is finite only if every sample is: check the sum, and
-    # look for the culprit only on failure.
-    if not math.isfinite(k):
-        bad = np.flatnonzero(~np.isfinite(fx))
-        i = int(bad[0]) if bad.size else int(np.argmax(np.abs(fx)))
-        raise NonFiniteIntegrandError(float(x[i]), float(fx[i]))
-    g = half * float(fx[1::2] @ _WEIGHTS_G)
-    return k, abs(k - g)
+def _gk15(f, lo: list, hi: list, s: np.ndarray):
+    """Gauss-Kronrod panels [lo[r], hi[r]] of the integrand f(x, s[r]):
+    returns (kronrod values, error estimates) as lists."""
+    lo, hi = np.array(lo), np.array(hi)
+    mid = (0.5 * (lo + hi))[:, None]
+    half = 0.5 * (hi - lo)
+    x = mid + half[:, None] * _NODES
+    fx = np.asarray(f(x, s[:, None]), dtype=float)
+    # Row-wise sums, not a matrix product, so that a row's value does not
+    # depend on how many rows share the call.
+    k = half * (fx * _WEIGHTS_K).sum(axis=1)
+    # The Kronrod sum is finite only if every sample is: check the sums,
+    # and look for the culprit only on failure.
+    if not np.isfinite(k).all():
+        r = int(np.flatnonzero(~np.isfinite(k))[0])
+        bad = np.flatnonzero(~np.isfinite(fx[r]))
+        i = int(bad[0]) if bad.size else int(np.argmax(np.abs(fx[r])))
+        raise NonFiniteIntegrandError(float(x[r, i]), float(fx[r, i]))
+    g = half * (fx[:, 1::2] * _WEIGHTS_G).sum(axis=1)
+    return k.tolist(), np.abs(k - g).tolist()
+
+
+def _rounds(f, a: float, b: float, shifts: np.ndarray, cuts: list, tol: float, max_panels: int,
+            named: bool) -> list[QuadResult]:
+    """Adaptive refinement of one chunk of integrals, advanced together."""
+    n = len(cuts)
+    span = b - a
+    narrow = 64 * np.finfo(float).eps
+    # Per integral: heap of panels ordered by decreasing error (entry ids
+    # break ties so float payloads are never compared), running value and
+    # error sums, the error of panels too narrow to split (it stays in the
+    # bound), entry ids used and panels made.
+    heaps: list = [[] for _ in range(n)]
+    total_val = [0.0] * n
+    total_err = [0.0] * n
+    stuck_err = [0.0] * n
+    count = [0] * n
+    n_panels = [0] * n
+    results: list = [None] * n
+
+    owner, los, his = [], [], []
+    for i, c in enumerate(cuts):
+        edges = [a, *sorted({float(p) for p in c if a < p < b}), b]
+        owner += [i] * (len(edges) - 1)
+        los += edges[:-1]
+        his += edges[1:]
+        n_panels[i] = len(edges) - 1
+    vals, errs = _gk15(f, los, his, shifts[owner])
+    for i, lo, hi, val, err in zip(owner, los, his, vals, errs):
+        total_val[i] += val
+        total_err[i] += err
+        heapq.heappush(heaps[i], (-err, count[i], lo, hi, val))
+        count[i] += 1
+
+    active = range(n)
+    while active:
+        split, los, his, parents = [], [], [], []
+        for i in active:
+            heap = heaps[i]
+            while total_err[i] > tol and n_panels[i] < max_panels and heap:
+                neg_err, _, lo, hi, val = heapq.heappop(heap)
+                err = -neg_err
+                if hi - lo < narrow * max(abs(lo), abs(hi), span):
+                    stuck_err[i] += err
+                    total_err[i] -= err  # tracked separately, no longer splittable
+                    continue
+                mid = 0.5 * (lo + hi)
+                split.append(i)
+                los += (lo, mid)
+                his += (mid, hi)
+                parents.append((val, err))
+                break
+            else:
+                bound = total_err[i] + stuck_err[i]
+                if not bound <= tol:  # NaN from an overflowed panel bound counts too
+                    raise QuadratureError(total_val[i], bound, shift=float(shifts[i]) if named else None)
+                results[i] = QuadResult(total_val[i], bound, n_panels[i])
+                heaps[i] = None
+        if not split:
+            break
+        vals, errs = _gk15(f, los, his, shifts[np.repeat(split, 2)])
+        for j, i in enumerate(split):
+            val, err = parents[j]
+            v1, v2 = vals[2 * j], vals[2 * j + 1]
+            e1, e2 = errs[2 * j], errs[2 * j + 1]
+            lo, mid, hi = los[2 * j], his[2 * j], his[2 * j + 1]
+            total_val[i] += (v1 + v2) - val
+            total_err[i] += (e1 + e2) - err
+            heapq.heappush(heaps[i], (-e1, count[i], lo, mid, v1))
+            heapq.heappush(heaps[i], (-e2, count[i] + 1, mid, hi, v2))
+            count[i] += 2
+            n_panels[i] += 1
+        active = split
+    return results
+
+
+def _adapt(f, a: float, b: float, shifts: np.ndarray, cuts: list, tol: float, max_panels: int,
+           named: bool) -> list[QuadResult]:
+    """Integral i of ``f(x, shifts[i])``, cut at ``cuts[i]``, for every i, in
+    chunks of ``SHIFT_CHUNK``; ``named`` puts the shift in budget errors."""
+    if not tol > 0:  # NaN too
+        raise ValueError(f"tol must be positive, got {tol}")
+    if b < a:
+        raise ValueError(f"integration limits out of order: [{a}, {b}]")
+    if a == b:
+        return [QuadResult(0.0, 0.0, 0) for _ in cuts]
+    results = []
+    for start in range(0, len(cuts), SHIFT_CHUNK):
+        chunk = slice(start, start + SHIFT_CHUNK)
+        results += _rounds(f, a, b, shifts[chunk], cuts[chunk], tol, max_panels, named)
+    return results
 
 
 def integrate(
@@ -123,8 +239,9 @@ def integrate(
     Parameters
     ----------
     f : callable
-        Vectorized integrand; receives an ndarray of abscissae.  A NaN or
-        infinite value raises :class:`NonFiniteIntegrandError`.
+        Vectorized elementwise integrand; receives an ndarray of abscissae
+        (of shape ``(m, 15)``).  A NaN or infinite value raises
+        :class:`NonFiniteIntegrandError`.
     a, b : float
         Integration limits, ``a <= b``.
     tol : float
@@ -137,52 +254,30 @@ def integrate(
         to ``tol``, :class:`QuadratureError` is raised carrying the best
         estimate and bound.
     """
-    if not tol > 0:  # NaN too
-        raise ValueError(f"tol must be positive, got {tol}")
-    if b < a:
-        raise ValueError(f"integration limits out of order: [{a}, {b}]")
-    if a == b:
-        return QuadResult(0.0, 0.0, 0)
+    (result,) = _adapt(lambda x, s: f(x), a, b, np.zeros(1), [tuple(breakpoints)], tol, max_panels, False)
+    return result
 
-    cuts = sorted({float(p) for p in breakpoints if a < p < b})
-    edges = [a, *cuts, b]
 
-    # Heap of panels ordered by decreasing error; entry ids break ties so
-    # float payloads are never compared.
-    heap: list[tuple[float, int, float, float, float, float]] = []
-    total_val = 0.0
-    total_err = 0.0
-    count = 0
-    # Panels too narrow to split further; their error stays in the total.
-    stuck_err = 0.0
-    span = b - a
+def integrate_shifts(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    a: float,
+    b: float,
+    shifts: Iterable[float],
+    tol: float = DEFAULT_TOL,
+    breakpoints: Iterable[float] = (),
+    max_panels: int = MAX_PANELS,
+) -> list[QuadResult]:
+    """Integrate ``f(x, s)`` over ``[a, b]`` for every shift ``s``.
 
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        val, err = _gk15(f, lo, hi)
-        total_val += val
-        total_err += err
-        heapq.heappush(heap, (-err, count, lo, hi, val, err))
-        count += 1
-
-    n_panels = len(edges) - 1
-    while total_err > tol and n_panels < max_panels and heap:
-        neg_err, _, lo, hi, val, err = heapq.heappop(heap)
-        if hi - lo < 64 * np.finfo(float).eps * max(abs(lo), abs(hi), span):
-            stuck_err += err
-            total_err -= err  # tracked separately, no longer splittable
-            continue
-        mid = 0.5 * (lo + hi)
-        v1, e1 = _gk15(f, lo, mid)
-        v2, e2 = _gk15(f, mid, hi)
-        total_val += (v1 + v2) - val
-        total_err += (e1 + e2) - err
-        heapq.heappush(heap, (-e1, count, lo, mid, v1, e1))
-        count += 1
-        heapq.heappush(heap, (-e2, count, mid, hi, v2, e2))
-        count += 1
-        n_panels += 1
-
-    bound = total_err + stuck_err
-    if not bound <= tol:  # NaN from an overflowed panel bound counts too
-        raise QuadratureError(total_val, bound)
-    return QuadResult(total_val, bound, n_panels)
+    ``f`` is called on an ``(m, 15)`` array of abscissae and an ``(m, 1)``
+    column holding each row's shift, and must act elementwise.  Each
+    integral is cut at ``breakpoints`` and at its own shift, and refines as
+    :func:`integrate` would refine it alone, with the same ``tol`` and
+    ``max_panels``: the results (one per shift, in order) are bit-identical
+    to those one-shift integrals.  The first integral to exhaust its budget
+    raises :class:`QuadratureError` naming its shift.
+    """
+    shifts = np.asarray(shifts, dtype=float).ravel()
+    fixed = tuple(breakpoints)
+    cuts = [(s, *fixed) for s in shifts.tolist()]
+    return _adapt(f, a, b, shifts, cuts, tol, max_panels, True)

@@ -2,6 +2,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
@@ -272,10 +274,26 @@ _NON_NUMERIC = st.one_of(
 )
 
 
+def _is_integer(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+# Scalar settings and the values they accept; any other value exits 1.
+_SCALARS = {
+    "lambda": charfn.is_number, "mu": charfn.is_number, "tol": charfn.is_number,
+    "seed": _is_integer, "n": _is_integer, "grid": _is_integer,
+    "out": lambda v: isinstance(v, str),
+}
+
+
 class TestConfigValues:
     @settings(max_examples=150, deadline=None, database=None)
     @given(key=st.deferred(lambda: st.sampled_from(sorted(cli._KEYS))), value=_NON_NUMERIC)
     @example(key="lambda", value=None)
+    @example(key="out", value=None)
+    @example(key="lambda", value=True)
+    @example(key="seed", value="7")
+    @example(key="n", value=2.5)
     @example(key="mu", value=[1])
     @example(key="window", value={"lo": -5, "high": 5})
     @example(key="phi", value={"family": "normal", "params": {"scale": "x"}})
@@ -294,6 +312,8 @@ class TestConfigValues:
         assert code in (0, 1)
         if code == 1:
             assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        if key in _SCALARS and not _SCALARS[key](value):
+            assert code == 1 and err.getvalue().startswith(f"error: bad value for {key!r}: ")
 
     @pytest.mark.parametrize("key, value", [("lambda", None), ("mu", [1]), ("window", {"lo": -5, "high": 5})])
     def test_malformed_value_names_the_key(self, tmp_path, capsys, key, value):
@@ -329,3 +349,17 @@ class TestFiguresDefaultOut:
             "fig1A.csv", "fig1B.csv", "fig2C.csv", "fig2D.csv",
             "reference_normal.csv", "reference_t3.csv",
         ]
+
+
+class TestModuleEntry:
+    def test_python_dash_m_runs_the_cli(self):
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "chardisp.cli", "density", "--phi", "normal:1", "--psi", "normal:1", "--grid", "16"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "y,density" and len(lines) == 18

@@ -23,7 +23,13 @@ from chardisp.normalizer import (
     trivial_normalizer,
     window_convolve,
 )
-from chardisp.quadrature import integrate
+from chardisp.quadrature import (
+    SHIFT_CHUNK,
+    NonFiniteIntegrandError,
+    QuadratureError,
+    integrate,
+    integrate_shifts,
+)
 
 from oracles import midpoint_convolution, midpoint_integral
 
@@ -149,14 +155,33 @@ class TestWindowConvolve:
         assert got.shape == (2, 3)
         for idx, s in np.ndenumerate(shifts):
             assert got[idx] == window_convolve(g, KernelSpec(LL, 1.0), s, W20, 1e-10)
-        # as many kernel calls as the distinct shifts take one at a time:
+        # as many kernel abscissae as the distinct shifts take one at a time:
         # the repeated 0 and 1.5 are integrated once each
-        calls = 0
+        abscissae = 0
         for s in (0.0, 1.5, -2.0, 3.0):
             single = CountingKernel(LL, 1.0)
             window_convolve(g, single, s, W20, 1e-10)
-            calls += len(single.calls)
-        assert len(k.calls) == calls
+            abscissae += sum(single.calls)
+        assert sum(k.calls) == abscissae
+
+    def test_more_shifts_than_one_chunk_match_single_shifts(self):
+        # the cusp-heavy stable 0.7 x normal kernel, across chunk boundaries:
+        # every shift refines exactly as it does alone
+        k = KernelSpec(UnitDeviancePair(SymmetricStable(0.7, 1.0), Normal(1.0)), 1.0)
+        shifts = np.linspace(-9.0, 9.0, SHIFT_CHUNK + 7)
+        f = lambda y, s: k.eval(y) * k.eval(s - y)
+        batch = integrate_shifts(f, W20.lo, W20.hi, shifts, tol=1e-10, breakpoints=(0.0,))
+        values = window_convolve(k.eval, k, shifts, W20, 1e-10)
+        for s, res, value in zip(shifts, batch, values):
+            alone = integrate(lambda y: f(y, s), W20.lo, W20.hi, tol=1e-10, breakpoints=(s, 0.0))
+            assert res == alone  # value, error bound and panel count
+            assert value == window_convolve(k.eval, k, s, W20, 1e-10) == alone.value
+
+    def test_budget_failure_names_the_shift(self):
+        with pytest.raises(QuadratureError) as exc:
+            window_convolve(np.ones_like, KernelSpec(LL, 1.0), np.array([1.5]), Window(-2.0, 2.0), 1e-300)
+        assert not isinstance(exc.value, NonFiniteIntegrandError)
+        assert exc.value.shift == 1.5 and "at shift 1.5:" in str(exc.value)
 
 
 class TestTrivialNormalizer:
