@@ -50,7 +50,8 @@ from .riesz import (
     rational_enumeration,
 )
 
-FMT = "{:.17g}"
+# Rows formatted per step in _csv: bounds the tuple and string of one step.
+CSV_CHUNK_ROWS = 65536
 
 
 def parse_charfn(token: str) -> CharFn:
@@ -184,11 +185,16 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 # Output helpers
 # ---------------------------------------------------------------------------
 
-def _csv(header: str, rows) -> str:
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(FMT.format(float(v)) for v in row))
-    return "\n".join(lines) + "\n"
+def _csv(header: str, *columns) -> str:
+    """The header line, then row i holding entry i of every column, each
+    value printed as a float with 17 significant digits."""
+    table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    parts = [header + "\n"]
+    for start in range(0, table.shape[0], CSV_CHUNK_ROWS):
+        chunk = table[start:start + CSV_CHUNK_ROWS]
+        parts.append((row * chunk.shape[0]) % tuple(chunk.ravel().tolist()))
+    return "".join(parts)
 
 
 def _symmetric_grid(w: Window, n: int) -> np.ndarray:
@@ -219,7 +225,7 @@ def _write(out: Optional[str], files: dict) -> None:
 def _cmd_density(cfg: RunConfig) -> dict:
     m = cfg.model()
     ys = _symmetric_grid(cfg.window, cfg.window.n_grid)
-    return {None: _csv("y,density", zip(ys, m.density(ys, cfg.mu)))}
+    return {None: _csv("y,density", ys, m.density(ys, cfg.mu))}
 
 
 def _cmd_verify(cfg: RunConfig) -> dict:
@@ -229,6 +235,7 @@ def _cmd_verify(cfg: RunConfig) -> dict:
     axioms = check_unit_deviance(m.kernel.pair, span, span)
     mu_grid = np.linspace(lo, hi, 21)
     diag = diagnostics(m, mu_grid=mu_grid, tol=cfg.residual_tol)
+    residuals = diag.normalization_residuals
     fft = fft_deconvolve_check(m.kernel, cfg.window)
 
     doc = {
@@ -239,8 +246,8 @@ def _cmd_verify(cfg: RunConfig) -> dict:
     }
     return {
         "verify.json": json.dumps(doc, indent=2) + "\n",
-        "residuals.csv": _csv("mu,residual", diag.normalization_residuals.items()),
-        "deconvolution.csv": _csv("index,y,value", zip(range(fft.solution.size), fft.ys, fft.solution)),
+        "residuals.csv": _csv("mu,residual", list(residuals), list(residuals.values())),
+        "deconvolution.csv": _csv("index,y,value", np.arange(fft.solution.size), fft.ys, fft.solution),
     }
 
 
@@ -269,14 +276,14 @@ def _cmd_riesz(cfg: RunConfig) -> dict:
     }
     return {
         "riesz.json": json.dumps(doc, indent=2) + "\n",
-        "orthogonality.csv": _csv("mu,residual", zip(mu_grid, rho)),
+        "orthogonality.csv": _csv("mu,residual", mu_grid, rho),
     }
 
 
 def _cmd_sample(cfg: RunConfig) -> dict:
     m = cfg.model()
     draws = sample(m, cfg.mu, cfg.n if cfg.n is not None else 1000, cfg.seed)
-    return {None: _csv("value", ((v,) for v in draws))}
+    return {None: _csv("value", draws)}
 
 
 def _std_normal_pdf(y: np.ndarray) -> np.ndarray:
@@ -303,7 +310,7 @@ def _cmd_figures(cfg: RunConfig) -> dict:
         "reference_normal.csv": _std_normal_pdf(ys),
         "reference_t3.csv": _t3_pdf(ys),
     }
-    return {name: _csv("y,density", zip(ys, ps)) for name, ps in curves.items()}
+    return {name: _csv("y,density", ys, ps) for name, ps in curves.items()}
 
 
 # Subcommand -> (handler, help text, default --out).

@@ -16,6 +16,7 @@ fitted test.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
@@ -26,6 +27,8 @@ from .deviance import RegularityReport, regularity_probe
 from .normalizer import KernelSpec, NormalizerSpec, convolution_residual
 
 ENVELOPE_SAFETY = 1.01
+# Equal cells of sample()'s step envelope.
+ENVELOPE_CELLS = 256
 # Largest proposal batch in sample(): bounds its working memory for large n.
 MAX_PROPOSAL_BATCH = 2 ** 21
 EDM_EXCLUSION_NOTE = (
@@ -123,14 +126,39 @@ def classify(m: DispersionModel) -> Classification:
     return Classification.NSDM_CANDIDATE
 
 
-def sample(m: DispersionModel, mu: float, n: int, seed: int) -> np.ndarray:
-    """Draw n values by rejection from a uniform proposal on the window.
+def _step_envelope(m: DispersionModel, mu: float):
+    """The step envelope that :func:`sample` proposes from.
 
-    The envelope is the largest density at the normalizer's scan points
-    (the points its positivity was checked at) and at mu, where the kernel
-    peaks, times a small safety factor; seeing a density above it aborts with
-    :class:`EnvelopeError`.  Proposals come in batches of at most
-    ``MAX_PROPOSAL_BATCH``.  Deterministic for a fixed seed.
+    The window is cut into ``ENVELOPE_CELLS`` equal cells.  A cell's height
+    is ``ENVELOPE_SAFETY`` times the largest density at the scan points
+    inside it or bounding it (the last at or left of its left edge, the
+    first at or right of its right edge); the scan points are the
+    normalizer's (grid and critical points, where its positivity was
+    checked) plus mu, where the kernel peaks.  Returns the cell edges, the
+    cell heights and the trapezoid mass of the density on the scan points.
+    """
+    ys = np.sort(np.append(m.normalizer.scan_points(), mu))
+    ps = m.density(ys, mu)
+    w = m.window
+    edges = np.linspace(w.lo, w.hi, ENVELOPE_CELLS + 1)
+    first = np.searchsorted(ys, edges[:-1], side="right") - 1
+    last = np.searchsorted(ys, edges[1:], side="left")
+    env = ENVELOPE_SAFETY * np.array([ps[i:j + 1].max() for i, j in zip(first, last)])
+    mass = float(np.sum(0.5 * (ps[1:] + ps[:-1]) * np.diff(ys)))
+    return edges, env, mass
+
+
+def sample(m: DispersionModel, mu: float, n: int, seed: int) -> np.ndarray:
+    """Draw n values by rejection from a step envelope over the window.
+
+    A proposal picks one of the envelope's cells (see :func:`_step_envelope`)
+    in proportion to its envelope mass, then a point uniformly inside it,
+    and is accepted when u * height <= density for a uniform u.  A density
+    above its own cell's height aborts with :class:`EnvelopeError` naming
+    the first such proposal.  A batch holds 1.1 times the proposals the
+    missing draws need at the expected acceptance (the density's mass over
+    the envelope's), at least 1024 and at most ``MAX_PROPOSAL_BATCH``.
+    Deterministic for a fixed seed.
     """
     if n < 0:
         raise ValueError(f"sample size must be >= 0, got {n}")
@@ -140,22 +168,27 @@ def sample(m: DispersionModel, mu: float, n: int, seed: int) -> np.ndarray:
     if n == 0:
         return np.empty(0)
 
-    peaks = np.append(m.normalizer.scan_points(), mu)  # K(y - mu) peaks at mu
-    envelope = ENVELOPE_SAFETY * float(np.max(m.density(peaks, mu)))
+    edges, env, mass = _step_envelope(m, mu)
+    width = edges[1] - edges[0]
+    cdf = np.cumsum(env)
+    acceptance = mass / (cdf[-1] * width)
+    cdf /= cdf[-1]  # ends at exactly 1, so a uniform in [0, 1) never picks a cell of zero mass
 
     rng = np.random.default_rng(seed)
     out = np.empty(n)
     got = 0
-    batch = min(max(1024, 2 * n), MAX_PROPOSAL_BATCH)
     while got < n:
-        ys = rng.uniform(w.lo, w.hi, size=batch)
-        us = rng.uniform(0.0, envelope, size=batch)
+        batch = min(max(1024, math.ceil(1.1 * (n - got) / acceptance)), MAX_PROPOSAL_BATCH)
+        cell = np.searchsorted(cdf, rng.random(batch), side="right")
+        # rounding may carry a point of the last cell an ulp past the window
+        ys = np.minimum(edges[cell] + width * rng.random(batch), w.hi)
+        height = env[cell]
         ps = m.density(ys, mu)
-        too_high = ps > envelope
+        too_high = ps > height
         if too_high.any():
-            i = int(np.argmax(ps))
-            raise EnvelopeError(float(ys[i]), float(ps[i]), envelope)
-        acc = ys[us <= ps]
+            i = int(np.argmax(too_high))
+            raise EnvelopeError(float(ys[i]), float(ps[i]), float(height[i]))
+        acc = ys[rng.random(batch) * height <= ps]
         take = min(n - got, acc.size)
         out[got:got + take] = acc[:take]
         got += take

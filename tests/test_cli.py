@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -90,6 +91,41 @@ class TestDensity:
         # 17 significant digits survive a round trip through repr
         assert float(p) == float(f"{float(p):.17g}")
         assert len(p.replace("-", "").replace(".", "").replace("e", "").lstrip("0")) >= 15
+
+
+def reference_csv(header, *columns):
+    """The cell-by-cell formatter _csv must match byte for byte."""
+    lines = [header] + [",".join("{:.17g}".format(float(v)) for v in row) for row in zip(*columns)]
+    return "\n".join(lines) + "\n"
+
+
+AWKWARD = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1.7976931348623157e308,
+           0.1, 1 / 3, -2 / 3, 1e16, 123456789012345678.0, 1e-5, 0.5, -1.0]
+
+
+class TestCsv:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_awkward_values_match_the_reference(self, k):
+        columns = [AWKWARD[i:] + AWKWARD[:i] for i in range(k)]
+        assert cli._csv("h", *columns) == reference_csv("h", *columns)
+
+    def test_integer_index_column(self):
+        index = np.arange(5)
+        ys = np.linspace(-1.0, 1.0, 5)
+        text = cli._csv("index,y,value", index, ys, ys / 3)
+        assert text == reference_csv("index,y,value", index, ys, ys / 3)
+        assert text.splitlines()[2].startswith("1,-0.5,")
+
+    def test_chunk_boundaries(self, monkeypatch):
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 3)
+        for rows in (0, 1, 3, 7):
+            column = AWKWARD[:rows]
+            assert cli._csv("value", column) == reference_csv("value", column)
+            assert cli._csv("a,b", column, column[::-1]) == reference_csv("a,b", column, column[::-1])
+
+    @given(values=st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=40))
+    def test_any_floats_match_the_reference(self, values):
+        assert cli._csv("a,b", values, values[::-1]) == reference_csv("a,b", values, values[::-1])
 
 
 class TestValidationErrors:
@@ -209,6 +245,21 @@ class TestSample:
         lines = a.read_text().splitlines()
         assert lines[0] == "value"
         assert len(lines) == 501
+
+    def test_zero_draws_write_the_header_alone(self, tmp_path):
+        out = tmp_path / "none.csv"
+        assert run(["sample", "--phi", "normal:1", "--psi", "normal:1", "--n", "0",
+                    "--out", str(out)]) == 0
+        assert out.read_bytes() == b"value\n"
+
+    def test_seeded_draws_are_pinned(self, tmp_path):
+        # changes only when the sampler's use of the random stream changes
+        out = tmp_path / "draws.csv"
+        assert run(["sample", "--phi", "normal:1", "--psi", "normal:1", "--n", "1000",
+                    "--seed", "7", "--grid", "64", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "8bcac8e3fa41d9c0bcff579ed9b0e2498ef2569f8b7be5ffa3998d4d43d559f5"
+        )
 
     def test_different_seed_differs(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

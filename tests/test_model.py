@@ -1,13 +1,17 @@
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
 
-from chardisp.charfn import Cauchy, Laplace, Normal
+from chardisp.charfn import Cauchy, Laplace, Normal, SymmetricNIG, SymmetricStable
 from chardisp.deviance import UnitDeviancePair
 from chardisp.model import (
     Classification,
     DispersionModel,
     DomainError,
+    ENVELOPE_CELLS,
     EnvelopeError,
+    _step_envelope,
     classify,
     diagnostics,
     normalization_check,
@@ -40,10 +44,36 @@ def trivial_model(pair=NN, lam=1.0, window=W20, **kwargs):
     return DispersionModel(k, trivial_normalizer(k, window, 1e-10), **kwargs)
 
 
-def fig2d_model():
-    k = KernelSpec(LL, 1.0)
+def fig2d_model(k=None):
+    k = KernelSpec(LL, 1.0) if k is None else k
     base = trivial_normalizer(k, W20, 1e-10)
     return DispersionModel(k, perturbed_normalizer(base, CosineGaussian()))
+
+
+def sharp_model():
+    # a kernel of width about 0.03, sharper than the envelope's 256 cells
+    k = KernelSpec(UnitDeviancePair(Normal(1.0), Cauchy(0.01)), 1000.0)
+    return DispersionModel(k, trivial_normalizer(k, Window()))
+
+
+# mu midway between two scan points of the window grid
+OFF_GRID_MU = 0.0048828125
+
+
+@dataclass
+class Tally:
+    abscissae: int = 0
+
+
+@dataclass(frozen=True)
+class CountingKernel(KernelSpec):
+    """KernelSpec that counts the abscissae it is evaluated at."""
+
+    tally: Tally = field(default_factory=Tally, compare=False, repr=False)
+
+    def eval(self, y):
+        self.tally.abscissae += int(np.size(y))
+        return super().eval(y)
 
 
 class TestDensity:
@@ -186,6 +216,52 @@ class TestSample:
         draws = sample(m, 0.0, 100_000, seed=0)
         assert draws.size == 100_000
         assert np.any(np.abs(np.abs(draws) - 0.004) < 0.001)
+
+    @pytest.mark.parametrize(
+        "model, mu",
+        [
+            (lambda: trivial_model(NN), 0.0),
+            (lambda: trivial_model(LL), 0.0),
+            (lambda: trivial_model(UnitDeviancePair(Cauchy(1.0), Normal(1.0))), 0.0),
+            (lambda: trivial_model(UnitDeviancePair(SymmetricNIG(1.0, 1.0), SymmetricNIG(1.0, 1.0))), 0.0),
+            (lambda: trivial_model(UnitDeviancePair(SymmetricStable(0.7, 1.0), Normal(1.0))), 0.0),
+            (fig2d_model, 0.0),
+            (fig2d_model, 1.3),
+            (sharp_model, OFF_GRID_MU),
+        ],
+        ids=["normal", "laplace", "cauchy_normal", "nig", "stable07_normal",
+             "laplace_cosgauss", "laplace_cosgauss_mu1.3", "sharp_off_grid_mu"],
+    )
+    def test_step_envelope_bounds_the_density(self, model, mu):
+        m = model()
+        edges, env, _ = _step_envelope(m, mu)
+        assert edges.size == ENVELOPE_CELLS + 1 and env.size == ENVELOPE_CELLS
+        assert edges[0] == m.window.lo and edges[-1] == m.window.hi
+        ys = np.linspace(m.window.lo, m.window.hi, 400_001)
+        ps = m.density(ys, mu)
+        # a point on an edge lies in both cells it bounds
+        for side in ("left", "right"):
+            cell = np.clip(np.searchsorted(edges, ys, side=side) - 1, 0, ENVELOPE_CELLS - 1)
+            assert np.all(ps <= env[cell])
+
+    def test_proposals_per_draw_for_a_perturbed_model(self):
+        # the step envelope follows the cosine-gaussian's ripples; a flat
+        # envelope under its peak needs about 13.7 proposals per draw
+        k = CountingKernel(LL, 1.0)
+        m = fig2d_model(k)
+        n = 100_000
+        k.tally.abscissae = 0
+        draws = sample(m, 0.0, n, seed=42)
+        envelope_points = m.normalizer.scan_points().size + 1  # and mu
+        proposals = k.tally.abscissae - envelope_points
+        assert draws.size == n
+        assert proposals / n <= 1.3
+
+    def test_ks_of_a_perturbed_model(self):
+        m = fig2d_model()
+        draws = sample(m, 0.0, 100_000, seed=42)
+        grid, cdf = cumulative_cdf(lambda y: m.density(y, 0.0), -20.0, 20.0)
+        assert ks_statistic(draws, grid, cdf) <= 1.95 / np.sqrt(draws.size)
 
     def test_envelope_sees_the_kernel_peak_at_mu(self):
         # a sharp kernel peaks at mu, midway between envelope grid points
