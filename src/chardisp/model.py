@@ -29,6 +29,9 @@ from .normalizer import KernelSpec, NormalizerSpec, convolution_residual
 ENVELOPE_SAFETY = 1.01
 # Equal cells of sample()'s step envelope.
 ENVELOPE_CELLS = 256
+# Equally spaced points per envelope cell at which the density is scanned,
+# whatever the window grid: a coarse grid alone would miss a cell's peak.
+ENVELOPE_CELL_POINTS = 16
 # Largest proposal batch in sample(): bounds its working memory for large n.
 MAX_PROPOSAL_BATCH = 2 ** 21
 EDM_EXCLUSION_NOTE = (
@@ -132,15 +135,20 @@ def _step_envelope(m: DispersionModel, mu: float):
     The window is cut into ``ENVELOPE_CELLS`` equal cells.  A cell's height
     is ``ENVELOPE_SAFETY`` times the largest density at the scan points
     inside it or bounding it (the last at or left of its left edge, the
-    first at or right of its right edge); the scan points are the
+    first at or right of its right edge).  The scan points are
+    ``ENVELOPE_CELL_POINTS`` equally spaced points per cell, the
     normalizer's (grid and critical points, where its positivity was
-    checked) plus mu, where the kernel peaks.  Returns the cell edges, the
+    checked) and mu, where the kernel peaks.  Returns the cell edges, the
     cell heights and the trapezoid mass of the density on the scan points.
     """
-    ys = np.sort(np.append(m.normalizer.scan_points(), mu))
-    ps = m.density(ys, mu)
     w = m.window
     edges = np.linspace(w.lo, w.hi, ENVELOPE_CELLS + 1)
+    ys = np.sort(np.concatenate([
+        np.linspace(w.lo, w.hi, ENVELOPE_CELL_POINTS * ENVELOPE_CELLS + 1),
+        m.normalizer.scan_points(),
+        [mu],
+    ]))
+    ps = m.density(ys, mu)
     first = np.searchsorted(ys, edges[:-1], side="right") - 1
     last = np.searchsorted(ys, edges[1:], side="left")
     env = ENVELOPE_SAFETY * np.array([ps[i:j + 1].max() for i, j in zip(first, last)])
@@ -172,7 +180,8 @@ def sample(m: DispersionModel, mu: float, n: int, seed: int) -> np.ndarray:
     width = edges[1] - edges[0]
     cdf = np.cumsum(env)
     acceptance = mass / (cdf[-1] * width)
-    cdf /= cdf[-1]  # ends at exactly 1, so a uniform in [0, 1) never picks a cell of zero mass
+    # ends at exactly 1, so searchsorted of a uniform in [0, 1) stays below ENVELOPE_CELLS
+    cdf /= cdf[-1]
 
     rng = np.random.default_rng(seed)
     out = np.empty(n)

@@ -44,9 +44,9 @@ def trivial_model(pair=NN, lam=1.0, window=W20, **kwargs):
     return DispersionModel(k, trivial_normalizer(k, window, 1e-10), **kwargs)
 
 
-def fig2d_model(k=None):
+def fig2d_model(k=None, window=W20):
     k = KernelSpec(LL, 1.0) if k is None else k
-    base = trivial_normalizer(k, W20, 1e-10)
+    base = trivial_normalizer(k, window, 1e-10)
     return DispersionModel(k, perturbed_normalizer(base, CosineGaussian()))
 
 
@@ -227,10 +227,14 @@ class TestSample:
             (lambda: trivial_model(UnitDeviancePair(SymmetricStable(0.7, 1.0), Normal(1.0))), 0.0),
             (fig2d_model, 0.0),
             (fig2d_model, 1.3),
+            # grids whose scan points are wider apart than a cell
+            (lambda: fig2d_model(window=Window(-20.0, 20.0, 16)), 0.0),
+            (lambda: fig2d_model(window=Window(-20.0, 20.0, 32)), 0.0),
             (sharp_model, OFF_GRID_MU),
         ],
         ids=["normal", "laplace", "cauchy_normal", "nig", "stable07_normal",
-             "laplace_cosgauss", "laplace_cosgauss_mu1.3", "sharp_off_grid_mu"],
+             "laplace_cosgauss", "laplace_cosgauss_mu1.3", "laplace_cosgauss_grid16",
+             "laplace_cosgauss_grid32", "sharp_off_grid_mu"],
     )
     def test_step_envelope_bounds_the_density(self, model, mu):
         m = model()
@@ -251,8 +255,10 @@ class TestSample:
         m = fig2d_model(k)
         n = 100_000
         k.tally.abscissae = 0
+        _step_envelope(m, 0.0)
+        envelope_points = k.tally.abscissae
+        k.tally.abscissae = 0
         draws = sample(m, 0.0, n, seed=42)
-        envelope_points = m.normalizer.scan_points().size + 1  # and mu
         proposals = k.tally.abscissae - envelope_points
         assert draws.size == n
         assert proposals / n <= 1.3
