@@ -16,7 +16,6 @@ from .charfn import (
     Normal,
     SymmetricNIG,
     SymmetricStable,
-    ValidationResult,
     from_dict,
     register_family,
 )
@@ -94,7 +93,6 @@ __all__ = [
     "TabulatedEven",
     "TranslateSystem",
     "UnitDeviancePair",
-    "ValidationResult",
     "Window",
     "Zero",
     "check_unit_deviance",

@@ -4,8 +4,9 @@ These are the building blocks for the unit deviances in
 :mod:`chardisp.deviance`.  Every member evaluates to a real number, equals
 1 at the origin, is even, and is strictly below 1 in modulus away from the
 origin.  The catalog holds five families; new ones can be added through
-:func:`register_family`.  :class:`Spec`, :func:`build` and
-:func:`parse_shorthand` serve the perturbation catalog as well.
+:func:`register_family`.  Every spec checks its parameters when it is
+built.  :class:`Spec`, :func:`build` and :func:`parse_shorthand` serve the
+perturbation catalog as well.
 """
 from __future__ import annotations
 
@@ -24,16 +25,7 @@ T_CAP = 1e8
 
 
 class InvalidSpecError(ValueError):
-    """Raised when an operation requires a spec that failed validation."""
-
-
-@dataclass(frozen=True)
-class ValidationResult:
-    ok: bool
-    message: str = ""
-
-    def __bool__(self) -> bool:
-        return self.ok
+    """Raised when a spec is built with parameters outside its family's domain."""
 
 
 def _clamp(t: ArrayLike) -> np.ndarray:
@@ -46,6 +38,15 @@ class Spec:
     its parameters, serialized as ``{"family": ..., "params": {...}}``."""
 
     family: str = ""
+    kind: str = ""
+
+    def __post_init__(self):
+        """Every parameter must be a number, or a tuple of numbers for a table."""
+        for name, v in self.params().items():
+            if not all(map(is_number, v if isinstance(v, tuple) else (v,))):
+                raise InvalidSpecError(
+                    f"{self.kind} family {self.family!r} parameter {name!r} must be a number, got {v!r}"
+                )
 
     def params(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -56,27 +57,27 @@ class Spec:
 
 
 def is_number(v) -> bool:
-    """True for a real number; False for a bool, a string, None, a list..."""
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+    """True for a real number that converts to a float; False for a bool, a
+    string, None, a list, an int too large for a float..."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        return False
+    try:
+        float(v)
+    except OverflowError:
+        return False
+    return True
 
 
 def build(registry: dict, kind: str, family, params) -> Spec:
-    """Instantiate ``registry[family](**params)``; errors name the ``kind``.
-
-    Every parameter must be a number, or a tuple of numbers for table
-    fields that the family stores as tuples."""
+    """Instantiate ``registry[family](**params)``; errors name the ``kind``."""
     try:
         cls = registry[family]
     except (TypeError, KeyError):
         raise InvalidSpecError(f"unknown {kind} family {family!r}") from None
     try:
-        spec = cls(**params)
+        return cls(**params)
     except TypeError as exc:
         raise InvalidSpecError(f"bad parameters for {kind} family {family!r}: {params!r}") from exc
-    for name, v in spec.params().items():
-        if not all(map(is_number, v if isinstance(v, tuple) else (v,))):
-            raise InvalidSpecError(f"{kind} family {family!r} parameter {name!r} must be a number, got {v!r}")
-    return spec
 
 
 def parse_shorthand(registry: dict, kind: str, token: str) -> Spec:
@@ -101,28 +102,23 @@ def parse_shorthand(registry: dict, kind: str, token: str) -> Spec:
 class CharFn(Spec, ABC):
     """A real, even characteristic function with known moment behaviour."""
 
+    kind = "characteristic function"
+
+    def __post_init__(self):
+        """By default, every parameter must be positive and finite."""
+        super().__post_init__()
+        for name, v in self.params().items():
+            if not (np.isfinite(v) and v > 0):
+                raise InvalidSpecError(f"{self.family} {name} must be positive and finite, got {v}")
+
     @abstractmethod
     def eval(self, t: ArrayLike) -> ArrayLike:
         """Evaluate the characteristic function at ``t``: a numpy float
         scalar for scalar ``t``, an array of the shape of ``t`` otherwise."""
 
-    def validate(self) -> ValidationResult:
-        """Check that the parameters lie in their admissible domain: by
-        default, every parameter positive and finite."""
-        for name, v in self.params().items():
-            if not (np.isfinite(v) and v > 0):
-                return ValidationResult(False, f"{self.family} {name} must be positive and finite, got {v}")
-        return ValidationResult(True)
-
     @abstractmethod
     def has_finite_second_moment(self) -> bool:
         """True when the underlying law has finite first two moments."""
-
-    def require_valid(self) -> "CharFn":
-        res = self.validate()
-        if not res.ok:
-            raise InvalidSpecError(res.message)
-        return self
 
 
 @dataclass(frozen=True)
@@ -182,10 +178,11 @@ class SymmetricStable(CharFn):
     def eval(self, t):
         return np.exp(-np.abs(self.scale * _clamp(t)) ** self.alpha)
 
-    def validate(self):
-        if not (np.isfinite(self.alpha) and 0.0 < self.alpha <= 2.0):
-            return ValidationResult(False, f"stable index alpha must lie in (0, 2], got {self.alpha}")
-        return super().validate()
+    def __post_init__(self):
+        # before the generic rule, so that alpha = 0 names the stable range
+        if is_number(self.alpha) and not 0.0 < self.alpha <= 2.0:
+            raise InvalidSpecError(f"stable index alpha must lie in (0, 2], got {self.alpha}")
+        super().__post_init__()
 
     def has_finite_second_moment(self):
         return self.alpha == 2.0

@@ -37,10 +37,6 @@ class UnitDeviancePair:
     phi: CharFn
     psi: CharFn
 
-    def __post_init__(self):
-        self.phi.require_valid()
-        self.psi.require_valid()
-
     def deviance(self, y: ArrayLike, mu: ArrayLike) -> ArrayLike:
         t = np.asarray(y, dtype=float) - np.asarray(mu, dtype=float)
         return (1.0 - self.phi.eval(t)) * np.abs(self.psi.eval(t))

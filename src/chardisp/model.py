@@ -227,7 +227,6 @@ def diagnostics(
     m: DispersionModel,
     mu_grid=None,
     tol: float = 1e-8,
-    h: float = 1e-4,
 ) -> DiagnosticsReport:
     """Assemble the full diagnostics report for a model.
 
@@ -244,6 +243,6 @@ def diagnostics(
         normalization_residuals={float(mu): float(r) for mu, r in zip(mu_grid, residuals)},
         classification=classify(m),
         edm_excluded=True,
-        regularity=regularity_probe(m.kernel.pair, mu=0.0, h=h),
+        regularity=regularity_probe(m.kernel.pair, mu=0.0),
         truncation_drift=float(residuals.max() - residuals.min()),
     )

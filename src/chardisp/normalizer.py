@@ -120,8 +120,10 @@ class Perturbation(Spec, ABC):
 
     # True when f(y) = f(-y) for all y.
     even = True
+    kind = "perturbation"
 
     def __post_init__(self):
+        super().__post_init__()
         # the Gaussian envelopes exp(-y^2 / (2 s^2)) need s > 0 (NaN fails)
         width = getattr(self, "width", 1.0)
         if not width > 0:
@@ -193,13 +195,16 @@ class TabulatedEven(Perturbation):
     family = "custom"
 
     def __post_init__(self):
-        k = np.asarray(self.knots, dtype=float)
-        if k.size < 2 or np.any(k < 0) or np.any(np.diff(k) <= 0):
-            raise ValueError("knots must be >= 0, strictly increasing, with at least two entries")
-        if len(self.values) != k.size:
-            raise ValueError("knots and values must have equal length")
         object.__setattr__(self, "knots", tuple(self.knots))
         object.__setattr__(self, "values", tuple(self.values))
+        super().__post_init__()
+        k = np.asarray(self.knots, dtype=float)
+        if not np.all(np.isfinite(k)):
+            raise InvalidSpecError(f"knots must be finite, got {self.knots!r}")
+        if k.size < 2 or np.any(k < 0) or np.any(np.diff(k) <= 0):
+            raise InvalidSpecError("knots must be >= 0, strictly increasing, with at least two entries")
+        if len(self.values) != k.size:
+            raise InvalidSpecError("knots and values must have equal length")
 
     def eval(self, y):
         return np.interp(np.abs(y), self.knots, self.values, right=0.0)

@@ -72,21 +72,22 @@ def test_huge_arguments_clamped_not_nan():
 
 
 def test_validation_of_parameter_domains():
-    assert SymmetricStable(2.0, 1.0).validate().ok  # Gaussian boundary admitted
-    res = SymmetricStable(2.5, 1.0).validate()
-    assert not res.ok and "2.5" in res.message
-    assert SymmetricNIG(1.0, 1.0).validate().ok
-    assert not Normal(0.0).validate().ok
-    assert not Normal(-1.0).validate().ok
-    assert not Cauchy(float("nan")).validate().ok
-    assert not Laplace(float("inf")).validate().ok
-    assert not SymmetricStable(0.0, 1.0).validate().ok
-    assert not SymmetricNIG(1.0, -2.0).validate().ok
-
-
-def test_require_valid_raises_descriptively():
+    SymmetricStable(2.0, 1.0)  # Gaussian boundary admitted
+    SymmetricNIG(1.0, 1.0)
     with pytest.raises(InvalidSpecError, match="2.5"):
-        SymmetricStable(2.5, 1.0).require_valid()
+        SymmetricStable(2.5, 1.0)
+    with pytest.raises(InvalidSpecError, match=r"stable index alpha must lie in \(0, 2\], got 0.0"):
+        SymmetricStable(0.0, 1.0)
+    with pytest.raises(InvalidSpecError, match="normal scale must be positive and finite, got 0.0"):
+        Normal(0.0)
+    with pytest.raises(InvalidSpecError, match="normal scale must be positive and finite, got -1.0"):
+        Normal(-1.0)
+    with pytest.raises(InvalidSpecError, match="cauchy scale must be positive and finite, got nan"):
+        Cauchy(float("nan"))
+    with pytest.raises(InvalidSpecError, match="laplace scale must be positive and finite, got inf"):
+        Laplace(float("inf"))
+    with pytest.raises(InvalidSpecError, match="nig delta must be positive and finite, got -2.0"):
+        SymmetricNIG(1.0, -2.0)
 
 
 def test_second_moment_table():
@@ -129,6 +130,8 @@ def test_from_dict_rejects_garbage():
 def test_build_rejects_non_number_parameters(registry, kind, family, params, name):
     with pytest.raises(InvalidSpecError, match=f"{family}.*{name}"):
         charfn.build(registry, kind, family, params)
+    with pytest.raises(InvalidSpecError, match=f"{kind} family {family!r} parameter {name!r} must be a number"):
+        registry[family](**params)
 
 
 def test_build_accepts_table_fields():
@@ -151,9 +154,9 @@ def test_register_family_extension_point():
             out = np.where(x == 0.0, 1.0, np.sin(x / 2) ** 2 / (x / 2) ** 2 * 2 / 2)
             return float(out) if np.ndim(t) == 0 else out
 
-        def validate(self):
-            from chardisp.charfn import ValidationResult
-            return ValidationResult(self.w > 0)
+        def __post_init__(self):
+            if not self.w > 0:
+                raise InvalidSpecError(f"triangular w must be positive, got {self.w}")
 
         def has_finite_second_moment(self):
             return True
@@ -161,6 +164,8 @@ def test_register_family_extension_point():
     try:
         register_family(Triangular)
         assert from_dict({"family": "triangular_test", "params": {"w": 2.0}}) == Triangular(2.0)
+        with pytest.raises(InvalidSpecError, match="triangular w must be positive"):
+            from_dict({"family": "triangular_test", "params": {"w": -1.0}})
     finally:
         charfn.FAMILIES.pop("triangular_test", None)
     with pytest.raises(TypeError):
@@ -192,3 +197,13 @@ def test_property_continuity_by_finite_difference(spec, t):
     # the catalog is the alpha=0.7 stable member, ~ h**0.7 near the origin
     assert abs(spec.eval(t + 1e-5) - spec.eval(t)) < 1e-2
     assert abs(spec.eval(t + 1e-7) - spec.eval(t)) < 1e-4
+
+
+def test_package_exports_resolve():
+    import chardisp
+
+    for name in chardisp.__all__:
+        assert hasattr(chardisp, name), name
+    namespace = {}
+    exec("from chardisp import *", namespace)
+    assert set(chardisp.__all__) <= set(namespace)

@@ -50,6 +50,12 @@ class TestParsers:
             shift: float = 0.0
             family = "scaled_laplace_test"
 
+            def __post_init__(self):
+                # any finite shift; the scale keeps the positivity rule
+                charfn.Spec.__post_init__(self)
+                if not (np.isfinite(self.scale) and self.scale > 0 and np.isfinite(self.shift)):
+                    raise InvalidSpecError(f"bad scaled_laplace_test parameters {self.params()!r}")
+
         try:
             charfn.register_family(ScaledLaplace)
             assert cli.parse_charfn("scaled_laplace_test:2,0.5") == ScaledLaplace(2.0, 0.5)
@@ -349,6 +355,9 @@ class TestConfigValues:
     @example(key="window", value={"lo": -5, "high": 5})
     @example(key="phi", value={"family": "normal", "params": {"scale": "x"}})
     @example(key="perturb", value={"family": "cosgauss", "params": {"amplitude": "x"}})
+    @example(key="lambda", value=10 ** 400)
+    @example(key="perturb", value={"family": "cosgauss", "params": {"amplitude": 10 ** 400}})
+    @example(key="phi", value={"family": "normal", "params": {"scale": 10 ** 400}})
     def test_malformed_value_exits_cleanly(self, key, value):
         with tempfile.TemporaryDirectory() as tmp:
             cwd = os.getcwd()

@@ -4,7 +4,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
-from chardisp.charfn import Cauchy, Laplace, Normal, SymmetricNIG, SymmetricStable
+from chardisp.charfn import Cauchy, InvalidSpecError, Laplace, Normal, SymmetricNIG, SymmetricStable
 from chardisp.deviance import UnitDeviancePair
 from chardisp.normalizer import (
     CosineGaussian,
@@ -285,8 +285,13 @@ class TestPerturbations:
         assert f.even
         assert f.eval(-0.5) == f.eval(0.5) == pytest.approx(0.75)
         assert f.eval(5.0) == 0.0
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidSpecError, match="strictly increasing"):
             TabulatedEven(knots=(1.0, 0.5), values=(0.0, 0.0))
+        for bad in (math.nan, math.inf):
+            with pytest.raises(InvalidSpecError, match="knots must be finite"):
+                TabulatedEven(knots=(0.0, bad, 2.0), values=(1.0, 0.5, 0.0))
+            with pytest.raises(InvalidSpecError, match="knots must be finite"):
+                TabulatedEven(knots=(0.0, 1.0, bad), values=(1.0, 0.5, 0.0))
 
     def test_square_integrable_on_window(self):
         for f in (Zero(), CosineGaussian(), OddGaussian(), TabulatedEven((0.0, 1.0), (1.0, 0.0))):
