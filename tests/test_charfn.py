@@ -90,6 +90,12 @@ def test_validation_of_parameter_domains():
         SymmetricNIG(1.0, -2.0)
 
 
+def test_require_valid_raises_descriptively():
+    # Validation runs at construction; the error names the offending value.
+    with pytest.raises(InvalidSpecError, match="2.5"):
+        SymmetricStable(2.5, 1.0)
+
+
 def test_second_moment_table():
     assert Normal(1.0).has_finite_second_moment()
     assert Laplace(1.0).has_finite_second_moment()
