@@ -9,7 +9,10 @@ sample    draws from a model, one value per line
 figures   the four showcase model curves plus normal and t3 reference curves
 
 All numeric output uses 17 significant digits so runs are reproducible
-byte for byte.  Outputs are accumulated in memory and written only after
+byte for byte.  Every CSV cell is exactly what ``"%.17g" % value`` prints;
+:mod:`chardisp.g17` formats each chunk's array at once, from exact integer
+digits where ``%g`` uses fixed notation and through ``%`` itself for the
+rest.  Outputs are accumulated in memory and written only after
 every computation has succeeded; a failing run leaves no partial files.
 Exit codes: 0 success, 1 validation, configuration or output error, 2
 numerical failure (quadrature budget, sampling envelope).
@@ -27,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import charfn
+from . import charfn, g17
 from .charfn import CharFn, InvalidSpecError
 from .deviance import UnitDeviancePair, check_unit_deviance
 from .model import DispersionModel, EnvelopeError, diagnostics, sample
@@ -50,7 +53,7 @@ from .riesz import (
     rational_enumeration,
 )
 
-# Rows formatted per step in _csv: bounds the tuple and string of one step.
+# Rows formatted per step in _csv: bounds the arrays and string of one step.
 CSV_CHUNK_ROWS = 65536
 
 
@@ -187,13 +190,11 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
 def _csv(header: str, *columns) -> str:
     """The header line, then row i holding entry i of every column, each
-    value printed as a float with 17 significant digits."""
+    value printed exactly as ``"%.17g"`` prints the float."""
     table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
     parts = [header + "\n"]
     for start in range(0, table.shape[0], CSV_CHUNK_ROWS):
-        chunk = table[start:start + CSV_CHUNK_ROWS]
-        parts.append((row * chunk.shape[0]) % tuple(chunk.ravel().tolist()))
+        parts.append(g17.csv_text(table[start:start + CSV_CHUNK_ROWS]))
     return "".join(parts)
 
 

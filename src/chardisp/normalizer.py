@@ -128,6 +128,9 @@ class Perturbation(Spec, ABC):
         width = getattr(self, "width", 1.0)
         if not width > 0:
             raise InvalidSpecError(f"{self.family} width must be positive, got {width!r}")
+        for name, v in self.params().items():
+            if not np.all(np.isfinite(v)):
+                raise InvalidSpecError(f"{self.family} {name} must be finite, got {v!r}")
 
     @abstractmethod
     def eval(self, y: ArrayLike) -> ArrayLike: ...
@@ -199,8 +202,6 @@ class TabulatedEven(Perturbation):
         object.__setattr__(self, "values", tuple(self.values))
         super().__post_init__()
         k = np.asarray(self.knots, dtype=float)
-        if not np.all(np.isfinite(k)):
-            raise InvalidSpecError(f"knots must be finite, got {self.knots!r}")
         if k.size < 2 or np.any(k < 0) or np.any(np.diff(k) <= 0):
             raise InvalidSpecError("knots must be >= 0, strictly increasing, with at least two entries")
         if len(self.values) != k.size:

@@ -88,6 +88,15 @@ class TestDensity:
         text = out.read_text()
         assert text.startswith("y,density\n")
 
+    def test_curve_is_pinned(self, tmp_path):
+        # changes only when the model's numbers or the CSV formatting change
+        out = tmp_path / "curve.csv"
+        assert run(["density", "--phi", "cauchy:1", "--psi", "normal:1", "--mu", "0.5",
+                    "--grid", "64", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "48579e846523dbf1d03a836441f7244044dbfd8b088e44055e20445868669d3f"
+        )
+
     def test_seventeen_significant_digits(self, tmp_path):
         out = tmp_path / "curve.csv"
         run(["density", "--phi", "normal:1", "--psi", "normal:1", "--grid", "64",
@@ -107,6 +116,26 @@ def reference_csv(header, *columns):
 
 AWKWARD = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1.7976931348623157e308,
            0.1, 1 / 3, -2 / 3, 1e16, 123456789012345678.0, 1e-5, 0.5, -1.0]
+
+
+def _ulp_neighbours(x, steps=2):
+    """x and the doubles up to `steps` ulps either side of it."""
+    out, lo, hi = [x], x, x
+    for _ in range(steps):
+        lo, hi = float(np.nextafter(lo, -math.inf)), float(np.nextafter(hi, math.inf))
+        out += [lo, hi]
+    return out
+
+
+# Cells where the digits of %.17g hinge on exact rounding.  Ties round half
+# to even; just below a power of ten log10 misjudges the decade, so those
+# cells are redone a decade down; 1e-4 is the smallest value %g prints in
+# fixed notation, the double below it the largest printed in scientific.
+EXACT_ROUNDING = {
+    "ties": [1000000000000000.25, 1000000000000000.75] + [1e15 + 0.125 * i for i in range(64)],
+    "powers_of_ten": [y for p in range(-6, 19) for y in _ulp_neighbours(10.0 ** p)],
+    "notation_switch": [1e-4, float(np.nextafter(1e-4, 0.0)), 1e-5, 1e16, 1e17, -0.0],
+}
 
 
 class TestCsv:
@@ -132,6 +161,35 @@ class TestCsv:
     @given(values=st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=40))
     def test_any_floats_match_the_reference(self, values):
         assert cli._csv("a,b", values, values[::-1]) == reference_csv("a,b", values, values[::-1])
+
+    @given(values=st.lists(st.floats(-1e17, 1e17), max_size=40))
+    def test_fixed_notation_range_matches_the_reference(self, values):
+        assert cli._csv("a,b", values, values[::-1]) == reference_csv("a,b", values, values[::-1])
+
+    @given(values=st.lists(st.floats(-20.0, 20.0), max_size=40))
+    def test_window_range_matches_the_reference(self, values):
+        assert cli._csv("a,b", values, values[::-1]) == reference_csv("a,b", values, values[::-1])
+
+    @pytest.mark.parametrize("case", sorted(EXACT_ROUNDING))
+    def test_exact_rounding_cases(self, case):
+        values = EXACT_ROUNDING[case]
+        assert cli._csv("a,b", values, values[::-1]) == reference_csv("a,b", values, values[::-1])
+
+    def test_notation_switch_in_mixed_rows(self):
+        text = cli._csv("a,b,c", [1e-4, 0.5], [float(np.nextafter(1e-4, 0.0)), -0.0], [-3.25, 1e17])
+        assert text == "a,b,c\n0.0001,9.9999999999999991e-05,-3.25\n0.5,-0,1e+17\n"
+
+    @pytest.mark.parametrize("chunk_rows", [cli.CSV_CHUNK_ROWS, 3])
+    def test_bulk_random_values_match_the_reference(self, monkeypatch, chunk_rows):
+        rng = np.random.default_rng(9)
+        bits = rng.integers(0, 2**64, size=200_000, dtype=np.uint64).view(float)
+        uniform = rng.uniform(-20.0, 20.0, size=200_000)
+        # 3-row chunks cost a call each, so that case takes a 6,000-value prefix
+        rows = 100_000 if chunk_rows > 3 else 3_000
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk_rows)
+        for values in (bits, uniform):
+            a, b = values[:rows], values[rows:2 * rows]
+            assert cli._csv("a,b", a, b) == reference_csv("a,b", a, b)
 
 
 class TestValidationErrors:
@@ -291,6 +349,20 @@ class TestFigures:
             assert lines[0] == "y,density"
             assert len(lines) == 258
 
+    def test_curves_are_pinned(self, tmp_path):
+        # changes only when a model's numbers or the CSV formatting change
+        out = tmp_path / "figs"
+        assert run(["figures", "--grid", "64", "--out", str(out)]) == 0
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+        assert digests == {
+            "fig1A.csv": "2de91b3161e8d3a2828cd1c4e961ab20a314451878694882cde0828ee21647a0",
+            "fig1B.csv": "0bb6fd8c0c7d5dd91e40073fa0c27c5b2cbd55d0686b1e7663cb2f7eb6c38f92",
+            "fig2C.csv": "983ff9602612661f88fe1314258ae4c7b978ad22155bfa38648b9a61436ccc07",
+            "fig2D.csv": "56928590664162d81eb7c640772024616eb51ea78e19f231f56a04c1227dcc00",
+            "reference_normal.csv": "9a48e6a3f4a7c46609350c6664a1111e5f061c6ef8b9c721e794ae434de38875",
+            "reference_t3.csv": "3022e431b734824cce5a27fc7c902e88fa7868c137049c3e03fb3873f61bab12",
+        }
+
     def test_reference_curves_are_the_classic_densities(self, tmp_path):
         out = tmp_path / "figs"
         run(["figures", "--grid", "64", "--window", "-20", "20", "--out", str(out)])
@@ -398,6 +470,27 @@ class TestPerturbationWidth:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and "width must be positive" in err
+
+
+class TestPerturbationFinite:
+    @pytest.mark.parametrize("sub, token, message", [
+        ("density", "cosgauss:1,inf,1", "cosgauss frequency must be finite, got inf"),
+        ("riesz", "cosgauss:nan,3,1", "cosgauss amplitude must be finite, got nan"),
+    ])
+    def test_rejected_naming_the_parameter(self, capsys, tmp_path, sub, token, message):
+        code = run([sub, "--phi", "normal:1", "--psi", "normal:1", "--grid", "16",
+                    "--perturb", token, "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_custom_record_with_nan_value_rejected(self, capsys, tmp_path):
+        path = tmp_path / "run.json"
+        record = {"family": "custom", "params": {"knots": [0.0, 1.0], "values": [math.nan, 0.0]}}
+        path.write_text(json.dumps({"perturbation": record}))
+        assert run(["density", "--phi", "normal:1", "--psi", "normal:1", "--grid", "16",
+                    "--config", str(path)]) == 1
+        assert capsys.readouterr().err == "error: custom values must be finite, got (nan, 0.0)\n"
 
 
 class TestFiguresDefaultOut:

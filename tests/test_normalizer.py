@@ -258,16 +258,20 @@ class TestPerturbations:
         assert exc.value.value == base.a_tilde - 1.0
 
     @pytest.mark.parametrize(
-        "f", [CosineGaussian(amplitude=math.nan), TabulatedEven((0.0, 1.0), (math.nan, 0.0))]
+        "f", [CosineGaussian(amplitude=1e308, width=0.1), OddGaussian(amplitude=1e308, width=0.1)]
     )
     def test_rejected_on_nan(self, f):
-        # NaN fails every comparison, so "not > 0" must be the test, not "<= 0"
+        # NaN fails every comparison, so "not > 0" must be the test, not "<= 0".
+        # Parameters must be finite, but a huge amplitude still overflows to
+        # inf where the envelope underflows to 0, and inf * 0 is NaN.
         base = trivial_normalizer(KernelSpec(LL, 1.0), W20)
-        with pytest.raises(PositivityError) as exc:
-            perturbed_normalizer(base, f)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(PositivityError) as exc:
+                perturbed_normalizer(base, f)
+            ys = base.window.grid(4)
+            first_nan = ys[np.flatnonzero(np.isnan(f.eval(ys)))[0]]
         assert math.isnan(exc.value.value)
-        ys = base.window.grid(4)
-        assert exc.value.y == ys[np.flatnonzero(np.isnan(f.eval(ys)))[0]]
+        assert exc.value.y == first_nan
 
     def test_requires_trivial_base(self):
         base = trivial_normalizer(KernelSpec(LL, 1.0), W20)
@@ -292,6 +296,8 @@ class TestPerturbations:
                 TabulatedEven(knots=(0.0, bad, 2.0), values=(1.0, 0.5, 0.0))
             with pytest.raises(InvalidSpecError, match="knots must be finite"):
                 TabulatedEven(knots=(0.0, 1.0, bad), values=(1.0, 0.5, 0.0))
+            with pytest.raises(InvalidSpecError, match="custom values must be finite"):
+                TabulatedEven(knots=(0.0, 1.0, 2.0), values=(1.0, bad, 0.0))
 
     def test_square_integrable_on_window(self):
         for f in (Zero(), CosineGaussian(), OddGaussian(), TabulatedEven((0.0, 1.0), (1.0, 0.0))):
