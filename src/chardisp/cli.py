@@ -8,6 +8,11 @@ riesz     Gram matrix, frame bounds, orthogonality residual curve
 sample    draws from a model, one value per line
 figures   the four showcase model curves plus normal and t3 reference curves
 
+All five take the same flags, from one parser: ``chardisp --help`` lists
+the subcommands and every flag, and flags may come before or after the
+subcommand.  A value that starts with ``-`` and a digit is a number, so
+negative exponents such as ``--mu -1e-3`` are accepted.
+
 All numeric output uses 17 significant digits so runs are reproducible
 byte for byte.  Every CSV cell is exactly what ``"%.17g" % value`` prints;
 :mod:`chardisp.g17` formats each chunk's array at once, from exact integer
@@ -23,6 +28,7 @@ import argparse
 import json
 import math
 import numbers
+import re
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -36,6 +42,7 @@ from .deviance import UnitDeviancePair, check_unit_deviance
 from .model import DispersionModel, EnvelopeError, diagnostics, sample
 from .normalizer import (
     PERTURBATION_FAMILIES,
+    RESIDUAL_TOL,
     CosineGaussian,
     KernelSpec,
     Perturbation,
@@ -45,7 +52,7 @@ from .normalizer import (
     perturbed_normalizer,
     trivial_normalizer,
 )
-from .quadrature import QuadratureError
+from .quadrature import DEFAULT_TOL, QuadratureError
 from .riesz import (
     TranslateSystem,
     gram_matrix,
@@ -78,8 +85,8 @@ class RunConfig:
     window: Window = field(default_factory=Window)
     mu: float = 0.0
     perturb: Optional[Perturbation] = None
-    tol: float = 1e-10
-    residual_tol: float = 1e-8  # follows tol only when tol is set explicitly
+    tol: float = DEFAULT_TOL
+    residual_tol: float = RESIDUAL_TOL  # follows tol only when tol is set explicitly
     seed: int = 0
     n: Optional[int] = None  # sample draws (default 1000) / translate points (default 8)
     out: Optional[str] = None
@@ -328,22 +335,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chardisp",
         description="Construct and probe dispersion models built from characteristic functions.",
+        epilog="subcommands:\n" + "\n".join(f"  {name:<9} {text}" for name, (_, text, _) in _COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (_, help_text, _) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--phi", help="characteristic function FAMILY[:PARAMS], e.g. normal:1")
-        p.add_argument("--psi", help="characteristic function FAMILY[:PARAMS], e.g. laplace:1")
-        p.add_argument("--lambda", type=float, metavar="LAM", help="index parameter (default 1)")
-        p.add_argument("--window", nargs=2, type=float, metavar=("LO", "HI"))
-        p.add_argument("--grid", type=int, help="window grid size (default 1024)")
-        p.add_argument("--mu", type=float, help="position parameter (default 0)")
-        p.add_argument("--perturb", help="perturbation FAMILY[:PARAMS], e.g. cosgauss:1,3,2.236")
-        p.add_argument("--tol", type=float, help="quadrature tolerance (default 1e-10)")
-        p.add_argument("--seed", type=int, help="random seed (default 0)")
-        p.add_argument("--n", type=int, help="count: draws to sample / translate points (default 1000/8)")
-        p.add_argument("--out", help="output file (density, sample) or directory (verify, riesz, figures)")
-        p.add_argument("--config", help="JSON config file; flags override its entries")
+    parser._negative_number_matcher = re.compile(r"^-\.?\d")  # no flag looks like a number: -1e-3 is a value
+    parser.add_argument("subcommand", choices=_COMMANDS, help="one of the subcommands below")
+    parser.add_argument("--phi", help="characteristic function FAMILY[:PARAMS], e.g. normal:1")
+    parser.add_argument("--psi", help="characteristic function FAMILY[:PARAMS], e.g. laplace:1")
+    parser.add_argument("--lambda", type=float, metavar="LAM", help="index parameter (default 1)")
+    parser.add_argument("--window", nargs=2, type=float, metavar=("LO", "HI"))
+    parser.add_argument("--grid", type=int, help="window grid size (default 1024)")
+    parser.add_argument("--mu", type=float, help="position parameter (default 0)")
+    parser.add_argument("--perturb", help="perturbation FAMILY[:PARAMS], e.g. cosgauss:1,3,2.236")
+    parser.add_argument("--tol", type=float, help=f"quadrature tolerance (default {DEFAULT_TOL:g})")
+    parser.add_argument("--seed", type=int, help="random seed (default 0)")
+    parser.add_argument("--n", type=int, help="count: draws to sample / translate points (default 1000/8)")
+    parser.add_argument("--out", help="output file (density, sample) or directory (verify, riesz, figures)")
+    parser.add_argument("--config", help="JSON config file; flags override its entries")
     return parser
 
 

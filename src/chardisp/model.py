@@ -24,7 +24,7 @@ import numpy as np
 
 from .charfn import ArrayLike
 from .deviance import RegularityReport, regularity_probe
-from .normalizer import KernelSpec, NormalizerSpec, convolution_residual
+from .normalizer import RESIDUAL_TOL, KernelSpec, NormalizerSpec, convolution_residual
 
 ENVELOPE_SAFETY = 1.01
 # Equal cells of sample()'s step envelope.
@@ -111,7 +111,7 @@ class DispersionModel:
         }
 
 
-def normalization_check(m: DispersionModel, mu: float, tol: float = 1e-8) -> float:
+def normalization_check(m: DispersionModel, mu: float, tol: float = RESIDUAL_TOL) -> float:
     """Residual of the unit-mass condition at mu: integral of p(.; mu) - 1.
 
     A measurement; nonzero drift is expected near the window edges and for
@@ -226,7 +226,7 @@ class DiagnosticsReport:
 def diagnostics(
     m: DispersionModel,
     mu_grid=None,
-    tol: float = 1e-8,
+    tol: float = RESIDUAL_TOL,
 ) -> DiagnosticsReport:
     """Assemble the full diagnostics report for a model.
 

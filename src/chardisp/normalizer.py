@@ -29,15 +29,19 @@ from .quadrature import DEFAULT_TOL, integrate_shifts
 
 DEFAULT_WINDOW = (-20.0, 20.0)
 POSITIVITY_OVERSAMPLE = 4
+# Default absolute tolerance of the normalization residual integrals.
+RESIDUAL_TOL = 1e-8
 
 
 class PositivityError(ValueError):
-    """A perturbed normalizing function dips to zero or below on the window."""
+    """A perturbed normalizing function is not finite, or dips to zero or
+    below, on the window."""
 
     def __init__(self, y: float, value: float):
         self.y = y
         self.value = value
-        super().__init__(f"normalizing function is not positive: value {value!r} at y={y!r}")
+        what = "positive" if np.isfinite(value) else "finite"
+        super().__init__(f"normalizing function is not {what}: value {value!r} at y={y!r}")
 
 
 @dataclass(frozen=True)
@@ -182,7 +186,8 @@ class OddGaussian(Perturbation):
 
     def eval(self, y):
         yy = np.asarray(y, dtype=float)
-        return self.amplitude * yy * np.exp(-yy ** 2 / (2.0 * self.width ** 2))
+        # amplitude last: amplitude * y may overflow where the value does not
+        return yy * np.exp(-yy ** 2 / (2.0 * self.width ** 2)) * self.amplitude
 
 
 @dataclass(frozen=True)
@@ -293,17 +298,19 @@ def trivial_normalizer(k: KernelSpec, w: Window, tol: float = DEFAULT_TOL) -> No
 def perturbed_normalizer(base: NormalizerSpec, f: Perturbation) -> NormalizerSpec:
     """Attach a perturbation to a trivial normalizer, enforcing positivity.
 
-    The sum a_tilde + f must be positive at every one of its
+    The sum a_tilde + f must be finite and positive at every one of its
     :meth:`NormalizerSpec.scan_points`; otherwise the abscissa of the first
-    NaN, or else of the smallest value, is raised in :class:`PositivityError`.
+    value that is not finite (an overflow, or NaN), or else of the smallest
+    value, is raised in :class:`PositivityError`.
     """
     if base.kind != "trivial":
         raise ValueError("base normalizer must be trivial (constant)")
     norm = NormalizerSpec(a_tilde=base.a_tilde, window=base.window, perturbation=f)
     ys = norm.scan_points()
-    vals = norm.value(ys)
-    if not np.all(vals > 0.0):
-        i = int(np.argmin(vals))  # argmin stops at the first NaN
+    with np.errstate(over="ignore", invalid="ignore"):  # caught below as values that are not finite
+        vals = norm.value(ys)
+    i = int(np.argmin(np.where(np.isfinite(vals), vals, -np.inf)))  # the first value not finite, else the smallest
+    if not (np.isfinite(vals[i]) and vals[i] > 0.0):
         raise PositivityError(float(ys[i]), float(vals[i]))
     return norm
 
@@ -330,7 +337,7 @@ def convolution_residual(
     norm: NormalizerSpec,
     k: KernelSpec,
     mu_grid,
-    tol: float = 1e-8,
+    tol: float = RESIDUAL_TOL,
 ) -> np.ndarray:
     """Residual r(mu) = integral over the window of a(y) K(mu - y) dy - 1.
 

@@ -3,9 +3,11 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 from pathlib import Path
@@ -213,6 +215,59 @@ class TestValidationErrors:
 
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
+
+
+class TestParserTable:
+    # flag dest -> (its arguments, the parsed value)
+    VALUES = {
+        "phi": (["normal:1"], "normal:1"),
+        "psi": (["laplace:1"], "laplace:1"),
+        "lambda": (["1.5"], 1.5),
+        "window": (["-2e1", "20"], [-20.0, 20.0]),
+        "grid": (["64"], 64),
+        "mu": (["-1e-3"], -1e-3),
+        "perturb": (["cosgauss"], "cosgauss"),
+        "tol": (["1e-9"], 1e-9),
+        "seed": (["7"], 7),
+        "n": (["12"], 12),
+        "out": (["o.csv"], "o.csv"),
+        "config": (["run.json"], "run.json"),
+    }
+
+    def test_dests_are_the_config_keys(self):
+        dests = {action.dest for action in cli.build_parser()._actions} - {"help"}
+        assert dests == set(cli._KEYS) - {"perturbation"} | {"subcommand", "config"}
+        assert dests == set(self.VALUES) | {"subcommand"}
+
+    @pytest.mark.parametrize("sub", list(cli._COMMANDS))
+    def test_every_flag_parses_beside_every_subcommand(self, sub):
+        for dest, (values, parsed) in self.VALUES.items():
+            for argv in ([sub, f"--{dest}", *values], [f"--{dest}", *values, sub]):
+                args = cli.build_parser().parse_args(argv)
+                assert args.subcommand == sub
+                assert getattr(args, dest) == parsed
+
+    def test_help_lists_subcommands_and_flags(self, capsys):
+        assert run(["--help"]) == 0
+        out = capsys.readouterr().out
+        for name, (_, text, _) in cli._COMMANDS.items():
+            assert re.search(rf"^ +{name} +{re.escape(text)}$", out, re.MULTILINE), name
+        for dest in self.VALUES:
+            assert f"--{dest} " in out
+
+
+class TestNegativeExponents:
+    BASE = ["density", "--phi", "normal:1", "--psi", "normal:1", "--grid", "16"]
+
+    def test_mu_as_separate_argument(self, tmp_path):
+        assert run([*self.BASE, "--mu", "-1e-3", "--out", str(tmp_path / "a.csv")]) == 0
+        assert run([*self.BASE, "--mu=-1e-3", "--out", str(tmp_path / "b.csv")]) == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_window(self, tmp_path):
+        assert run([*self.BASE, "--window", "-2e1", "20", "--out", str(tmp_path / "w.csv")]) == 0
+        lines = (tmp_path / "w.csv").read_text().splitlines()
+        assert lines[1].startswith("-20,") and lines[-1].startswith("20,")
 
 
 class TestConfigFile:
@@ -491,6 +546,27 @@ class TestPerturbationFinite:
         assert run(["density", "--phi", "normal:1", "--psi", "normal:1", "--grid", "16",
                     "--config", str(path)]) == 1
         assert capsys.readouterr().err == "error: custom values must be finite, got (nan, 0.0)\n"
+
+
+class TestPerturbationOverflow:
+    # finite parameters whose values overflow on the window: A (cos + 1) is
+    # inf near the cosine's peaks; A y exp(-y^2 / 2) is finite but far below 0
+    @pytest.mark.parametrize("sub", ["density", "verify"])
+    @pytest.mark.parametrize("token, message", [
+        ("cosgauss:1e308,3,2", "normalizing function is not finite: value inf at y="),
+        ("oddgauss:1e308,1", "normalizing function is not positive: value -5.7"),
+    ], ids=["cosgauss", "oddgauss"])
+    def test_one_error_line_and_no_warning(self, capsys, tmp_path, sub, token, message):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run([sub, "--phi", "normal:1", "--psi", "normal:1", "--grid", "16",
+                        "--perturb", token, "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert [str(w.message) for w in caught] == []
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
 
 class TestFiguresDefaultOut:

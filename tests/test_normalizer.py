@@ -258,7 +258,7 @@ class TestPerturbations:
         assert exc.value.value == base.a_tilde - 1.0
 
     @pytest.mark.parametrize(
-        "f", [CosineGaussian(amplitude=1e308, width=0.1), OddGaussian(amplitude=1e308, width=0.1)]
+        "f", [CosineGaussian(amplitude=1e308, width=0.1), CosineGaussian(amplitude=1e308, frequency=0.0, width=0.1)]
     )
     def test_rejected_on_nan(self, f):
         # NaN fails every comparison, so "not > 0" must be the test, not "<= 0".
@@ -272,6 +272,33 @@ class TestPerturbations:
             first_nan = ys[np.flatnonzero(np.isnan(f.eval(ys)))[0]]
         assert math.isnan(exc.value.value)
         assert exc.value.y == first_nan
+
+    def test_overflow_rejected_as_not_finite(self):
+        # A (cos(3y) + 1) overflows near the peaks of the cosine; the first
+        # scan point where it does is named, and no numpy warning escapes
+        base = trivial_normalizer(KernelSpec(LL, 1.0), W20)
+        f = CosineGaussian(amplitude=1e308, frequency=3.0, width=2.0)
+        with pytest.raises(PositivityError, match="not finite") as exc:
+            perturbed_normalizer(base, f)
+        ys = base.window.grid(4)
+        with np.errstate(over="ignore"):
+            first_inf = ys[np.flatnonzero(np.isinf(f.eval(ys)))[0]]
+        assert exc.value.value == math.inf
+        assert exc.value.y == first_inf
+        assert f"y={float(first_inf)!r}" in str(exc.value)
+
+    def test_odd_gaussian_huge_amplitude_stays_finite(self):
+        # 1e308 * y overflows at |y| > 1.8; the amplitude is applied last so
+        # the value, -20 exp(-200) 1e308 ~ -2.77e222 at y = -20, survives
+        f = OddGaussian(amplitude=1e308, width=1.0)
+        exact = -math.exp(math.log(20.0) - 200.0 + 308.0 * math.log(10.0))
+        assert f.eval(-20.0) == pytest.approx(exact, rel=1e-12)
+        base = trivial_normalizer(KernelSpec(LL, 1.0), W20)
+        with pytest.raises(PositivityError, match="not positive") as exc:
+            perturbed_normalizer(base, f)
+        # the minimum of a_tilde + f sits near y = -width
+        assert math.isfinite(exc.value.value) and exc.value.value < -5e307
+        assert abs(exc.value.y + 1.0) < 0.05
 
     def test_requires_trivial_base(self):
         base = trivial_normalizer(KernelSpec(LL, 1.0), W20)
