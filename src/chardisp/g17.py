@@ -48,14 +48,29 @@ def _split(x):
     return hi, x - hi
 
 
-_POW10_HI, _POW10_LO = _split(_POW10)
+_POW10_PARTS = np.stack([_POW10, *_split(_POW10)])  # 10**q and its two halves, by q
+
+# q = 16 - clip(k, -5, 16) for the float32 guess k = floor(log10 a), indexed
+# by k + 6; k lies in [-6, 17], and a take clipped to the table maps 17 to 16.
+_Q_BY_K = 16 - np.maximum(np.arange(-6, 17), -5)
+
+# Indexed by the decimal exponent x + 6, for x in [-6, 17]: whether %g
+# prints fixed notation, the body slot after which the point follows (17
+# for none), the lead's length ("0.000" cut to 1 - x bytes below 1), and,
+# by x + 6 and the slot of the last nonzero digit, the body's length.
+_X = np.arange(-6, 18)
+_FIXED = (_X >= -4) & (_X <= 16)
+_POINT_LEAD = np.stack([np.where(_X >= 0, np.minimum(_X, 17), 17),
+                        np.where(_X < 0, 1 - _X, 0)]).astype(np.uint8)
+_LAST = np.arange(17)
+_BODY_LEN = np.where(_LAST > _X[:, None], _LAST + 1 + (_X[:, None] >= 0), _X[:, None] + 1).astype(np.uint8)
 
 
 def _scaled(a, q):
     """(p, e) with p = fl(a * 10**q) and p + e = a * 10**q exactly."""
-    p = a * _POW10.take(q)
+    t, sh, sl = _POW10_PARTS.take(q, axis=1)
+    p = a * t
     ah, al = _split(a)
-    sh, sl = _POW10_HI.take(q), _POW10_LO.take(q)
     e = ((ah * sh - p) + ah * sl + al * sh) + al * sl
     return p, e
 
@@ -92,11 +107,12 @@ def csv_text(table: np.ndarray) -> str:
     ``"%.17g" % cell`` prints it."""
     rows, cols = table.shape
     v = np.ascontiguousarray(table, dtype=float).reshape(-1)
-    a = np.abs(v)
-    fast = (a >= 1e-5) & (a < 1e17)
-    a = np.fmin(np.fmax(a, 1e-5), 1e17)  # finite arithmetic for every cell
+    # Finite arithmetic for every cell: zeros, NaN and |v| < 1e-5 become
+    # 1e-5, infinities and |v| >= 1e17 become 1e17, and the decimal exponent
+    # of either (-5 or 17) sends the cell to the slow path below.
+    a = np.fmin(np.fmax(np.abs(v), 1e-5), 1e17)
     k = np.floor(np.log10(a.astype(np.float32)))  # may be off by one; see redo
-    q = (16.0 - np.clip(k, -5.0, 16.0)).astype(np.intp)
+    q = _Q_BY_K.take(k.astype(np.intp) + 6, mode="clip")
     p, e = _scaled(a, q)
     # q starts in [0, 21]; a redo never lowers q = 0, whose product is a
     # itself, so q stays within the table of powers.
@@ -104,22 +120,21 @@ def csv_text(table: np.ndarray) -> str:
     if redo.size:
         q[redo] += 1 - 2 * (p[redo] > 1e16)
         p[redo], e[redo] = _scaled(a[redo], q[redo])
-        fast[redo[_outside(p[redo], e[redo])]] = False
     n = p.astype(np.int64) + np.rint(e).astype(np.int64)
     rolled = n == 10**17
     n[rolled] = 10**16
-    x = 16 - q + rolled  # the decimal exponent; at most 16 since |v| < 1e17
-    fast &= x >= -4
+    ix = 22 - q + rolled  # x + 6 for the decimal exponent x
+    fast = _FIXED.take(ix)
+    if redo.size:
+        fast[redo[_outside(p[redo], e[redo])]] = False
 
     # Body byte j is digit j up to the point's slot, digit j - 1 after it,
     # computed as digit values, then as ASCII less a space.
     digits = np.empty((19, v.size), dtype=np.uint8)  # digit j - 1 in row j
     _digits(n, digits[1:18])
     last = (_BODY_SLOTS[:17] * (digits[1:18] != 0).view(np.uint8)).max(axis=0)
-    integer = x >= 0
-    point = np.minimum(x.astype(np.uint8), np.uint8(17))  # 17 for x < 0
-    body_len = (x + 1 + (last > x) * (last - x + integer)).astype(np.uint8)
-    lead_len = ((1 - x) * ~integer).astype(np.uint8)
+    point, lead_len = _POINT_LEAD.take(ix, axis=1)
+    body_len = _BODY_LEN.take(ix * 17 + last)
 
     buf = np.empty((_WIDTH + 1, v.size), dtype=np.uint8)
     np.multiply((v < 0).view(np.uint8), np.uint8(ord("-") - _SPACE), out=buf[0])

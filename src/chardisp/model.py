@@ -34,6 +34,8 @@ ENVELOPE_CELLS = 256
 ENVELOPE_CELL_POINTS = 16
 # Largest proposal batch in sample(): bounds its working memory for large n.
 MAX_PROPOSAL_BATCH = 2 ** 21
+# Buckets of sample()'s guide table; a power of two, so u * GUIDE_BUCKETS is exact.
+GUIDE_BUCKETS = 1024
 EDM_EXCLUSION_NOTE = (
     "unit deviances of the product form (1 - phi)|psi| do not decompose "
     "into the additive form y*f(mu) + g(mu) + h(y)"
@@ -156,6 +158,37 @@ def _step_envelope(m: DispersionModel, mu: float):
     return edges, env, mass
 
 
+def _guide_table(cdf: np.ndarray):
+    """The guide table of :func:`_pick_cells` for a cumulative mass ``cdf``
+    that ends at exactly 1: ``scaled = cdf * GUIDE_BUCKETS`` (exact, a
+    power of two) and ``guide[b]``, the number of scaled masses <= b, for
+    each bucket b, in the smallest unsigned type that holds a cell index."""
+    scaled = cdf * GUIDE_BUCKETS
+    if scaled[-1] != GUIDE_BUCKETS:  # else the stepping in _pick_cells could run past the end
+        raise ValueError(f"cumulative mass must end at exactly 1, got {cdf[-1]!r}")
+    guide = np.searchsorted(scaled, np.arange(GUIDE_BUCKETS), side="right")
+    return scaled, guide.astype(np.min_scalar_type(cdf.size - 1))
+
+
+def _pick_cells(scaled: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cdf, u, side="right")`` for uniforms u in [0, 1),
+    from ``_guide_table(cdf)``; scales u by ``GUIDE_BUCKETS`` in place.
+
+    Bucket b = floor(u * GUIDE_BUCKETS) starts at the first cell whose
+    scaled mass exceeds b, and each pick steps forward while the scaled
+    mass of its cell is <= u * GUIDE_BUCKETS.  Both products are exact, so
+    this is the cell searchsorted returns, and it stays below ``cdf.size``
+    because the last scaled mass is GUIDE_BUCKETS > u * GUIDE_BUCKETS.
+    """
+    u *= GUIDE_BUCKETS
+    cell = guide.take(u.astype(np.int16))  # the bucket, truncated as u >= 0
+    step = np.flatnonzero(scaled.take(cell) <= u)
+    while step.size:
+        cell[step] += 1
+        step = step[scaled.take(cell[step]) <= u[step]]
+    return cell
+
+
 def sample(m: DispersionModel, mu: float, n: int, seed: int) -> np.ndarray:
     """Draw n values by rejection from a step envelope over the window.
 
@@ -180,15 +213,15 @@ def sample(m: DispersionModel, mu: float, n: int, seed: int) -> np.ndarray:
     width = edges[1] - edges[0]
     cdf = np.cumsum(env)
     acceptance = mass / (cdf[-1] * width)
-    # ends at exactly 1, so searchsorted of a uniform in [0, 1) stays below ENVELOPE_CELLS
-    cdf /= cdf[-1]
+    cdf /= cdf[-1]  # ends at exactly 1, as _guide_table requires
+    scaled, guide = _guide_table(cdf)
 
     rng = np.random.default_rng(seed)
     out = np.empty(n)
     got = 0
     while got < n:
         batch = min(max(1024, math.ceil(1.1 * (n - got) / acceptance)), MAX_PROPOSAL_BATCH)
-        cell = np.searchsorted(cdf, rng.random(batch), side="right")
+        cell = _pick_cells(scaled, guide, rng.random(batch))
         # rounding may carry a point of the last cell an ulp past the window
         ys = np.minimum(edges[cell] + width * rng.random(batch), w.hi)
         height = env[cell]

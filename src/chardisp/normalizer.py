@@ -16,6 +16,7 @@ functions whose residuals the rest of the package quantifies.
 """
 from __future__ import annotations
 
+import math
 import numbers
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
@@ -301,7 +302,10 @@ def perturbed_normalizer(base: NormalizerSpec, f: Perturbation) -> NormalizerSpe
     The sum a_tilde + f must be finite and positive at every one of its
     :meth:`NormalizerSpec.scan_points`; otherwise the abscissa of the first
     value that is not finite (an overflow, or NaN), or else of the smallest
-    value, is raised in :class:`PositivityError`.
+    value, is raised in :class:`PositivityError`.  Its integrals against a
+    kernel (at most 1) must stay finite too: a ValueError is raised when the
+    largest scanned value times max(2, window width) overflows, since a
+    Gauss-Kronrod panel sums weights up to 2 and the panels span the window.
     """
     if base.kind != "trivial":
         raise ValueError("base normalizer must be trivial (constant)")
@@ -312,6 +316,13 @@ def perturbed_normalizer(base: NormalizerSpec, f: Perturbation) -> NormalizerSpe
     i = int(np.argmin(np.where(np.isfinite(vals), vals, -np.inf)))  # the first value not finite, else the smallest
     if not (np.isfinite(vals[i]) and vals[i] > 0.0):
         raise PositivityError(float(ys[i]), float(vals[i]))
+    top = int(np.argmax(vals))
+    factor = max(2.0, base.window.width)
+    if not math.isfinite(float(vals[top]) * factor):
+        raise ValueError(
+            f"normalizing function is too large to integrate: value {float(vals[top])!r} "
+            f"at y={float(ys[top])!r} times {factor!r} overflows"
+        )
     return norm
 
 

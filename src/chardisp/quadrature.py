@@ -103,7 +103,11 @@ class NonFiniteIntegrandError(QuadratureError):
     def __init__(self, x: float, value: float):
         self.x = x
         self.value = value
-        super().__init__(math.nan, math.inf, f"integrand is not finite: value {value!r} at x={x!r}")
+        if math.isfinite(value):  # _gk15 names the largest sample when all are finite
+            what = "panel sum overflowed: every sample is finite, the largest in magnitude is"
+        else:
+            what = "integrand is not finite: value"
+        super().__init__(math.nan, math.inf, f"{what} {value!r} at x={x!r}")
 
 
 @dataclass(frozen=True)

@@ -380,6 +380,15 @@ class TestSample:
             "8bcac8e3fa41d9c0bcff579ed9b0e2498ef2569f8b7be5ffa3998d4d43d559f5"
         )
 
+    def test_seeded_draws_of_a_perturbed_model_are_pinned(self, tmp_path):
+        # proposals from the step envelope of a non-constant normalizer
+        out = tmp_path / "draws.csv"
+        assert run(["sample", "--phi", "laplace:1", "--psi", "laplace:1", "--perturb", "cosgauss",
+                    "--n", "100000", "--seed", "11", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "addfd37b5a53c6a0dd0c355b6862a93bd9019fe678f27801a0dcbec691734aff"
+        )
+
     def test_different_seed_differs(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         base = ["sample", "--phi", "normal:1", "--psi", "normal:1", "--n", "100", "--grid", "64"]
@@ -555,7 +564,9 @@ class TestPerturbationOverflow:
     @pytest.mark.parametrize("token, message", [
         ("cosgauss:1e308,3,2", "normalizing function is not finite: value inf at y="),
         ("oddgauss:1e308,1", "normalizing function is not positive: value -5.7"),
-    ], ids=["cosgauss", "oddgauss"])
+        # finite everywhere, but the panel sums of its integrals would overflow
+        ("cosgauss:8.9e307,3,2", "normalizing function is too large to integrate: value 1.78e+308"),
+    ], ids=["cosgauss", "oddgauss", "cosgauss_integrals"])
     def test_one_error_line_and_no_warning(self, capsys, tmp_path, sub, token, message):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

@@ -11,6 +11,9 @@ from chardisp.model import (
     DomainError,
     ENVELOPE_CELLS,
     EnvelopeError,
+    GUIDE_BUCKETS,
+    _guide_table,
+    _pick_cells,
     _step_envelope,
     classify,
     diagnostics,
@@ -298,6 +301,51 @@ class TestSample:
     def test_position_outside_domain_rejected(self):
         with pytest.raises(DomainError):
             sample(trivial_model(), 19.0, 10, seed=0)
+
+
+def _cumulative(env):
+    cdf = np.cumsum(np.asarray(env, dtype=float))
+    cdf /= cdf[-1]  # as sample() normalizes it
+    return cdf
+
+
+_TINY = np.geomspace(1e-3, 1e-300, 200)
+ADVERSARIAL_ENVELOPES = {
+    # many tiny cells, down to 1e-300, inside one bucket between big ones
+    "tiny_in_one_bucket": lambda: np.concatenate([np.ones(10), _TINY, np.ones(46)]),
+    "tiny_then_one": lambda: np.concatenate([np.full(255, 1e-300), [1.0]]),
+    "one_then_tiny": lambda: np.concatenate([[1.0], np.full(255, 1e-300)]),
+    "zero_masses": lambda: np.where(np.arange(ENVELOPE_CELLS) % 3 == 0, 0.0, 1.0),
+    "wide_lognormal": lambda: np.exp(np.random.default_rng(5).normal(0.0, 60.0, ENVELOPE_CELLS)),
+    "uniform": lambda: np.ones(ENVELOPE_CELLS),
+    "normal_model": lambda: _step_envelope(trivial_model(), 0.0)[1],
+    "laplace_cosgauss_model": lambda: _step_envelope(fig2d_model(), 0.0)[1],
+}
+
+
+class TestGuidePick:
+    @pytest.mark.parametrize("envelope", ADVERSARIAL_ENVELOPES.values(), ids=ADVERSARIAL_ENVELOPES.keys())
+    def test_equals_searchsorted_right(self, envelope):
+        cdf = _cumulative(envelope())
+        assert cdf.size == ENVELOPE_CELLS
+        edges = np.arange(GUIDE_BUCKETS) / GUIDE_BUCKETS
+        exact = np.concatenate([cdf, edges, [0.0, 1.0 - 2.0 ** -53]])
+        u = np.concatenate([
+            exact,
+            np.nextafter(exact, 0.0),
+            np.nextafter(exact, 1.0),
+            np.random.default_rng(0).random(100_000),
+        ])
+        u = u[(u >= 0.0) & (u < 1.0)]
+        scaled, guide = _guide_table(cdf)
+        assert guide.dtype == np.uint8
+        cell = _pick_cells(scaled, guide, u.copy())
+        assert np.array_equal(cell, np.searchsorted(cdf, u, side="right"))
+        assert cell.max() < ENVELOPE_CELLS
+
+    def test_cumulative_mass_must_end_at_one(self):
+        with pytest.raises(ValueError, match="end at exactly 1"):
+            _guide_table(np.array([0.5, 1.0 - 2.0 ** -53]))
 
 
 class TestDiagnostics:

@@ -287,6 +287,22 @@ class TestPerturbations:
         assert exc.value.y == first_inf
         assert f"y={float(first_inf)!r}" in str(exc.value)
 
+    def test_integrals_that_would_overflow_rejected(self):
+        # a_tilde + f is finite everywhere, but its largest value, about
+        # 1.78e308, times the window width 40 is not: the quadrature's panel
+        # sums would overflow, so the normalizer is refused when it is built
+        base = trivial_normalizer(KernelSpec(LL, 1.0), W20)
+        f = CosineGaussian(amplitude=8.9e307, frequency=3.0, width=2.0)
+        with pytest.raises(ValueError, match="too large to integrate: value 1.78e[+]308 at y=0.0 "
+                                             "times 40.0 overflows") as exc:
+            perturbed_normalizer(base, f)
+        assert not isinstance(exc.value, PositivityError)
+        # a window narrower than 2 is still scaled by the Kronrod weights' sum
+        narrow = trivial_normalizer(KernelSpec(LL, 1.0), Window(-0.5, 0.5, 16))
+        with pytest.raises(ValueError, match="times 2.0 overflows"):
+            perturbed_normalizer(narrow, f)
+        assert perturbed_normalizer(base, CosineGaussian(1e306, 3.0, 2.0)).perturbation.amplitude == 1e306
+
     def test_odd_gaussian_huge_amplitude_stays_finite(self):
         # 1e308 * y overflows at |y| > 1.8; the amplitude is applied last so
         # the value, -20 exp(-200) 1e308 ~ -2.77e222 at y = -20, survives

@@ -76,3 +76,14 @@ def test_non_finite_integrand_names_the_abscissa():
     with pytest.raises(NonFiniteIntegrandError) as exc:
         integrate(lambda x: np.where(x < -0.5, -np.inf, x), -1.0, 1.0)
     assert exc.value.x < -0.5 and exc.value.value == -np.inf
+
+
+def test_overflowing_panel_sum_names_the_largest_sample():
+    # every sample is finite, but 1e308 times Kronrod weights summing to 2
+    # is not; numpy's warning comes from the sum itself, so silence it here
+    f = lambda x: np.where(x > 0.5, 1e308, 1.0)
+    with np.errstate(over="ignore"):
+        with pytest.raises(NonFiniteIntegrandError, match="panel sum overflowed") as exc:
+            integrate(f, 0.0, 1.0)
+    assert exc.value.value == 1e308 and exc.value.x > 0.5
+    assert "not finite" not in str(exc.value)
