@@ -1,26 +1,30 @@
 """Globally adaptive panel quadrature with an embedded Gauss-Kronrod pair.
 
 Every integral in this package runs through one refinement engine.  The
-scheme is deliberately simple: the interval is cut at caller-supplied
-breakpoints (kink locations must be panel boundaries, otherwise the error
-estimate is useless there), each panel is evaluated with a 7-point Gauss
-rule embedded in a 15-point Kronrod rule, and the panel with the largest
-error estimate is bisected until the summed estimate drops below the
-absolute tolerance.  If the panel budget runs out first,
+interval is cut at caller-supplied breakpoints (kink locations must be
+panel boundaries, otherwise the error estimate is useless there), and each
+panel is evaluated with a 7-point Gauss rule embedded in a 15-point Kronrod
+rule.  Refinement runs in rounds of maximum marking: while an integral's
+summed error estimate exceeds the absolute tolerance, every splittable
+panel whose estimate is at least ``MARK_FRACTION`` times the largest
+splittable estimate of that integral is bisected.  Panels too narrow to
+split keep their error in the bound.  If the panel budget runs out first,
 :class:`QuadratureError` is raised, so a returned :class:`QuadResult` is
 always converged.
 
 :func:`integrate_shifts` integrates a family ``f(x, s)`` for many shifts
-``s`` at once.  Every shift keeps its own heap of panels, its own budget
-and the bisection rule above; the engine advances them together in
-rounds.  Each round pops the worst splittable panel of every unconverged
-shift, bisects it, and evaluates all new panels in one integrand call on
-an ``(m, 15)`` array of abscissae, with ``s`` broadcast per row.  Panel
-sums are row-wise reductions, so a shift's value, bound and panel count
-are bit-identical whether it is integrated alone or in a batch.  Shifts
-are processed ``SHIFT_CHUNK`` at a time and a shift's heap is dropped as
-soon as it converges, which bounds memory for any number of shifts.
-:func:`integrate` is the one-integral case of the same engine.
+``s`` at once.  The live panels of all unconverged integrals sit in flat
+arrays, grouped by integral and ordered by position.  A round takes each
+integral's bound and largest error from per-integral reductions, marks
+panels by the rule above, evaluates every child panel in one integrand call
+on an ``(m, 15)`` array of abscissae, with ``s`` broadcast per row, and
+puts each split panel's two children in its place.  Panel sums are
+row-wise and every reduction stays within one integral, so a shift's
+value, bound and panel count are bit-identical whether it is integrated
+alone or in a batch.  Shifts are processed ``SHIFT_CHUNK`` at a time and a
+shift's panels are dropped as soon as it converges, which bounds memory
+for any number of shifts.  :func:`integrate` is the one-integral case of
+the same engine.
 
 The per-panel error estimate is the conservative ``|kronrod - gauss|``
 difference.  For smooth integrands the Kronrod value is far more accurate
@@ -29,7 +33,6 @@ error in practice.
 """
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
@@ -72,9 +75,17 @@ _WEIGHTS_G = np.concatenate([_WG[:-1], _WG[::-1]])
 
 DEFAULT_TOL = 1e-10
 MAX_PANELS = 10_000
-# Shifts advanced together by one run of rounds; bounds the heaps and the
-# abscissa array held at once, whatever the number of shifts.
+# Shifts advanced together by one run of rounds; bounds the panel arrays
+# and the abscissa array held at once, whatever the number of shifts.
 SHIFT_CHUNK = 64
+# A round bisects every splittable panel whose error estimate is at least
+# this share of its integral's largest splittable estimate.  Lower values
+# split more panels per round: fewer rounds, more panels.
+MARK_FRACTION = 0.25
+# An integral's rounding floor is this many eps times the sum of its |panel
+# values|: the Kronrod and Gauss sums of a panel each carry a few eps of
+# relative rounding, so estimates below the floor are rounding, not error.
+ROUNDING_ULPS = 32
 
 
 class QuadratureError(RuntimeError):
@@ -82,19 +93,23 @@ class QuadratureError(RuntimeError):
 
     Carries the best available estimate so callers can still report it, and
     the shift whose integral failed when it came from :func:`integrate_shifts`
-    (``None`` otherwise).
+    (``None`` otherwise).  ``floor`` is the integral's rounding floor when the
+    bound had already reached it, so that no budget could have met the
+    tolerance (``None`` otherwise).
     """
 
-    def __init__(self, estimate: float, error_bound: float, message: str = "", shift: Optional[float] = None):
+    def __init__(self, estimate: float, error_bound: float, message: str = "", shift: Optional[float] = None,
+                 floor: Optional[float] = None):
         self.estimate = estimate
         self.error_bound = error_bound
         self.shift = shift
+        self.floor = floor
         where = "" if shift is None else f" at shift {shift!r}"
-        super().__init__(
-            message
-            or f"quadrature did not converge{where}: estimate={estimate!r}, "
-               f"error bound={error_bound!r}"
-        )
+        if floor is None:
+            what = "quadrature did not converge"
+        else:
+            what = f"quadrature tolerance is below the integral's rounding floor {floor!r}"
+        super().__init__(message or f"{what}{where}: estimate={estimate!r}, error bound={error_bound!r}")
 
 
 class NonFiniteIntegrandError(QuadratureError):
@@ -117,10 +132,9 @@ class QuadResult:
     n_panels: int
 
 
-def _gk15(f, lo: list, hi: list, s: np.ndarray):
+def _gk15(f, lo: np.ndarray, hi: np.ndarray, s: np.ndarray):
     """Gauss-Kronrod panels [lo[r], hi[r]] of the integrand f(x, s[r]):
-    returns (kronrod values, error estimates) as lists."""
-    lo, hi = np.array(lo), np.array(hi)
+    returns (kronrod values, error estimates)."""
     mid = (0.5 * (lo + hi))[:, None]
     half = 0.5 * (hi - lo)
     x = mid + half[:, None] * _NODES
@@ -136,81 +150,61 @@ def _gk15(f, lo: list, hi: list, s: np.ndarray):
         i = int(bad[0]) if bad.size else int(np.argmax(np.abs(fx[r])))
         raise NonFiniteIntegrandError(float(x[r, i]), float(fx[r, i]))
     g = half * (fx[:, 1::2] * _WEIGHTS_G).sum(axis=1)
-    return k.tolist(), np.abs(k - g).tolist()
+    return k, np.abs(k - g)
 
 
 def _rounds(f, a: float, b: float, shifts: np.ndarray, cuts: list, tol: float, max_panels: int,
             named: bool) -> list[QuadResult]:
-    """Adaptive refinement of one chunk of integrals, advanced together."""
-    n = len(cuts)
-    span = b - a
-    narrow = 64 * np.finfo(float).eps
-    # Per integral: heap of panels ordered by decreasing error (entry ids
-    # break ties so float payloads are never compared), running value and
-    # error sums, the error of panels too narrow to split (it stays in the
-    # bound), entry ids used and panels made.
-    heaps: list = [[] for _ in range(n)]
-    total_val = [0.0] * n
-    total_err = [0.0] * n
-    stuck_err = [0.0] * n
-    count = [0] * n
-    n_panels = [0] * n
-    results: list = [None] * n
-
-    owner, los, his = [], [], []
-    for i, c in enumerate(cuts):
+    """Adaptive refinement of one chunk of integrals, advanced together in
+    rounds of maximum marking (see the module docstring)."""
+    results: list = [None] * len(cuts)
+    count, lo, hi = [], [], []
+    for c in cuts:
         edges = [a, *sorted({float(p) for p in c if a < p < b}), b]
-        owner += [i] * (len(edges) - 1)
-        los += edges[:-1]
-        his += edges[1:]
-        n_panels[i] = len(edges) - 1
-    vals, errs = _gk15(f, los, his, shifts[owner])
-    for i, lo, hi, val, err in zip(owner, los, his, vals, errs):
-        total_val[i] += val
-        total_err[i] += err
-        heapq.heappush(heaps[i], (-err, count[i], lo, hi, val))
-        count[i] += 1
-
-    active = range(n)
-    while active:
-        split, los, his, parents = [], [], [], []
-        for i in active:
-            heap = heaps[i]
-            while total_err[i] > tol and n_panels[i] < max_panels and heap:
-                neg_err, _, lo, hi, val = heapq.heappop(heap)
-                err = -neg_err
-                if hi - lo < narrow * max(abs(lo), abs(hi), span):
-                    stuck_err[i] += err
-                    total_err[i] -= err  # tracked separately, no longer splittable
-                    continue
-                mid = 0.5 * (lo + hi)
-                split.append(i)
-                los += (lo, mid)
-                his += (mid, hi)
-                parents.append((val, err))
-                break
-            else:
-                bound = total_err[i] + stuck_err[i]
-                if not bound <= tol:  # NaN from an overflowed panel bound counts too
-                    raise QuadratureError(total_val[i], bound, shift=float(shifts[i]) if named else None)
-                results[i] = QuadResult(total_val[i], bound, n_panels[i])
-                heaps[i] = None
-        if not split:
-            break
-        vals, errs = _gk15(f, los, his, shifts[np.repeat(split, 2)])
-        for j, i in enumerate(split):
-            val, err = parents[j]
-            v1, v2 = vals[2 * j], vals[2 * j + 1]
-            e1, e2 = errs[2 * j], errs[2 * j + 1]
-            lo, mid, hi = los[2 * j], his[2 * j], his[2 * j + 1]
-            total_val[i] += (v1 + v2) - val
-            total_err[i] += (e1 + e2) - err
-            heapq.heappush(heaps[i], (-e1, count[i], lo, mid, v1))
-            heapq.heappush(heaps[i], (-e2, count[i] + 1, mid, hi, v2))
-            count[i] += 2
-            n_panels[i] += 1
-        active = split
-    return results
+        count.append(len(edges) - 1)
+        lo += edges[:-1]
+        hi += edges[1:]
+    # Live panels, grouped by integral and ordered by lo within a group:
+    # group j is the count[j] panels of integral ids[j], and s holds each
+    # panel's shift.
+    ids, count = np.arange(len(cuts)), np.array(count)
+    lo, hi, s = np.array(lo, dtype=float), np.array(hi, dtype=float), np.repeat(shifts, count)
+    val, err = _gk15(f, lo, hi, s)
+    while True:
+        start = np.cumsum(count) - count
+        bound = np.add.reduceat(err, start)
+        # Panels too narrow to bisect keep their error in the bound.
+        splittable = hi - lo >= 64 * np.finfo(float).eps * np.maximum(np.maximum(np.abs(lo), np.abs(hi)), b - a)
+        worst = np.maximum.reduceat(np.where(splittable, err, -np.inf), start)
+        done = bound <= tol
+        failed = ~done & ((count >= max_panels) | (worst == -np.inf))
+        if failed.any():
+            j = int(np.flatnonzero(failed)[0])
+            seg = slice(start[j], start[j] + count[j])
+            floor = float(ROUNDING_ULPS * np.finfo(float).eps * np.abs(val[seg]).sum())
+            raise QuadratureError(float(val[seg].sum()), float(bound[j]), shift=float(s[seg.start]) if named else None,
+                                  floor=floor if bound[j] <= floor else None)
+        if done.any():
+            value = np.add.reduceat(val, start)
+            for j in np.flatnonzero(done).tolist():
+                results[ids[j]] = QuadResult(float(value[j]), float(bound[j]), int(count[j]))
+            if done.all():
+                return results
+        mark = splittable & (err >= np.repeat(np.where(done, np.inf, MARK_FRACTION * worst), count))
+        room = max_panels - count
+        marked = np.add.reduceat(mark, start)
+        for j in np.flatnonzero(marked > room).tolist():  # the largest errors fill what budget is left
+            seg = start[j] + np.flatnonzero(mark[start[j]:start[j] + count[j]])
+            mark[seg[np.argsort(-err[seg], kind="stable")[room[j]:]]] = False
+        # Each live panel once, each marked one twice: the two copies become
+        # its children in place, so grouping and order hold.
+        rep = np.repeat(~done, count) * (1 + mark)
+        ids, count = ids[~done], (count + np.minimum(marked, room))[~done]
+        kids = np.repeat(mark, rep)
+        lo, hi, val, err, s = (np.repeat(v, rep) for v in (lo, hi, val, err, s))
+        first = np.flatnonzero(kids)[::2]
+        hi[first] = lo[first + 1] = 0.5 * (lo[first] + hi[first])
+        val[kids], err[kids] = _gk15(f, lo[kids], hi[kids], s[kids])
 
 
 def _adapt(f, a: float, b: float, shifts: np.ndarray, cuts: list, tol: float, max_panels: int,
@@ -254,9 +248,12 @@ def integrate(
         Points forced to be panel boundaries (kinks, corners).  Values
         outside ``(a, b)`` are ignored.
     max_panels : int
-        Subdivision budget.  If it runs out before the summed bound drops
-        to ``tol``, :class:`QuadratureError` is raised carrying the best
-        estimate and bound.
+        Subdivision budget.  Refinement never takes an integral past it:
+        when a round marks more panels than the budget has room for, those
+        with the largest estimates are bisected.  If it runs out before the
+        summed bound drops to ``tol``, :class:`QuadratureError` is raised
+        carrying the best estimate and bound, and the integral's rounding
+        floor when the bound had reached it.
     """
     (result,) = _adapt(lambda x, s: f(x), a, b, np.zeros(1), [tuple(breakpoints)], tol, max_panels, False)
     return result
@@ -275,11 +272,14 @@ def integrate_shifts(
 
     ``f`` is called on an ``(m, 15)`` array of abscissae and an ``(m, 1)``
     column holding each row's shift, and must act elementwise.  Each
-    integral is cut at ``breakpoints`` and at its own shift, and refines as
-    :func:`integrate` would refine it alone, with the same ``tol`` and
-    ``max_panels``: the results (one per shift, in order) are bit-identical
-    to those one-shift integrals.  The first integral to exhaust its budget
-    raises :class:`QuadratureError` naming its shift.
+    integral is cut at ``breakpoints`` and at its own shift.  All integrals
+    refine together in rounds; in each, every unconverged integral bisects
+    each splittable panel whose estimate is at least ``MARK_FRACTION`` times
+    its own largest one.  An integral's marking depends on its own panels
+    only, so it refines as :func:`integrate` would refine it alone, with the
+    same ``tol`` and ``max_panels``: the results (one per shift, in order)
+    are bit-identical to those one-shift integrals.  The first integral to
+    exhaust its budget raises :class:`QuadratureError` naming its shift.
     """
     shifts = np.asarray(shifts, dtype=float).ravel()
     fixed = tuple(breakpoints)

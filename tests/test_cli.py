@@ -96,7 +96,7 @@ class TestDensity:
         assert run(["density", "--phi", "cauchy:1", "--psi", "normal:1", "--mu", "0.5",
                     "--grid", "64", "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "48579e846523dbf1d03a836441f7244044dbfd8b088e44055e20445868669d3f"
+            "1d967982d5be372815d6634a62795db336f3452b6175a8b7fbc263b051b64b6a"
         )
 
     def test_seventeen_significant_digits(self, tmp_path):
@@ -419,10 +419,10 @@ class TestFigures:
         assert run(["figures", "--grid", "64", "--out", str(out)]) == 0
         digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
         assert digests == {
-            "fig1A.csv": "2de91b3161e8d3a2828cd1c4e961ab20a314451878694882cde0828ee21647a0",
-            "fig1B.csv": "0bb6fd8c0c7d5dd91e40073fa0c27c5b2cbd55d0686b1e7663cb2f7eb6c38f92",
-            "fig2C.csv": "983ff9602612661f88fe1314258ae4c7b978ad22155bfa38648b9a61436ccc07",
-            "fig2D.csv": "56928590664162d81eb7c640772024616eb51ea78e19f231f56a04c1227dcc00",
+            "fig1A.csv": "ecf0fdd75cf4c4c9640a1a769af02ed8e758f7114d529e0147a661a2b1f2bc93",
+            "fig1B.csv": "f88f8e7b2557cce5a1c382872f9462a277b16662a18b369a2add518696d6854d",
+            "fig2C.csv": "0b3085c5d9fb9a482720ff68c2d611941916e81072beed9ee6258a261ee75f6e",
+            "fig2D.csv": "b365276bddfbb851af00741ae85efaccfe88371983384444ede18af314e6e716",
             "reference_normal.csv": "9a48e6a3f4a7c46609350c6664a1111e5f061c6ef8b9c721e794ae434de38875",
             "reference_t3.csv": "3022e431b734824cce5a27fc7c902e88fa7868c137049c3e03fb3873f61bab12",
         }

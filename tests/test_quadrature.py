@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from chardisp.quadrature import NonFiniteIntegrandError, QuadratureError, integrate
+from chardisp.quadrature import (
+    ROUNDING_ULPS,
+    NonFiniteIntegrandError,
+    QuadratureError,
+    integrate,
+    integrate_shifts,
+)
 
 from oracles import midpoint_integral
 
@@ -48,6 +56,20 @@ def test_budget_exhaustion_reports_estimate():
         integrate(lambda x: np.sin(1e4 * x), 0.0, 1.0, tol=1e-14, max_panels=4)
     assert np.isfinite(exc.value.estimate)
     assert exc.value.error_bound > 1e-14
+    assert exc.value.floor is None and "did not converge" in str(exc.value)
+
+
+def test_rounding_floor_failure_says_so():
+    # a constant 1e12 leaves |kronrod - gauss| at the rounding of its
+    # weighted sums on every panel, so bisection never lowers the bound
+    with pytest.raises(QuadratureError) as exc:
+        integrate(lambda x: np.full_like(x, 1e12), 0.0, 1.0, tol=1e-8)
+    e = exc.value
+    assert not isinstance(e, NonFiniteIntegrandError)
+    assert e.floor == pytest.approx(ROUNDING_ULPS * np.finfo(float).eps * 1e12, rel=1e-12)
+    assert 1e-8 < e.error_bound <= e.floor
+    assert f"below the integral's rounding floor {e.floor!r}:" in str(e)
+    assert "did not converge" not in str(e)
 
 
 def test_tolerance_halving_consistency():
@@ -87,3 +109,40 @@ def test_overflowing_panel_sum_names_the_largest_sample():
             integrate(f, 0.0, 1.0)
     assert exc.value.value == 1e308 and exc.value.x > 0.5
     assert "not finite" not in str(exc.value)
+
+
+def _cusp_integral(c: float) -> float:
+    """Integral of |x - c|**0.7 over [-1, 2], for c in [-1, 2]."""
+    return ((c + 1) ** 1.7 + (2 - c) ** 1.7) / 1.7
+
+
+@settings(max_examples=40, deadline=None)
+@given(tol=st.floats(1e-12, 1e-3), max_panels=st.integers(1, 80))
+@example(tol=1e-12, max_panels=1)
+def test_max_panels_is_a_hard_cap(tol, max_panels):
+    f = lambda x: np.abs(x) ** 0.7
+    free = integrate(f, -1.0, 2.0, tol=tol)
+    try:
+        res = integrate(f, -1.0, 2.0, tol=tol, max_panels=max_panels)
+    except QuadratureError as exc:
+        assert not isinstance(exc, NonFiniteIntegrandError)
+        assert exc.error_bound > tol and max_panels < free.n_panels
+    else:
+        assert res.n_panels <= max_panels and res.error_bound <= tol
+        if max_panels >= free.n_panels:  # the cap never bound
+            assert res == free
+
+
+@settings(max_examples=25, deadline=None)
+@given(tol=st.floats(1e-13, 1e-3))
+def test_error_bound_dominates_on_cusps(tol):
+    # a kink at a breakpoint, or left to bisection, and a batch of shifted
+    # kinks, each cut at its own shift
+    f = lambda x: np.abs(x) ** 0.7
+    for breakpoints in ((), (0.0,)):
+        res = integrate(f, -1.0, 2.0, tol=tol, breakpoints=breakpoints)
+        assert abs(res.value - _cusp_integral(0.0)) <= res.error_bound + 1e-15
+    shifts = np.linspace(-1.0, 2.0, 13)
+    batch = integrate_shifts(lambda x, s: np.abs(x - s) ** 0.7, -1.0, 2.0, shifts, tol=tol)
+    for s, res in zip(shifts, batch):
+        assert abs(res.value - _cusp_integral(s)) <= res.error_bound + 1e-15

@@ -3,7 +3,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from chardisp.charfn import Laplace, Normal
+from chardisp import quadrature
+from chardisp.charfn import Laplace, Normal, SymmetricStable
 from chardisp.deviance import UnitDeviancePair
 from chardisp.normalizer import CosineGaussian, KernelSpec, OddGaussian, Window, Zero
 from chardisp.riesz import (
@@ -129,6 +130,18 @@ class TestGramMatrix:
         assert rep.min_eigenvalue == pytest.approx(GOLDEN_EIGS_LL_8[0], abs=1e-8)
         assert rep.max_eigenvalue == pytest.approx(GOLDEN_EIGS_LL_8[-1], abs=1e-8)
         assert rep.gram[0, 1] == pytest.approx(GOLDEN_OVERLAP1_LL, rel=1e-9)
+
+    def test_cusp_heavy_gram_refines_in_few_rounds(self, monkeypatch):
+        # stable 0.7 x normal at n = 32 on the default window: splitting one
+        # panel per integral per round took 204 integrand calls and 18,912
+        # panels; maximum marking takes 58 calls for 19,408 panels
+        panels = []
+        gk15 = quadrature._gk15
+        monkeypatch.setattr(quadrature, "_gk15", lambda f, lo, hi, s: panels.append(lo.size) or gk15(f, lo, hi, s))
+        k = KernelSpec(UnitDeviancePair(SymmetricStable(0.7, 1.0), Normal(1.0)), 1.0)
+        gram_matrix(TranslateSystem(k, tuple(rational_enumeration(32)), Window()))
+        assert (len(panels), sum(panels)) == (58, 19_408)
+        assert len(panels) <= 0.4 * 204 and sum(panels) <= 1.15 * 18_912
 
 
 class TestFrameBounds:
