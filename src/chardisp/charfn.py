@@ -10,6 +10,7 @@ perturbation catalog as well.
 """
 from __future__ import annotations
 
+import math
 import numbers
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, fields
@@ -22,15 +23,22 @@ ArrayLike = Union[float, np.ndarray]
 # Arguments are clamped to this magnitude before evaluation so that the
 # exponentials underflow cleanly to 0.0 instead of producing NaN.
 T_CAP = 1e8
+# For scales above SCALED_CAP / T_CAP the clamp tightens to SCALED_CAP /
+# scale, so that the scaled argument and its square (at most 1e300) stay
+# finite and the exponentials underflow without an overflow on the way.
+SCALED_CAP = 1e150
 
 
 class InvalidSpecError(ValueError):
     """Raised when a spec is built with parameters outside its family's domain."""
 
 
-def _clamp(t: ArrayLike) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    return np.clip(t, -T_CAP, T_CAP)
+def _clamp(t: ArrayLike, scale: float) -> np.ndarray:
+    """t clipped to +-min(T_CAP, SCALED_CAP / scale): the bound is a Python
+    float, so the clamp stays one numpy call, and it is T_CAP for every
+    scale below 1e142."""
+    cap = min(T_CAP, SCALED_CAP / scale)
+    return np.clip(np.asarray(t, dtype=float), -cap, cap)
 
 
 class Spec:
@@ -129,7 +137,7 @@ class Normal(CharFn):
     family = "normal"
 
     def eval(self, t):
-        return np.exp(-0.5 * (self.scale * _clamp(t)) ** 2)
+        return np.exp(-0.5 * (self.scale * _clamp(t, self.scale)) ** 2)
 
     def has_finite_second_moment(self):
         return True
@@ -143,7 +151,7 @@ class Cauchy(CharFn):
     family = "cauchy"
 
     def eval(self, t):
-        return np.exp(-self.scale * np.abs(_clamp(t)))
+        return np.exp(-self.scale * np.abs(_clamp(t, self.scale)))
 
     def has_finite_second_moment(self):
         return False
@@ -157,7 +165,7 @@ class Laplace(CharFn):
     family = "laplace"
 
     def eval(self, t):
-        return 1.0 / (1.0 + (self.scale * _clamp(t)) ** 2)
+        return 1.0 / (1.0 + (self.scale * _clamp(t, self.scale)) ** 2)
 
     def has_finite_second_moment(self):
         return True
@@ -176,7 +184,7 @@ class SymmetricStable(CharFn):
     family = "stable"
 
     def eval(self, t):
-        return np.exp(-np.abs(self.scale * _clamp(t)) ** self.alpha)
+        return np.exp(-np.abs(self.scale * _clamp(t, self.scale)) ** self.alpha)
 
     def __post_init__(self):
         # before the generic rule, so that alpha = 0 names the stable range
@@ -202,7 +210,7 @@ class SymmetricNIG(CharFn):
     family = "nig"
 
     def eval(self, t):
-        t2 = _clamp(t) ** 2
+        t2 = _clamp(t, math.sqrt(self.delta)) ** 2  # delta * t2 stays finite
         return np.exp(-self.delta * t2 / (self.alpha + np.sqrt(self.alpha ** 2 + t2)))
 
     def has_finite_second_moment(self):

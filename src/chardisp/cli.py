@@ -17,8 +17,11 @@ All numeric output uses 17 significant digits so runs are reproducible
 byte for byte.  Every CSV cell is exactly what ``"%.17g" % value`` prints;
 :mod:`chardisp.g17` formats each chunk's array at once, from exact integer
 digits where ``%g`` uses fixed notation and through ``%`` itself for the
-rest.  Outputs are accumulated in memory and written only after
-every computation has succeeded; a failing run leaves no partial files.
+rest.  Each output file is held in memory as a list of ASCII byte chunks
+-- a CSV file one chunk of ``CSV_CHUNK_ROWS`` rows at a time, so no file is
+ever joined into one string or encoded twice -- and every file is written,
+chunk by chunk, only after every computation has succeeded; a failing run
+leaves no partial files.
 Exit codes: 0 success, 1 validation, configuration or output error, 2
 numerical failure (quadrature budget, sampling envelope).
 """
@@ -60,7 +63,7 @@ from .riesz import (
     rational_enumeration,
 )
 
-# Rows formatted per step in _csv: bounds the arrays and string of one step.
+# Rows formatted per step in _csv: bounds the arrays and bytes of one chunk.
 CSV_CHUNK_ROWS = 65536
 
 
@@ -195,14 +198,21 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 # Output helpers
 # ---------------------------------------------------------------------------
 
-def _csv(header: str, *columns) -> str:
+def _csv(header: str, *columns) -> list[bytes]:
     """The header line, then row i holding entry i of every column, each
-    value printed exactly as ``"%.17g"`` prints the float."""
-    table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
-    parts = [header + "\n"]
-    for start in range(0, table.shape[0], CSV_CHUNK_ROWS):
-        parts.append(g17.csv_text(table[start:start + CSV_CHUNK_ROWS]))
-    return "".join(parts)
+    value printed exactly as ``"%.17g"`` prints the float, as ASCII byte
+    chunks: the header's, then one per ``CSV_CHUNK_ROWS`` rows, each
+    stacked from the columns' slices when it is formatted."""
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    chunks = [header.encode("ascii") + b"\n"]
+    for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
+        chunks.append(g17.csv_text(np.column_stack([c[start:start + CSV_CHUNK_ROWS] for c in columns])))
+    return chunks
+
+
+def _json(doc: dict) -> list[bytes]:
+    """The document as indented JSON, ending in a newline, in one chunk."""
+    return [(json.dumps(doc, indent=2) + "\n").encode("ascii")]
 
 
 def _symmetric_grid(w: Window, n: int) -> np.ndarray:
@@ -215,19 +225,20 @@ def _symmetric_grid(w: Window, n: int) -> np.ndarray:
 
 
 def _write(out: Optional[str], files: dict) -> None:
-    """Write each text to out/name, or to out itself when name is None;
-    everything goes to stdout when out is None."""
-    for name, text in files.items():
+    """Write each file's byte chunks to out/name, or to out itself when name
+    is None; everything goes to stdout when out is None."""
+    for name, chunks in files.items():
         if out is None:
-            sys.stdout.write(text)
+            sys.stdout.writelines(chunk.decode("ascii") for chunk in chunks)
             continue
         path = Path(out) if name is None else Path(out) / name
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+        with path.open("wb") as fh:
+            fh.writelines(chunks)
 
 
 # ---------------------------------------------------------------------------
-# Subcommands: each returns {file name: text}, name None for the single file
+# Subcommands: each returns {file name: byte chunks}, name None for the single file
 # ---------------------------------------------------------------------------
 
 def _cmd_density(cfg: RunConfig) -> dict:
@@ -253,7 +264,7 @@ def _cmd_verify(cfg: RunConfig) -> dict:
         "fft_deconvolution": fft.to_dict(),
     }
     return {
-        "verify.json": json.dumps(doc, indent=2) + "\n",
+        "verify.json": _json(doc),
         "residuals.csv": _csv("mu,residual", list(residuals), list(residuals.values())),
         "deconvolution.csv": _csv("index,y,value", np.arange(fft.solution.size), fft.ys, fft.solution),
     }
@@ -283,7 +294,7 @@ def _cmd_riesz(cfg: RunConfig) -> dict:
         "perturbation": f.to_dict(),
     }
     return {
-        "riesz.json": json.dumps(doc, indent=2) + "\n",
+        "riesz.json": _json(doc),
         "orthogonality.csv": _csv("mu,residual", mu_grid, rho),
     }
 

@@ -2,8 +2,8 @@
 
 ``csv_text(table)`` returns, byte for byte and for every double, the text
 that formatting each cell with ``"%.17g" % v``, joining a row's cells with
-commas and ending each row with a newline, gives -- without a Python call
-per cell.
+commas and ending each row with a newline, gives -- as ASCII bytes, ready
+to be written, and without a Python call per cell.
 
 * Cells with 1e-5 <= |v| < 1e17 are candidates for fixed notation.  With
   k = floor(log10 |v|) and q = 16 - k, 10**q is an exact double
@@ -102,9 +102,9 @@ def _digits(n, out):
     np.subtract(pairs, out[1::2] * np.uint8(10), out=out[2::2])
 
 
-def csv_text(table: np.ndarray) -> str:
-    """The rows of a 2-D float array as CSV lines, every cell exactly as
-    ``"%.17g" % cell`` prints it."""
+def csv_text(table: np.ndarray) -> bytes:
+    """The rows of a 2-D float array as CSV lines in ASCII bytes, every cell
+    exactly as ``"%.17g" % cell`` prints it."""
     rows, cols = table.shape
     v = np.ascontiguousarray(table, dtype=float).reshape(-1)
     # Finite arithmetic for every cell: zeros, NaN and |v| < 1e-5 become
@@ -158,4 +158,4 @@ def csv_text(table: np.ndarray) -> str:
         text = (f"%-{_WIDTH}.17g" * slow.size) % tuple(v[slow].tolist())
         cells = np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(slow.size, _WIDTH)
         buf[:_WIDTH, slow] = cells.T
-    return buf.T.tobytes().translate(None, b" ").decode("ascii")
+    return buf.T.tobytes().translate(None, b" ")

@@ -34,6 +34,9 @@ ENVELOPE_CELLS = 256
 ENVELOPE_CELL_POINTS = 16
 # Largest proposal batch in sample(): bounds its working memory for large n.
 MAX_PROPOSAL_BATCH = 2 ** 21
+# Proposals per block in which sample() draws and uses its uniform streams:
+# bounds the temporaries alive beside a batch's cells and positions.
+SAMPLE_BLOCK = 65536
 # Buckets of sample()'s guide table; a power of two, so u * GUIDE_BUCKETS is exact.
 GUIDE_BUCKETS = 1024
 EDM_EXCLUSION_NOTE = (
@@ -199,7 +202,20 @@ def sample(m: DispersionModel, mu: float, n: int, seed: int) -> np.ndarray:
     the first such proposal.  A batch holds 1.1 times the proposals the
     missing draws need at the expected acceptance (the density's mass over
     the envelope's), at least 1024 and at most ``MAX_PROPOSAL_BATCH``.
-    Deterministic for a fixed seed.
+
+    A batch draws three uniform streams from the seeded generator, in this
+    order: one per proposal for the cells, then one per proposal for the
+    positions, then one per proposal for acceptance.  They are used in
+    blocks of ``SAMPLE_BLOCK`` proposals, in three phases: pick the batch's
+    cells (one byte each) block by block; draw the positions into one batch
+    array and move them into their cells block by block; then evaluate the
+    density, check the envelope and accept block by block, drawing the
+    acceptance uniforms a block at a time.  A generator drawn in pieces
+    returns the same numbers as one draw, so the draws do not depend on the
+    block size.  Beside the n draws (8 bytes each), only the batch's cells
+    and positions (9 bytes a proposal) and one block's temporaries are alive
+    at once; for n = 2**20 that peaks near 3 x 8n bytes.  Deterministic for
+    a fixed seed.
     """
     if n < 0:
         raise ValueError(f"sample size must be >= 0, got {n}")
@@ -221,19 +237,25 @@ def sample(m: DispersionModel, mu: float, n: int, seed: int) -> np.ndarray:
     got = 0
     while got < n:
         batch = min(max(1024, math.ceil(1.1 * (n - got) / acceptance)), MAX_PROPOSAL_BATCH)
-        cell = _pick_cells(scaled, guide, rng.random(batch))
-        # rounding may carry a point of the last cell an ulp past the window
-        ys = np.minimum(edges[cell] + width * rng.random(batch), w.hi)
-        height = env[cell]
-        ps = m.density(ys, mu)
-        too_high = ps > height
-        if too_high.any():
-            i = int(np.argmax(too_high))
-            raise EnvelopeError(float(ys[i]), float(ps[i]), float(height[i]))
-        acc = ys[rng.random(batch) * height <= ps]
-        take = min(n - got, acc.size)
-        out[got:got + take] = acc[:take]
-        got += take
+        blocks = [slice(i, min(i + SAMPLE_BLOCK, batch)) for i in range(0, batch, SAMPLE_BLOCK)]
+        cell = np.empty(batch, dtype=guide.dtype)
+        for b in blocks:
+            cell[b] = _pick_cells(scaled, guide, rng.random(b.stop - b.start))
+        ys = rng.random(batch)
+        for b in blocks:
+            # rounding may carry a point of the last cell an ulp past the window
+            np.minimum(edges[cell[b]] + width * ys[b], w.hi, out=ys[b])
+        for b in blocks:
+            y, height = ys[b], env[cell[b]]
+            ps = m.density(y, mu)
+            too_high = ps > height
+            if too_high.any():
+                i = int(np.argmax(too_high))
+                raise EnvelopeError(float(y[i]), float(ps[i]), float(height[i]))
+            acc = y[rng.random(y.size) * height <= ps]
+            take = min(n - got, acc.size)
+            out[got:got + take] = acc[:take]
+            got += take
     return out
 
 

@@ -269,12 +269,16 @@ class NormalizerSpec:
     def is_constant(self) -> bool:
         return self.perturbation is None or self.perturbation.is_zero()
 
+    def critical_points(self) -> tuple[float, ...]:
+        """The perturbation's critical points, where a(y) may have corners."""
+        return () if self.perturbation is None else self.perturbation.critical_points()
+
     def scan_points(self) -> np.ndarray:
         """Where the extremes of a(y) are looked for: the window grid
         oversampled by ``POSITIVITY_OVERSAMPLE``, followed by the
         perturbation's critical points inside the window."""
-        w, f = self.window, self.perturbation
-        extra = np.asarray(() if f is None else f.critical_points(), dtype=float)
+        w = self.window
+        extra = np.asarray(self.critical_points(), dtype=float)
         return np.concatenate([w.grid(POSITIVITY_OVERSAMPLE), extra[(extra >= w.lo) & (extra <= w.hi)]])
 
     def to_dict(self) -> dict:
@@ -326,19 +330,20 @@ def perturbed_normalizer(base: NormalizerSpec, f: Perturbation) -> NormalizerSpe
     return norm
 
 
-def window_convolve(g, k: KernelSpec, shifts, window: Window, tol: float) -> np.ndarray:
+def window_convolve(g, k: KernelSpec, shifts, window: Window, tol: float, corners=()) -> np.ndarray:
     """Integral over the window of g(y) K(s - y) dy, for each shift s.
 
     ``g`` is a vectorized elementwise callable and ``shifts`` an array of
     any shape; the result has that shape.  The distinct shifts are
     integrated together by :func:`quadrature.integrate_shifts`, each cut at
-    s (the corner of K(s - y)) and at 0 (where ``g`` may have one), so equal
-    shifts share one value; an unconverged integral raises
-    :class:`QuadratureError` naming its shift.
+    s (the corner of K(s - y)), at 0 and at ``corners`` (where ``g`` may
+    have one, such as the knots of a table), so equal shifts share one
+    value; an unconverged integral raises :class:`QuadratureError` naming
+    its shift.
     """
     distinct, which = np.unique(np.asarray(shifts, dtype=float), return_inverse=True)
     results = integrate_shifts(
-        lambda y, s: g(y) * k.eval(s - y), window.lo, window.hi, distinct, tol=tol, breakpoints=(0.0,)
+        lambda y, s: g(y) * k.eval(s - y), window.lo, window.hi, distinct, tol=tol, breakpoints=(0.0, *corners)
     )
     values = np.array([r.value for r in results])
     return values[which].reshape(np.shape(shifts))
@@ -359,7 +364,7 @@ def convolution_residual(
     mu_grid = np.atleast_1d(np.asarray(mu_grid, dtype=float))
     if not norm.window.contains(mu_grid):
         raise ValueError("mu grid must lie inside the window")
-    return window_convolve(norm.value, k, mu_grid, norm.window, tol) - 1.0
+    return window_convolve(norm.value, k, mu_grid, norm.window, tol, norm.critical_points()) - 1.0
 
 
 # ---------------------------------------------------------------------------

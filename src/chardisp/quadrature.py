@@ -153,21 +153,21 @@ def _gk15(f, lo: np.ndarray, hi: np.ndarray, s: np.ndarray):
     return k, np.abs(k - g)
 
 
-def _rounds(f, a: float, b: float, shifts: np.ndarray, cuts: list, tol: float, max_panels: int,
+def _rounds(f, a: float, b: float, shifts: np.ndarray, edges: list, tol: float, max_panels: int,
             named: bool) -> list[QuadResult]:
-    """Adaptive refinement of one chunk of integrals, advanced together in
-    rounds of maximum marking (see the module docstring)."""
-    results: list = [None] * len(cuts)
+    """Adaptive refinement of one chunk of integrals, integral i starting
+    from the panels between ``edges[i]``, advanced together in rounds of
+    maximum marking (see the module docstring)."""
+    results: list = [None] * len(edges)
     count, lo, hi = [], [], []
-    for c in cuts:
-        edges = [a, *sorted({float(p) for p in c if a < p < b}), b]
-        count.append(len(edges) - 1)
-        lo += edges[:-1]
-        hi += edges[1:]
+    for e in edges:
+        count.append(len(e) - 1)
+        lo += e[:-1]
+        hi += e[1:]
     # Live panels, grouped by integral and ordered by lo within a group:
     # group j is the count[j] panels of integral ids[j], and s holds each
     # panel's shift.
-    ids, count = np.arange(len(cuts)), np.array(count)
+    ids, count = np.arange(len(edges)), np.array(count)
     lo, hi, s = np.array(lo, dtype=float), np.array(hi, dtype=float), np.repeat(shifts, count)
     val, err = _gk15(f, lo, hi, s)
     while True:
@@ -210,17 +210,24 @@ def _rounds(f, a: float, b: float, shifts: np.ndarray, cuts: list, tol: float, m
 def _adapt(f, a: float, b: float, shifts: np.ndarray, cuts: list, tol: float, max_panels: int,
            named: bool) -> list[QuadResult]:
     """Integral i of ``f(x, shifts[i])``, cut at ``cuts[i]``, for every i, in
-    chunks of ``SHIFT_CHUNK``; ``named`` puts the shift in budget errors."""
+    chunks of ``SHIFT_CHUNK``; ``named`` puts the shift in budget errors.
+    Cuts that force more than ``max_panels`` panels are refused before any
+    evaluation."""
     if not tol > 0:  # NaN too
         raise ValueError(f"tol must be positive, got {tol}")
     if b < a:
         raise ValueError(f"integration limits out of order: [{a}, {b}]")
     if a == b:
         return [QuadResult(0.0, 0.0, 0) for _ in cuts]
+    edges = [[a, *sorted({float(p) for p in c if a < p < b}), b] for c in cuts]
+    for s, e in zip(shifts.tolist(), edges):
+        if len(e) - 1 > max_panels:
+            where = f" at shift {s!r}" if named else ""
+            raise ValueError(f"breakpoints force {len(e) - 1} panels{where}, more than max_panels={max_panels}")
     results = []
     for start in range(0, len(cuts), SHIFT_CHUNK):
         chunk = slice(start, start + SHIFT_CHUNK)
-        results += _rounds(f, a, b, shifts[chunk], cuts[chunk], tol, max_panels, named)
+        results += _rounds(f, a, b, shifts[chunk], edges[chunk], tol, max_panels, named)
     return results
 
 
@@ -248,9 +255,10 @@ def integrate(
         Points forced to be panel boundaries (kinks, corners).  Values
         outside ``(a, b)`` are ignored.
     max_panels : int
-        Subdivision budget.  Refinement never takes an integral past it:
-        when a round marks more panels than the budget has room for, those
-        with the largest estimates are bisected.  If it runs out before the
+        Subdivision budget.  Breakpoints that force more panels than this
+        raise ValueError before any evaluation.  Refinement never takes an
+        integral past it: when a round marks more panels than the budget
+        has room for, those with the largest estimates are bisected.  If it runs out before the
         summed bound drops to ``tol``, :class:`QuadratureError` is raised
         carrying the best estimate and bound, and the integral's rounding
         floor when the bound had reached it.

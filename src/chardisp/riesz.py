@@ -146,4 +146,4 @@ def orthogonality_residual(
     mu_grid = np.atleast_1d(np.asarray(mu_grid, dtype=float))
     if not window.contains(mu_grid):
         raise ValueError("mu grid must lie inside the window")
-    return window_convolve(f.eval, k, mu_grid, window, tol)
+    return window_convolve(f.eval, k, mu_grid, window, tol, f.critical_points())

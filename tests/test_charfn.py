@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -69,6 +70,28 @@ def test_huge_arguments_clamped_not_nan():
         for t in (1e9, -1e12, 1e300):
             v = spec.eval(t)
             assert np.isfinite(v) and 0.0 <= v <= 1.0
+
+
+# Each family with its scale parameter (delta for nig) at 1e300.
+HUGE_SCALES = [
+    Normal(1e300),
+    Cauchy(1e300),
+    Laplace(1e300),
+    SymmetricStable(1.5, 1e300),
+    SymmetricNIG(1.0, 1e300),
+]
+
+
+@pytest.mark.parametrize("spec", HUGE_SCALES, ids=lambda s: s.family)
+def test_huge_scales_underflow_without_warnings(spec):
+    # the clamp tightens with the scale, so no square or power overflows
+    t = np.concatenate([[0.0, 1e-300, 1e-150, 1.0, 40.0, 1e8, 1e300, np.inf], -np.geomspace(1e-300, 1e300, 61)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = spec.eval(t)
+    assert v[0] == 1.0
+    assert np.all(np.isfinite(v)) and np.all((v >= 0.0) & (v <= 1.0))
+    assert np.all(v[3:8] <= 1e-300)
 
 
 def test_validation_of_parameter_domains():

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
@@ -116,6 +117,11 @@ def reference_csv(header, *columns):
     return "\n".join(lines) + "\n"
 
 
+def csv_bytes(header, *columns):
+    """The file _csv's byte chunks make."""
+    return b"".join(cli._csv(header, *columns))
+
+
 AWKWARD = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1.7976931348623157e308,
            0.1, 1 / 3, -2 / 3, 1e16, 123456789012345678.0, 1e-5, 0.5, -1.0]
 
@@ -144,42 +150,44 @@ class TestCsv:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_awkward_values_match_the_reference(self, k):
         columns = [AWKWARD[i:] + AWKWARD[:i] for i in range(k)]
-        assert cli._csv("h", *columns) == reference_csv("h", *columns)
+        assert csv_bytes("h", *columns) == reference_csv("h", *columns).encode()
 
     def test_integer_index_column(self):
         index = np.arange(5)
         ys = np.linspace(-1.0, 1.0, 5)
-        text = cli._csv("index,y,value", index, ys, ys / 3)
-        assert text == reference_csv("index,y,value", index, ys, ys / 3)
-        assert text.splitlines()[2].startswith("1,-0.5,")
+        text = csv_bytes("index,y,value", index, ys, ys / 3)
+        assert text == reference_csv("index,y,value", index, ys, ys / 3).encode()
+        assert text.splitlines()[2].startswith(b"1,-0.5,")
 
     def test_chunk_boundaries(self, monkeypatch):
         monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 3)
         for rows in (0, 1, 3, 7):
             column = AWKWARD[:rows]
-            assert cli._csv("value", column) == reference_csv("value", column)
-            assert cli._csv("a,b", column, column[::-1]) == reference_csv("a,b", column, column[::-1])
+            assert csv_bytes("value", column) == reference_csv("value", column).encode()
+            assert csv_bytes("a,b", column, column[::-1]) == reference_csv("a,b", column, column[::-1]).encode()
+            rows_per_chunk = [chunk.count(b"\n") for chunk in cli._csv("value", column)]
+            assert rows_per_chunk == [1] + [3] * (rows // 3) + [rows % 3] * (rows % 3 > 0)
 
     @given(values=st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=40))
     def test_any_floats_match_the_reference(self, values):
-        assert cli._csv("a,b", values, values[::-1]) == reference_csv("a,b", values, values[::-1])
+        assert csv_bytes("a,b", values, values[::-1]) == reference_csv("a,b", values, values[::-1]).encode()
 
     @given(values=st.lists(st.floats(-1e17, 1e17), max_size=40))
     def test_fixed_notation_range_matches_the_reference(self, values):
-        assert cli._csv("a,b", values, values[::-1]) == reference_csv("a,b", values, values[::-1])
+        assert csv_bytes("a,b", values, values[::-1]) == reference_csv("a,b", values, values[::-1]).encode()
 
     @given(values=st.lists(st.floats(-20.0, 20.0), max_size=40))
     def test_window_range_matches_the_reference(self, values):
-        assert cli._csv("a,b", values, values[::-1]) == reference_csv("a,b", values, values[::-1])
+        assert csv_bytes("a,b", values, values[::-1]) == reference_csv("a,b", values, values[::-1]).encode()
 
     @pytest.mark.parametrize("case", sorted(EXACT_ROUNDING))
     def test_exact_rounding_cases(self, case):
         values = EXACT_ROUNDING[case]
-        assert cli._csv("a,b", values, values[::-1]) == reference_csv("a,b", values, values[::-1])
+        assert csv_bytes("a,b", values, values[::-1]) == reference_csv("a,b", values, values[::-1]).encode()
 
     def test_notation_switch_in_mixed_rows(self):
-        text = cli._csv("a,b,c", [1e-4, 0.5], [float(np.nextafter(1e-4, 0.0)), -0.0], [-3.25, 1e17])
-        assert text == "a,b,c\n0.0001,9.9999999999999991e-05,-3.25\n0.5,-0,1e+17\n"
+        text = csv_bytes("a,b,c", [1e-4, 0.5], [float(np.nextafter(1e-4, 0.0)), -0.0], [-3.25, 1e17])
+        assert text == b"a,b,c\n0.0001,9.9999999999999991e-05,-3.25\n0.5,-0,1e+17\n"
 
     @pytest.mark.parametrize("chunk_rows", [cli.CSV_CHUNK_ROWS, 3])
     def test_bulk_random_values_match_the_reference(self, monkeypatch, chunk_rows):
@@ -191,7 +199,28 @@ class TestCsv:
         monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk_rows)
         for values in (bits, uniform):
             a, b = values[:rows], values[rows:2 * rows]
-            assert cli._csv("a,b", a, b) == reference_csv("a,b", a, b)
+            assert csv_bytes("a,b", a, b) == reference_csv("a,b", a, b).encode()
+
+    def test_working_memory_is_bounded(self):
+        # the chunks (about 19 bytes a row here) and one chunk's temporaries
+        n = 2 ** 20
+        column = np.random.default_rng(0).uniform(-20.0, 20.0, n)
+        tracemalloc.start()
+        try:
+            cli._csv("value", column)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * 8 * n
+
+
+class TestExtremeScales:
+    @pytest.mark.parametrize("token", ["normal:1e300", "cauchy:1e300", "laplace:1e300", "stable:1.5,1e300",
+                                       "nig:1,1e300"])
+    def test_verify_runs_without_warnings(self, tmp_path, token):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["verify", "--phi", token, "--psi", "normal:1", "--out", str(tmp_path / "v")]) == 0
 
 
 class TestValidationErrors:

@@ -1,7 +1,11 @@
+import math
+import tracemalloc
 from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
+
+from chardisp import model
 
 from chardisp.charfn import Cauchy, Laplace, Normal, SymmetricNIG, SymmetricStable
 from chardisp.deviance import UnitDeviancePair
@@ -61,6 +65,50 @@ def sharp_model():
 
 # mu midway between two scan points of the window grid
 OFF_GRID_MU = 0.0048828125
+
+
+class HiddenKnots(TabulatedEven):
+    """A table whose knots are not declared critical."""
+
+    def critical_points(self):
+        return ()
+
+
+def spike_model():
+    # a spike narrower than the envelope grid spacing, at a point the
+    # perturbation does not declare critical, escapes the supremum scan
+    k = KernelSpec(NN, 1.0)
+    base = trivial_normalizer(k, Window(-20.0, 20.0, 16))
+    spike = HiddenKnots(knots=(0.0, 0.1, 0.2, 0.3), values=(0.0, 0.0, 100.0, 0.0))
+    return DispersionModel(k, perturbed_normalizer(base, spike))
+
+
+def whole_batch_sample(m, mu, n, seed):
+    """sample() with each stream drawn and used as one whole-batch array and
+    cells found by searchsorted: the reference its blocks must match bit
+    for bit.  Returns the draws, or, when a proposal's density exceeds its
+    height, that proposal's (index in its batch, y, density, height)."""
+    edges, env, mass = _step_envelope(m, mu)
+    width = edges[1] - edges[0]
+    cdf = np.cumsum(env)
+    acceptance = mass / (cdf[-1] * width)
+    cdf /= cdf[-1]
+    rng = np.random.default_rng(seed)
+    out, got = [], 0
+    while got < n:
+        batch = min(max(1024, math.ceil(1.1 * (n - got) / acceptance)), model.MAX_PROPOSAL_BATCH)
+        cell = np.searchsorted(cdf, rng.random(batch), side="right")
+        ys = np.minimum(edges[cell] + width * rng.random(batch), m.window.hi)
+        height = env[cell]
+        ps = m.density(ys, mu)
+        bad = np.flatnonzero(ps > height)
+        if bad.size:
+            i = int(bad[0])
+            return i, float(ys[i]), float(ps[i]), float(height[i])
+        acc = ys[rng.random(batch) * height <= ps][:n - got]
+        out.append(acc)
+        got += acc.size
+    return np.concatenate(out)
 
 
 @dataclass
@@ -281,22 +329,48 @@ class TestSample:
         assert np.all(np.abs(draws - 0.0048828125) < 20.0)
 
     def test_envelope_failure_aborts_with_diagnostics(self):
-        # a spike narrower than the envelope grid spacing, at a point the
-        # perturbation does not declare critical, escapes the supremum
-        # scan; sampling must notice and abort
-        class HiddenKnots(TabulatedEven):
-            def critical_points(self):
-                return ()
-
-        k = KernelSpec(NN, 1.0)
-        w = Window(-20.0, 20.0, 16)
-        base = trivial_normalizer(k, w)
-        spike = HiddenKnots(knots=(0.0, 0.1, 0.2, 0.3), values=(0.0, 0.0, 100.0, 0.0))
-        m = DispersionModel(k, perturbed_normalizer(base, spike))
+        # the spike escapes the envelope; sampling must notice and abort
         with pytest.raises(EnvelopeError) as exc:
-            sample(m, 0.0, 500, seed=0)
+            sample(spike_model(), 0.0, 500, seed=0)
         assert exc.value.density > exc.value.envelope
         assert 0.05 < abs(exc.value.y) < 0.35
+
+    def test_envelope_failure_in_a_later_block_names_the_first_proposal(self, monkeypatch):
+        m = spike_model()
+        first, y, density, height = whole_batch_sample(m, 0.0, 500, seed=0)
+        block = 8
+        assert first >= 2 * block  # the culprit sits past the first two blocks
+        monkeypatch.setattr(model, "SAMPLE_BLOCK", block)
+        with pytest.raises(EnvelopeError) as exc:
+            sample(m, 0.0, 500, seed=0)
+        assert (exc.value.y, exc.value.density, exc.value.envelope) == (y, density, height)
+
+    @pytest.mark.parametrize("block", [1000, 4097, None])
+    @pytest.mark.parametrize("batch_cap", [30_000, None])
+    def test_draws_do_not_depend_on_the_block_size(self, monkeypatch, block, batch_cap):
+        # 30,000-proposal batches end in a partial block and take several
+        # batches; the default cap takes one batch
+        if block is not None:
+            monkeypatch.setattr(model, "SAMPLE_BLOCK", block)
+        if batch_cap is not None:
+            monkeypatch.setattr(model, "MAX_PROPOSAL_BATCH", batch_cap)
+        for m in (trivial_model(), fig2d_model()):
+            draws = sample(m, 0.0, 100_000, seed=7)
+            assert np.array_equal(draws, whole_batch_sample(m, 0.0, 100_000, seed=7))
+
+    @pytest.mark.parametrize("make", [trivial_model, fig2d_model], ids=["normal", "laplace_cosgauss"])
+    def test_working_memory_is_bounded(self, make):
+        # the draws, the batch's cells and positions, and one block's
+        # temporaries: about 3 x 8n bytes
+        m = make()
+        n = 2 ** 20
+        tracemalloc.start()
+        try:
+            sample(m, 0.0, n, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 8 * n
 
     def test_position_outside_domain_rejected(self):
         with pytest.raises(DomainError):

@@ -133,6 +133,22 @@ def test_max_panels_is_a_hard_cap(tol, max_panels):
             assert res == free
 
 
+def test_forced_panels_over_the_budget_are_refused_unevaluated():
+    calls = []
+
+    def f(x):
+        calls.append(x.shape)
+        return np.sin(x)
+
+    with pytest.raises(ValueError, match=r"force 4 panels, more than max_panels=2"):
+        integrate(f, 0.0, 1.0, breakpoints=(0.25, 0.5, 0.75), max_panels=2)
+    # in a batch, the shift's own cut counts, and the error names it
+    with pytest.raises(ValueError, match=r"force 3 panels at shift 0\.6, more than max_panels=2"):
+        integrate_shifts(lambda x, s: f(x), 0.0, 1.0, [0.4, 0.6], breakpoints=(0.4,), max_panels=2)
+    assert calls == []
+    assert integrate(np.sin, 0.0, 1.0, breakpoints=(0.25, 0.5, 0.75), max_panels=4).n_panels == 4
+
+
 @settings(max_examples=25, deadline=None)
 @given(tol=st.floats(1e-13, 1e-3))
 def test_error_bound_dominates_on_cusps(tol):
