@@ -209,6 +209,13 @@ class SymmetricNIG(CharFn):
     delta: float = 1.0
     family = "nig"
 
+    def __post_init__(self):
+        super().__post_init__()
+        try:  # eval squares alpha as a Python float, which raises on overflow
+            float(self.alpha) ** 2
+        except OverflowError:
+            raise InvalidSpecError(f"nig alpha must have a finite square, got {self.alpha}") from None
+
     def eval(self, t):
         t2 = _clamp(t, math.sqrt(self.delta)) ** 2  # delta * t2 stays finite
         return np.exp(-self.delta * t2 / (self.alpha + np.sqrt(self.alpha ** 2 + t2)))

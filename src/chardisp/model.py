@@ -32,10 +32,10 @@ ENVELOPE_CELLS = 256
 # Equally spaced points per envelope cell at which the density is scanned,
 # whatever the window grid: a coarse grid alone would miss a cell's peak.
 ENVELOPE_CELL_POINTS = 16
-# Largest proposal batch in sample(): bounds its working memory for large n.
+# Largest proposal batch in sample(): fixes which uniforms each proposal
+# reads; bounds the proposals checked after the n-th acceptance.
 MAX_PROPOSAL_BATCH = 2 ** 21
-# Proposals per block in which sample() draws and uses its uniform streams:
-# bounds the temporaries alive beside a batch's cells and positions.
+# Proposals per block of sample()'s one pass over a batch; bounds its working memory.
 SAMPLE_BLOCK = 65536
 # Buckets of sample()'s guide table; a power of two, so u * GUIDE_BUCKETS is exact.
 GUIDE_BUCKETS = 1024
@@ -192,6 +192,13 @@ def _pick_cells(scaled: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndar
     return cell
 
 
+def _stream_at(seed: int, offset: int) -> np.random.Generator:
+    """``default_rng(seed)`` past its first ``offset`` uniforms (one PCG64 output each)."""
+    bits = np.random.PCG64(seed)
+    bits.advance(offset)
+    return np.random.Generator(bits)
+
+
 def sample(m: DispersionModel, mu: float, n: int, seed: int) -> np.ndarray:
     """Draw n values by rejection from a step envelope over the window.
 
@@ -203,25 +210,19 @@ def sample(m: DispersionModel, mu: float, n: int, seed: int) -> np.ndarray:
     missing draws need at the expected acceptance (the density's mass over
     the envelope's), at least 1024 and at most ``MAX_PROPOSAL_BATCH``.
 
-    A batch draws three uniform streams from the seeded generator, in this
-    order: one per proposal for the cells, then one per proposal for the
-    positions, then one per proposal for acceptance.  They are used in
-    blocks of ``SAMPLE_BLOCK`` proposals, in three phases: pick the batch's
-    cells (one byte each) block by block; draw the positions into one batch
-    array and move them into their cells block by block; then evaluate the
-    density, check the envelope and accept block by block, drawing the
-    acceptance uniforms a block at a time.  A generator drawn in pieces
-    returns the same numbers as one draw, so the draws do not depend on the
-    block size.  Beside the n draws (8 bytes each), only the batch's cells
-    and positions (9 bytes a proposal) and one block's temporaries are alive
-    at once; for n = 2**20 that peaks near 3 x 8n bytes.  Deterministic for
-    a fixed seed.
+    A batch of B proposals reads the uniforms of ``default_rng(seed)`` in
+    three runs, each from its own generator (:func:`_stream_at`): [d, d+B)
+    pick the cells, [d+B, d+2B) place the points and [d+2B, d+3B) accept
+    them, where d counts the uniforms of earlier batches.  So each block of
+    ``SAMPLE_BLOCK`` proposals is picked, placed, checked and accepted in
+    one pass, the draws do not depend on the block size, and beside the n
+    draws (8 bytes each) only one block's temporaries are alive.  Every
+    proposal of a batch is checked.  Deterministic for a fixed seed.
     """
     if n < 0:
         raise ValueError(f"sample size must be >= 0, got {n}")
     mu = float(mu)
     m._check_position(mu)
-    w = m.window
     if n == 0:
         return np.empty(0)
 
@@ -232,27 +233,24 @@ def sample(m: DispersionModel, mu: float, n: int, seed: int) -> np.ndarray:
     cdf /= cdf[-1]  # ends at exactly 1, as _guide_table requires
     scaled, guide = _guide_table(cdf)
 
-    rng = np.random.default_rng(seed)
     out = np.empty(n)
-    got = 0
+    got = drawn = 0
     while got < n:
         batch = min(max(1024, math.ceil(1.1 * (n - got) / acceptance)), MAX_PROPOSAL_BATCH)
-        blocks = [slice(i, min(i + SAMPLE_BLOCK, batch)) for i in range(0, batch, SAMPLE_BLOCK)]
-        cell = np.empty(batch, dtype=guide.dtype)
-        for b in blocks:
-            cell[b] = _pick_cells(scaled, guide, rng.random(b.stop - b.start))
-        ys = rng.random(batch)
-        for b in blocks:
+        cells, positions, accepts = (_stream_at(seed, drawn + k * batch) for k in range(3))
+        drawn += 3 * batch
+        for start in range(0, batch, SAMPLE_BLOCK):
+            size = min(SAMPLE_BLOCK, batch - start)
+            cell = _pick_cells(scaled, guide, cells.random(size))
             # rounding may carry a point of the last cell an ulp past the window
-            np.minimum(edges[cell[b]] + width * ys[b], w.hi, out=ys[b])
-        for b in blocks:
-            y, height = ys[b], env[cell[b]]
+            y = np.minimum(edges[cell] + width * positions.random(size), m.window.hi)
+            height = env[cell]
             ps = m.density(y, mu)
             too_high = ps > height
             if too_high.any():
                 i = int(np.argmax(too_high))
                 raise EnvelopeError(float(y[i]), float(ps[i]), float(height[i]))
-            acc = y[rng.random(y.size) * height <= ps]
+            acc = y[accepts.random(size) * height <= ps]
             take = min(n - got, acc.size)
             out[got:got + take] = acc[:take]
             got += take

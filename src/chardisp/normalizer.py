@@ -141,7 +141,8 @@ class Perturbation(Spec, ABC):
     def eval(self, y: ArrayLike) -> ArrayLike: ...
 
     def is_zero(self) -> bool:
-        return isinstance(self, Zero)
+        """True when f(y) = 0 for every y."""
+        return False
 
     def critical_points(self) -> tuple[float, ...]:
         """Abscissae off any uniform grid where the minimum may sit, such as
@@ -159,6 +160,9 @@ class Zero(Perturbation):
     def eval(self, y):
         return np.zeros(np.shape(y))[()]
 
+    def is_zero(self):
+        return True
+
 
 @dataclass(frozen=True)
 class CosineGaussian(Perturbation):
@@ -175,6 +179,9 @@ class CosineGaussian(Perturbation):
             -yy ** 2 / (2.0 * self.width ** 2)
         )
 
+    def is_zero(self):
+        return self.amplitude == 0
+
 
 @dataclass(frozen=True)
 class OddGaussian(Perturbation):
@@ -189,6 +196,9 @@ class OddGaussian(Perturbation):
         yy = np.asarray(y, dtype=float)
         # amplitude last: amplitude * y may overflow where the value does not
         return yy * np.exp(-yy ** 2 / (2.0 * self.width ** 2)) * self.amplitude
+
+    def is_zero(self):
+        return self.amplitude == 0
 
 
 @dataclass(frozen=True)
@@ -215,6 +225,9 @@ class TabulatedEven(Perturbation):
 
     def eval(self, y):
         return np.interp(np.abs(y), self.knots, self.values, right=0.0)
+
+    def is_zero(self):
+        return not any(self.values)
 
     def critical_points(self):
         return tuple(-k for k in self.knots) + self.knots
@@ -247,6 +260,15 @@ class NormalizerSpec:
 
     ``perturbation is None`` marks the trivial (constant) solution; a
     :class:`Zero` instance is a perturbed spec that happens to add nothing.
+
+    A spec is scanned once, when it is built: a(y) must be finite and
+    positive at every one of its :meth:`scan_points`; otherwise the abscissa
+    of the first value that is not finite (an overflow, or NaN), or else of
+    the smallest value, is raised in :class:`PositivityError`.  Its integrals
+    against a kernel (at most 1) must stay finite too: a ValueError is
+    raised when the largest scanned value times max(2, window width)
+    overflows, since a Gauss-Kronrod panel sums weights up to 2 and the
+    panels span the window.
     """
 
     a_tilde: float
@@ -256,6 +278,19 @@ class NormalizerSpec:
     def __post_init__(self):
         if not (np.isfinite(self.a_tilde) and self.a_tilde > 0.0):
             raise ValueError(f"constant part a_tilde must be positive, got {self.a_tilde}")
+        ys = self.scan_points()
+        with np.errstate(over="ignore", invalid="ignore"):  # caught below as values that are not finite
+            vals = self.value(ys)
+        i = int(np.argmin(np.where(np.isfinite(vals), vals, -np.inf)))  # the first value not finite, else the smallest
+        if not (np.isfinite(vals[i]) and vals[i] > 0.0):
+            raise PositivityError(float(ys[i]), float(vals[i]))
+        top = int(np.argmax(vals))
+        factor = max(2.0, self.window.width)
+        if not math.isfinite(float(vals[top]) * factor):
+            raise ValueError(
+                f"normalizing function is too large to integrate: value {float(vals[top])!r} "
+                f"at y={float(ys[top])!r} times {factor!r} overflows"
+            )
 
     @property
     def kind(self) -> str:
@@ -301,33 +336,11 @@ def trivial_normalizer(k: KernelSpec, w: Window, tol: float = DEFAULT_TOL) -> No
 
 
 def perturbed_normalizer(base: NormalizerSpec, f: Perturbation) -> NormalizerSpec:
-    """Attach a perturbation to a trivial normalizer, enforcing positivity.
-
-    The sum a_tilde + f must be finite and positive at every one of its
-    :meth:`NormalizerSpec.scan_points`; otherwise the abscissa of the first
-    value that is not finite (an overflow, or NaN), or else of the smallest
-    value, is raised in :class:`PositivityError`.  Its integrals against a
-    kernel (at most 1) must stay finite too: a ValueError is raised when the
-    largest scanned value times max(2, window width) overflows, since a
-    Gauss-Kronrod panel sums weights up to 2 and the panels span the window.
-    """
+    """Attach a perturbation to a trivial normalizer; the new spec's scan
+    (see :class:`NormalizerSpec`) enforces positivity."""
     if base.kind != "trivial":
         raise ValueError("base normalizer must be trivial (constant)")
-    norm = NormalizerSpec(a_tilde=base.a_tilde, window=base.window, perturbation=f)
-    ys = norm.scan_points()
-    with np.errstate(over="ignore", invalid="ignore"):  # caught below as values that are not finite
-        vals = norm.value(ys)
-    i = int(np.argmin(np.where(np.isfinite(vals), vals, -np.inf)))  # the first value not finite, else the smallest
-    if not (np.isfinite(vals[i]) and vals[i] > 0.0):
-        raise PositivityError(float(ys[i]), float(vals[i]))
-    top = int(np.argmax(vals))
-    factor = max(2.0, base.window.width)
-    if not math.isfinite(float(vals[top]) * factor):
-        raise ValueError(
-            f"normalizing function is too large to integrate: value {float(vals[top])!r} "
-            f"at y={float(ys[top])!r} times {factor!r} overflows"
-        )
-    return norm
+    return NormalizerSpec(a_tilde=base.a_tilde, window=base.window, perturbation=f)
 
 
 def window_convolve(g, k: KernelSpec, shifts, window: Window, tol: float, corners=()) -> np.ndarray:

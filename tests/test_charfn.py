@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -111,6 +112,14 @@ def test_validation_of_parameter_domains():
         Laplace(float("inf"))
     with pytest.raises(InvalidSpecError, match="nig delta must be positive and finite, got -2.0"):
         SymmetricNIG(1.0, -2.0)
+
+
+@pytest.mark.parametrize("alpha", [1e155, 1e200, 1e300])
+def test_nig_alpha_whose_square_overflows_rejected(alpha):
+    # eval squares alpha as a Python float, which raises OverflowError there
+    with pytest.raises(InvalidSpecError, match=re.escape(f"nig alpha must have a finite square, got {alpha}")):
+        SymmetricNIG(alpha, 1.0)
+    SymmetricNIG(1e154, 1.0).eval(np.array([0.0, 1.0, 1e8]))  # the square 1e308 is finite
 
 
 def test_require_valid_raises_descriptively():

@@ -224,6 +224,16 @@ class TestExtremeScales:
 
 
 class TestValidationErrors:
+    def test_nig_alpha_whose_square_overflows(self, capsys, tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["verify", "--phi", "nig:1e200", "--psi", "normal:1", "--out", str(tmp_path / "v")])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: nig alpha must have a finite square, got 1e+200\n"
+        assert not (tmp_path / "v").exists()
+
     def test_invalid_stable_index_names_value(self, capsys, tmp_path):
         code = run(["verify", "--phi", "stable:2.5,1", "--psi", "normal:1",
                     "--out", str(tmp_path / "v")])
@@ -364,6 +374,14 @@ class TestVerify:
         doc = json.loads((out / "verify.json").read_text())
         assert doc["diagnostics"]["classification"] == "NSDM_candidate"
         assert doc["diagnostics"]["edm_excluded"] is True
+
+    def test_zero_amplitude_is_a_constant_normalizer(self, tmp_path):
+        out = tmp_path / "verify"
+        code = run(["verify", "--phi", "normal:1", "--psi", "normal:1",
+                    "--perturb", "cosgauss:0", "--grid", "64", "--out", str(out)])
+        assert code == 0
+        doc = json.loads((out / "verify.json").read_text())
+        assert doc["diagnostics"]["classification"] == "PDM"
 
 
 class TestRiesz:

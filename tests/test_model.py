@@ -360,8 +360,8 @@ class TestSample:
 
     @pytest.mark.parametrize("make", [trivial_model, fig2d_model], ids=["normal", "laplace_cosgauss"])
     def test_working_memory_is_bounded(self, make):
-        # the draws, the batch's cells and positions, and one block's
-        # temporaries: about 3 x 8n bytes
+        # the draws and one block's temporaries: under 2 x 8n bytes, as no
+        # array of batch length is held
         m = make()
         n = 2 ** 20
         tracemalloc.start()
@@ -370,7 +370,7 @@ class TestSample:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * 8 * n
+        assert peak <= 2 * 8 * n
 
     def test_position_outside_domain_rejected(self):
         with pytest.raises(DomainError):

@@ -222,6 +222,21 @@ class TestPerturbations:
         assert pert.kind == "perturbed"
         assert pert.is_constant()
 
+    @pytest.mark.parametrize("zero, nonzero", [
+        (Zero(), None),
+        (CosineGaussian(amplitude=0.0), CosineGaussian(amplitude=1e-300)),
+        (OddGaussian(amplitude=-0.0, width=2.0), OddGaussian(amplitude=0.01, width=2.0)),
+        (TabulatedEven((0.0, 1.0, 2.0), (0.0, -0.0, 0.0)), TabulatedEven((0.0, 1.0, 2.0), (0.0, 0.0, 1e-9))),
+    ], ids=["zero", "cosgauss", "oddgauss", "custom"])
+    def test_is_zero_for_every_member_that_vanishes(self, zero, nonzero):
+        base = trivial_normalizer(KernelSpec(NN, 1.0), W20)
+        ys = np.linspace(-20.0, 20.0, 101)
+        assert zero.is_zero() and not np.any(zero.eval(ys))
+        assert perturbed_normalizer(base, zero).is_constant()
+        if nonzero is not None:
+            assert not nonzero.is_zero()
+            assert not perturbed_normalizer(base, nonzero).is_constant()
+
     def test_catalog_cosine_gaussian_matches_closed_form(self):
         f = CosineGaussian()  # amplitude 1, frequency 3, width sqrt(5)
         ys = np.linspace(-10.0, 10.0, 401)
@@ -359,6 +374,17 @@ class TestNormalizerSpec:
             NormalizerSpec(a_tilde=0.0, window=W20)
         with pytest.raises(ValueError):
             NormalizerSpec(a_tilde=-1.0, window=W20)
+
+    def test_scanned_when_built_directly(self):
+        # the positivity scan belongs to the spec, not to perturbed_normalizer:
+        # 0.05 - 1 * (cos(0) + 1) = -1.95 at the origin
+        with pytest.raises(PositivityError, match="not positive: value -1.95 at y=0.0"):
+            NormalizerSpec(0.05, Window(), CosineGaussian(-1.0))
+        with pytest.raises(PositivityError, match="not finite: value inf"):
+            NormalizerSpec(0.05, W20, CosineGaussian(1e308, 3.0, 2.0))
+        with pytest.raises(ValueError, match="too large to integrate"):
+            NormalizerSpec(1e308, W20)
+        assert NormalizerSpec(0.05, Window(), CosineGaussian(-0.02)).value(0.0) == pytest.approx(0.01)
 
 
 class TestConvolutionResidual:
