@@ -13,8 +13,9 @@ the subcommands and every flag, and flags may come before or after the
 subcommand.  A value that starts with ``-`` and a digit is a number, so
 negative exponents such as ``--mu -1e-3`` are accepted.
 
-All numeric output uses 17 significant digits so runs are reproducible
-byte for byte.  Every CSV cell is exactly what ``"%.17g" % value`` prints;
+Numeric output is reproducible byte for byte.  A JSON number is Python's
+shortest round-tripping repr (``"h": 0.0001``).  Every CSV cell carries
+17 significant digits: it is exactly what ``"%.17g" % value`` prints;
 :mod:`chardisp.g17` formats each chunk's array at once, from exact integer
 digits where ``%g`` uses fixed notation and through ``%`` itself for the
 rest.  Each output file is held in memory as a list of ASCII byte chunks
@@ -355,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--psi", help="characteristic function FAMILY[:PARAMS], e.g. laplace:1")
     parser.add_argument("--lambda", type=float, metavar="LAM", help="index parameter (default 1)")
     parser.add_argument("--window", nargs=2, type=float, metavar=("LO", "HI"))
-    parser.add_argument("--grid", type=int, help="window grid size (default 1024)")
+    parser.add_argument("--grid", type=int, help="output and FFT grid size (default 1024)")
     parser.add_argument("--mu", type=float, help="position parameter (default 0)")
     parser.add_argument("--perturb", help="perturbation FAMILY[:PARAMS], e.g. cosgauss:1,3,2.236")
     parser.add_argument("--tol", type=float, help=f"quadrature tolerance (default {DEFAULT_TOL:g})")

@@ -27,11 +27,9 @@ from .deviance import RegularityReport, regularity_probe
 from .normalizer import RESIDUAL_TOL, KernelSpec, NormalizerSpec, convolution_residual
 
 ENVELOPE_SAFETY = 1.01
-# Equal cells of sample()'s step envelope.
+# Equal cells of sample()'s step envelope; the normalizer's scan puts 16 of
+# its 4096 intervals in each, whatever the window grid.
 ENVELOPE_CELLS = 256
-# Equally spaced points per envelope cell at which the density is scanned,
-# whatever the window grid: a coarse grid alone would miss a cell's peak.
-ENVELOPE_CELL_POINTS = 16
 # Largest proposal batch in sample(): fixes which uniforms each proposal
 # reads; bounds the proposals checked after the n-th acceptance.
 MAX_PROPOSAL_BATCH = 2 ** 21
@@ -140,19 +138,16 @@ def _step_envelope(m: DispersionModel, mu: float):
     The window is cut into ``ENVELOPE_CELLS`` equal cells.  A cell's height
     is ``ENVELOPE_SAFETY`` times the largest density at the scan points
     inside it or bounding it (the last at or left of its left edge, the
-    first at or right of its right edge).  The scan points are
-    ``ENVELOPE_CELL_POINTS`` equally spaced points per cell, the
-    normalizer's (grid and critical points, where its positivity was
-    checked) and mu, where the kernel peaks.  Returns the cell edges, the
-    cell heights and the trapezoid mass of the density on the scan points.
+    first at or right of its right edge).  The scan points are the
+    normalizer's :meth:`~NormalizerSpec.scan_points`, where its positivity
+    was checked (a fixed grid of 16 intervals per cell, whatever the
+    window's ``n_grid``, and the critical points), and mu, where the
+    kernel peaks.  Returns the cell edges, the cell heights and the
+    trapezoid mass of the density on the scan points.
     """
     w = m.window
     edges = np.linspace(w.lo, w.hi, ENVELOPE_CELLS + 1)
-    ys = np.sort(np.concatenate([
-        np.linspace(w.lo, w.hi, ENVELOPE_CELL_POINTS * ENVELOPE_CELLS + 1),
-        m.normalizer.scan_points(),
-        [mu],
-    ]))
+    ys = np.sort(np.append(m.normalizer.scan_points(), mu))
     ps = m.density(ys, mu)
     first = np.searchsorted(ys, edges[:-1], side="right") - 1
     last = np.searchsorted(ys, edges[1:], side="left")

@@ -145,9 +145,11 @@ class Perturbation(Spec, ABC):
         return False
 
     def critical_points(self) -> tuple[float, ...]:
-        """Abscissae off any uniform grid where the minimum may sit, such as
-        the corners of a piecewise-linear table; the positivity check
-        evaluates them beside its grid."""
+        """Abscissae where an extreme may sit off any uniform grid: the
+        stationary points of a smooth perturbation and the corners of a
+        piecewise-linear table.  The positivity check and the sampling
+        envelope evaluate them beside their grid, and
+        :func:`window_convolve` cuts its integrals there."""
         return ()
 
 
@@ -182,6 +184,9 @@ class CosineGaussian(Perturbation):
     def is_zero(self):
         return self.amplitude == 0
 
+    def critical_points(self):
+        return (0.0,)  # where cos + 1 and the envelope both peak
+
 
 @dataclass(frozen=True)
 class OddGaussian(Perturbation):
@@ -199,6 +204,9 @@ class OddGaussian(Perturbation):
 
     def is_zero(self):
         return self.amplitude == 0
+
+    def critical_points(self):
+        return (-self.width, self.width)  # the minimum and the maximum
 
 
 @dataclass(frozen=True)
@@ -262,7 +270,8 @@ class NormalizerSpec:
     :class:`Zero` instance is a perturbed spec that happens to add nothing.
 
     A spec is scanned once, when it is built: a(y) must be finite and
-    positive at every one of its :meth:`scan_points`; otherwise the abscissa
+    positive at every one of its :meth:`scan_points`, which do not depend
+    on the window's ``n_grid``; otherwise the abscissa
     of the first value that is not finite (an overflow, or NaN), or else of
     the smallest value, is raised in :class:`PositivityError`.  Its integrals
     against a kernel (at most 1) must stay finite too: a ValueError is
@@ -309,12 +318,16 @@ class NormalizerSpec:
         return () if self.perturbation is None else self.perturbation.critical_points()
 
     def scan_points(self) -> np.ndarray:
-        """Where the extremes of a(y) are looked for: the window grid
-        oversampled by ``POSITIVITY_OVERSAMPLE``, followed by the
-        perturbation's critical points inside the window."""
+        """Where the extremes of a(y) are looked for, by the positivity
+        check and by the sampling envelope: the grid of a default
+        :class:`Window` over the same span oversampled by
+        ``POSITIVITY_OVERSAMPLE`` (4096 intervals whatever ``n_grid`` is,
+        which sets only output resolution), followed by the perturbation's
+        critical points inside the window."""
         w = self.window
         extra = np.asarray(self.critical_points(), dtype=float)
-        return np.concatenate([w.grid(POSITIVITY_OVERSAMPLE), extra[(extra >= w.lo) & (extra <= w.hi)]])
+        grid = Window(w.lo, w.hi).grid(POSITIVITY_OVERSAMPLE)
+        return np.concatenate([grid, extra[(extra >= w.lo) & (extra <= w.hi)]])
 
     def to_dict(self) -> dict:
         d = {

@@ -27,9 +27,12 @@ for any number of shifts.  :func:`integrate` is the one-integral case of
 the same engine.
 
 The per-panel error estimate is the conservative ``|kronrod - gauss|``
-difference.  For smooth integrands the Kronrod value is far more accurate
-than this bound, so the reported ``error_bound`` safely dominates the true
-error in practice.
+difference, and an integral converges when the sum of its estimates is at
+most the tolerance.  That sum measures truncation only: where the Kronrod
+and Gauss sums agree to the bit it is zero, yet the value still carries
+the rounding of its weighted sums.  So the reported ``error_bound`` is the
+summed estimate plus the integral's rounding floor, ``ROUNDING_ULPS`` eps
+times the sum of its |panel values|.
 """
 from __future__ import annotations
 
@@ -84,7 +87,8 @@ SHIFT_CHUNK = 64
 MARK_FRACTION = 0.25
 # An integral's rounding floor is this many eps times the sum of its |panel
 # values|: the Kronrod and Gauss sums of a panel each carry a few eps of
-# relative rounding, so estimates below the floor are rounding, not error.
+# relative rounding, so estimates below the floor are rounding, not error,
+# and the floor is added to every returned error bound.
 ROUNDING_ULPS = 32
 
 
@@ -173,6 +177,7 @@ def _rounds(f, a: float, b: float, shifts: np.ndarray, edges: list, tol: float, 
     while True:
         start = np.cumsum(count) - count
         bound = np.add.reduceat(err, start)
+        floor = ROUNDING_ULPS * np.finfo(float).eps * np.add.reduceat(np.abs(val), start)
         # Panels too narrow to bisect keep their error in the bound.
         splittable = hi - lo >= 64 * np.finfo(float).eps * np.maximum(np.maximum(np.abs(lo), np.abs(hi)), b - a)
         worst = np.maximum.reduceat(np.where(splittable, err, -np.inf), start)
@@ -181,13 +186,12 @@ def _rounds(f, a: float, b: float, shifts: np.ndarray, edges: list, tol: float, 
         if failed.any():
             j = int(np.flatnonzero(failed)[0])
             seg = slice(start[j], start[j] + count[j])
-            floor = float(ROUNDING_ULPS * np.finfo(float).eps * np.abs(val[seg]).sum())
             raise QuadratureError(float(val[seg].sum()), float(bound[j]), shift=float(s[seg.start]) if named else None,
-                                  floor=floor if bound[j] <= floor else None)
+                                  floor=float(floor[j]) if bound[j] <= floor[j] else None)
         if done.any():
             value = np.add.reduceat(val, start)
             for j in np.flatnonzero(done).tolist():
-                results[ids[j]] = QuadResult(float(value[j]), float(bound[j]), int(count[j]))
+                results[ids[j]] = QuadResult(float(value[j]), float(bound[j] + floor[j]), int(count[j]))
             if done.all():
                 return results
         mark = splittable & (err >= np.repeat(np.where(done, np.inf, MARK_FRACTION * worst), count))
@@ -250,7 +254,9 @@ def integrate(
     a, b : float
         Integration limits, ``a <= b``.
     tol : float
-        Absolute error target for the summed panel estimates.
+        Absolute error target for the summed panel estimates.  The
+        returned ``error_bound`` is that sum plus the rounding floor (see
+        ``ROUNDING_ULPS``), so it may exceed ``tol`` for a large integral.
     breakpoints : iterable of float
         Points forced to be panel boundaries (kinks, corners).  Values
         outside ``(a, b)`` are ignored.

@@ -436,6 +436,16 @@ class TestSample:
             "addfd37b5a53c6a0dd0c355b6862a93bd9019fe678f27801a0dcbec691734aff"
         )
 
+    def test_draws_do_not_depend_on_the_grid(self, tmp_path):
+        # --grid sets output resolution only, not the envelope's scan
+        draws = []
+        for grid in ("16", "1000", "1024", "2048"):
+            out = tmp_path / f"grid{grid}.csv"
+            assert run(["sample", "--phi", "laplace:1", "--psi", "laplace:1", "--perturb", "cosgauss",
+                        "--n", "10000", "--seed", "11", "--grid", grid, "--out", str(out)]) == 0
+            draws.append(out.read_bytes())
+        assert draws[1:] == draws[:-1]
+
     def test_different_seed_differs(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         base = ["sample", "--phi", "normal:1", "--psi", "normal:1", "--n", "100", "--grid", "64"]
@@ -606,11 +616,12 @@ class TestPerturbationFinite:
 
 class TestPerturbationOverflow:
     # finite parameters whose values overflow on the window: A (cos + 1) is
-    # inf near the cosine's peaks; A y exp(-y^2 / 2) is finite but far below 0
+    # inf near the cosine's peaks; A y exp(-y^2 / 2) is finite but far below
+    # 0, least at y = -1
     @pytest.mark.parametrize("sub", ["density", "verify"])
     @pytest.mark.parametrize("token, message", [
         ("cosgauss:1e308,3,2", "normalizing function is not finite: value inf at y="),
-        ("oddgauss:1e308,1", "normalizing function is not positive: value -5.7"),
+        ("oddgauss:1e308,1", "normalizing function is not positive: value -6.065306597126334e+307 at y=-1.0\n"),
         # finite everywhere, but the panel sums of its integrals would overflow
         ("cosgauss:8.9e307,3,2", "normalizing function is too large to integrate: value 1.78e+308"),
     ], ids=["cosgauss", "oddgauss", "cosgauss_integrals"])
@@ -624,6 +635,23 @@ class TestPerturbationOverflow:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+
+class TestPositivityAtAnyGrid:
+    # a(y) dips below 0 only near y = -width, between the scan's grid points
+    @pytest.mark.parametrize("grid, token, y", [
+        ("16", "oddgauss:0.2,0.3", "-0.3"),
+        ("1024", "oddgauss:100,0.001", "-0.001"),
+    ])
+    def test_negative_normalizer_rejected(self, capsys, tmp_path, grid, token, y):
+        code = run(["verify", "--phi", "normal:1", "--psi", "normal:1", "--grid", grid,
+                    "--perturb", token, "--out", str(tmp_path / "out")])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: normalizing function is not positive: value -0.0")
+        assert err.endswith(f" at y={y}\n") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
 

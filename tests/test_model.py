@@ -281,11 +281,14 @@ class TestSample:
             # grids whose scan points are wider apart than a cell
             (lambda: fig2d_model(window=Window(-20.0, 20.0, 16)), 0.0),
             (lambda: fig2d_model(window=Window(-20.0, 20.0, 32)), 0.0),
+            (lambda: fig2d_model(window=Window(-20.0, 20.0, 1000)), 0.0),
+            (lambda: fig2d_model(window=Window(-20.0, 20.0, 2048)), 0.0),
             (sharp_model, OFF_GRID_MU),
         ],
         ids=["normal", "laplace", "cauchy_normal", "nig", "stable07_normal",
              "laplace_cosgauss", "laplace_cosgauss_mu1.3", "laplace_cosgauss_grid16",
-             "laplace_cosgauss_grid32", "sharp_off_grid_mu"],
+             "laplace_cosgauss_grid32", "laplace_cosgauss_grid1000", "laplace_cosgauss_grid2048",
+             "sharp_off_grid_mu"],
     )
     def test_step_envelope_bounds_the_density(self, model, mu):
         m = model()
@@ -298,6 +301,16 @@ class TestSample:
         for side in ("left", "right"):
             cell = np.clip(np.searchsorted(edges, ys, side=side) - 1, 0, ENVELOPE_CELLS - 1)
             assert np.all(ps <= env[cell])
+
+    def test_step_envelope_does_not_depend_on_the_grid(self):
+        # the window grid sets output resolution only
+        (edges, env, mass), *rest = (
+            _step_envelope(fig2d_model(window=Window(-20.0, 20.0, n)), 1.3) for n in (16, 1000, 1024, 2048)
+        )
+        for other_edges, other_env, other_mass in rest:
+            assert np.array_equal(other_edges, edges)
+            assert np.array_equal(other_env, env)
+            assert other_mass == mass
 
     def test_proposals_per_draw_for_a_perturbed_model(self):
         # the step envelope follows the cosine-gaussian's ripples; a flat

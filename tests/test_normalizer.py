@@ -272,6 +272,20 @@ class TestPerturbations:
         assert abs(exc.value.y) == 0.004
         assert exc.value.value == base.a_tilde - 1.0
 
+    @pytest.mark.parametrize("f, window, y", [
+        (CosineGaussian(amplitude=-1.0, width=0.001), Window(-20.0, 21.0), 0.0),
+        (OddGaussian(amplitude=100.0, width=0.001), W20, -0.001),
+    ], ids=["cosgauss", "oddgauss"])
+    def test_rejected_at_the_exact_extreme(self, f, window, y):
+        # a dip far narrower than the scan's spacing (about 0.01) is found at
+        # the perturbation's critical points, off the grid
+        base = trivial_normalizer(KernelSpec(LL, 1.0), window)
+        assert y in f.critical_points()
+        with pytest.raises(PositivityError) as exc:
+            perturbed_normalizer(base, f)
+        assert exc.value.y == y
+        assert exc.value.value == base.a_tilde + f.eval(y)
+
     @pytest.mark.parametrize(
         "f", [CosineGaussian(amplitude=1e308, width=0.1), CosineGaussian(amplitude=1e308, frequency=0.0, width=0.1)]
     )

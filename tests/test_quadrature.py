@@ -50,6 +50,18 @@ def test_error_bound_dominates_true_error():
     assert abs(res.value - exact) <= res.error_bound + 1e-15
 
 
+def test_error_bound_covers_the_rounding_of_a_large_integral():
+    # the Kronrod and Gauss sums agree to the bit, so the summed estimate is
+    # 0, yet the value is 2.2e-5 off 1e12 sin(1): the bound adds the floor
+    import mpmath as mp
+
+    res = integrate(lambda x: 1e12 * np.cos(x), 0.0, 1.0, tol=1e-8)
+    with mp.workdps(40):
+        error = abs(mp.mpf(res.value) - mp.mpf(10) ** 12 * mp.sin(1))
+    assert error > 1e-5
+    assert error <= res.error_bound
+
+
 def test_budget_exhaustion_reports_estimate():
     # highly oscillatory integrand with a tiny budget cannot converge
     with pytest.raises(QuadratureError) as exc:
