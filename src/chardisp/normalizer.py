@@ -262,6 +262,20 @@ def perturbation_from_dict(d: dict) -> Perturbation:
 # Normalizing functions
 # ---------------------------------------------------------------------------
 
+def _zoom_min(f, y: float, h: float, w: Window) -> tuple[float, float]:
+    """The abscissa and value of the smallest f found near y: each of three
+    rounds evaluates f at 129 equispaced abscissae over [y - h, y + h]
+    within the window, then moves y to the smallest and h to their spacing,
+    so the spacing narrows 64-fold a round (from a scan spacing of 0.01 to
+    4e-8)."""
+    for _ in range(3):
+        ts = np.linspace(max(y - h, w.lo), min(y + h, w.hi), 129)
+        vals = f(ts)
+        j = int(np.argmin(vals))
+        y, h = ts[j], ts[1] - ts[0]
+    return float(y), float(vals[j])
+
+
 @dataclass(frozen=True)
 class NormalizerSpec:
     """Normalizing function on a window: a constant, optionally perturbed.
@@ -273,11 +287,14 @@ class NormalizerSpec:
     positive at every one of its :meth:`scan_points`, which do not depend
     on the window's ``n_grid``; otherwise the abscissa
     of the first value that is not finite (an overflow, or NaN), or else of
-    the smallest value, is raised in :class:`PositivityError`.  Its integrals
-    against a kernel (at most 1) must stay finite too: a ValueError is
-    raised when the largest scanned value times max(2, window width)
-    overflows, since a Gauss-Kronrod panel sums weights up to 2 and the
-    panels span the window.
+    the smallest value, is raised in :class:`PositivityError`.  When all are
+    positive, a non-constant a(y) is zoomed in on over the two scan
+    intervals beside its smallest value, which catches a minimum that lies
+    between scan points; a zoomed value <= 0 is raised at its own abscissa.
+    Its integrals against a kernel (at most 1) must stay finite too: a
+    ValueError is raised when the largest scanned value times max(2, window
+    width) overflows, since a Gauss-Kronrod panel sums weights up to 2 and
+    the panels span the window.
     """
 
     a_tilde: float
@@ -290,9 +307,13 @@ class NormalizerSpec:
         ys = self.scan_points()
         with np.errstate(over="ignore", invalid="ignore"):  # caught below as values that are not finite
             vals = self.value(ys)
-        i = int(np.argmin(np.where(np.isfinite(vals), vals, -np.inf)))  # the first value not finite, else the smallest
-        if not (np.isfinite(vals[i]) and vals[i] > 0.0):
-            raise PositivityError(float(ys[i]), float(vals[i]))
+            i = int(np.argmin(np.where(np.isfinite(vals), vals, -np.inf)))  # the first value not finite, else the smallest
+            if not (np.isfinite(vals[i]) and vals[i] > 0.0):
+                raise PositivityError(float(ys[i]), float(vals[i]))
+            if not self.is_constant():
+                y, low = _zoom_min(self.value, ys[i], ys[1] - ys[0], self.window)
+                if low <= 0.0:
+                    raise PositivityError(y, low)
         top = int(np.argmax(vals))
         factor = max(2.0, self.window.width)
         if not math.isfinite(float(vals[top]) * factor):

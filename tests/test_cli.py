@@ -202,16 +202,22 @@ class TestCsv:
             assert csv_bytes("a,b", a, b) == reference_csv("a,b", a, b).encode()
 
     def test_working_memory_is_bounded(self):
-        # the chunks (about 19 bytes a row here) and one chunk's temporaries
-        n = 2 ** 20
-        column = np.random.default_rng(0).uniform(-20.0, 20.0, n)
-        tracemalloc.start()
-        try:
-            cli._csv("value", column)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4.5 * 8 * n
+        # the chunks are rendered as they are read: one chunk's temporaries
+        # and the previous chunk, about 200 bytes a row, whatever n is
+        for n in (2 ** 18, 2 ** 21):
+            column = np.random.default_rng(0).uniform(-20.0, 20.0, n)
+            tracemalloc.start()
+            try:
+                size = sum(len(chunk) for chunk in cli._csv("value", column))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert size > 17 * n
+            assert peak <= 250 * cli.CSV_CHUNK_ROWS, n
+
+    def test_bad_column_fails_before_any_text(self):
+        with pytest.raises(ValueError):
+            cli._csv("value", ["not a number"])
 
 
 class TestExtremeScales:
@@ -453,6 +459,32 @@ class TestSample:
         run(base + ["--seed", "2", "--out", str(b)])
         assert a.read_bytes() != b.read_bytes()
 
+    def test_peak_memory_is_about_the_draws(self, tmp_path):
+        # the draws (8 bytes each) and a few chunks of text, never the file
+        n = 2 ** 20
+        out = tmp_path / "draws.csv"
+        tracemalloc.start()
+        try:
+            assert run(["sample", "--phi", "normal:1", "--psi", "normal:1", "--n", str(n), "--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.stat().st_size > 17 * n
+        assert peak <= 2 * 8 * n
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--phi", "normal:1", "--psi", "normal:1", "--n", "5000"],
+        ["density", "--phi", "laplace:1", "--psi", "laplace:1", "--perturb", "cosgauss", "--grid", "4096"],
+    ], ids=["sample", "density"])
+    def test_stdout_equals_file(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 1000)
+        out = tmp_path / "out.csv"
+        assert run(argv + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        assert run(argv) == 0
+        assert capsys.readouterr().out.encode("ascii") == out.read_bytes()
+        assert out.read_bytes().count(b"\n") > 4000
+
 
 class TestFigures:
     def test_emits_six_csv_files(self, tmp_path):
@@ -653,6 +685,16 @@ class TestPositivityAtAnyGrid:
         assert err.startswith("error: normalizing function is not positive: value -0.0")
         assert err.endswith(f" at y={y}\n") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+    def test_minimum_between_scan_points_rejected(self, capsys, tmp_path):
+        out = tmp_path / "curve.csv"
+        code = run(["density", "--phi", "normal:1", "--psi", "normal:1", "--window", "1", "30", "--mu", "10",
+                    "--perturb", "cosgauss:-0.029226193424446992,3,2", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: normalizing function is not positive: value -3.47")
+        assert " at y=1.98510" in err
+        assert not out.exists()
 
 
 class TestFiguresDefaultOut:

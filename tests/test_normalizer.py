@@ -400,6 +400,22 @@ class TestNormalizerSpec:
             NormalizerSpec(1e308, W20)
         assert NormalizerSpec(0.05, Window(), CosineGaussian(-0.02)).value(0.0) == pytest.approx(0.01)
 
+    def test_minimum_between_scan_points_rejected(self):
+        # [1, 30] leaves out the one declared critical point, 0: a's minimum
+        # near y = 1.9851 dips to -3.5e-9, while the nearest scan point,
+        # 0.001 away, reads +7.6e-8
+        a_tilde, f = 0.03476587181576067, CosineGaussian(-0.029226193424446992, 3.0, 2.0)
+        window = Window(1.0, 30.0)
+        ys = window.grid(4)
+        assert np.all(a_tilde + f.eval(ys) > 0.0)
+        with pytest.raises(PositivityError, match="not positive") as exc:
+            NormalizerSpec(a_tilde, window, f)
+        assert exc.value.y == pytest.approx(1.9851015, abs=1e-6)
+        assert -3.5e-9 < exc.value.value <= -3.4e-9
+        assert exc.value.value == a_tilde + f.eval(exc.value.y)
+        # the same trough raised a little stays accepted
+        assert NormalizerSpec(a_tilde + 1e-8, window, f).perturbation == f
+
 
 class TestConvolutionResidual:
     def test_trivial_center_residual_small(self):
