@@ -189,7 +189,7 @@ class TestCsv:
         text = csv_bytes("a,b,c", [1e-4, 0.5], [float(np.nextafter(1e-4, 0.0)), -0.0], [-3.25, 1e17])
         assert text == b"a,b,c\n0.0001,9.9999999999999991e-05,-3.25\n0.5,-0,1e+17\n"
 
-    @pytest.mark.parametrize("chunk_rows", [cli.CSV_CHUNK_ROWS, 3])
+    @pytest.mark.parametrize("chunk_rows", [65536, cli.CSV_CHUNK_ROWS, 3])
     def test_bulk_random_values_match_the_reference(self, monkeypatch, chunk_rows):
         rng = np.random.default_rng(9)
         bits = rng.integers(0, 2**64, size=200_000, dtype=np.uint64).view(float)
