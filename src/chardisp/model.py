@@ -160,12 +160,12 @@ def _guide_table(cdf: np.ndarray):
     """The guide table of :func:`_pick_cells` for a cumulative mass ``cdf``
     that ends at exactly 1: ``scaled = cdf * GUIDE_BUCKETS`` (exact, a
     power of two) and ``guide[b]``, the number of scaled masses <= b, for
-    each bucket b, in the smallest unsigned type that holds a cell index."""
+    each bucket b."""
     scaled = cdf * GUIDE_BUCKETS
     if scaled[-1] != GUIDE_BUCKETS:  # else the stepping in _pick_cells could run past the end
         raise ValueError(f"cumulative mass must end at exactly 1, got {cdf[-1]!r}")
     guide = np.searchsorted(scaled, np.arange(GUIDE_BUCKETS), side="right")
-    return scaled, guide.astype(np.min_scalar_type(cdf.size - 1))
+    return scaled, guide
 
 
 def _pick_cells(scaled: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -179,7 +179,7 @@ def _pick_cells(scaled: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndar
     because the last scaled mass is GUIDE_BUCKETS > u * GUIDE_BUCKETS.
     """
     u *= GUIDE_BUCKETS
-    cell = guide.take(u.astype(np.int16))  # the bucket, truncated as u >= 0
+    cell = guide.take(u.astype(np.intp))  # the bucket, truncated as u >= 0
     step = np.flatnonzero(scaled.take(cell) <= u)
     while step.size:
         cell[step] += 1

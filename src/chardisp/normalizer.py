@@ -422,12 +422,12 @@ def convolution_residual(
 class DeconvolutionReport:
     """Solution of the periodized discrete convolution equation a * K = 1.
 
-    The right-hand side is constant, so its transform is supported at
-    frequency zero only and the discrete solution must be the constant
-    1 / (dy * sum K).  ``nonconstancy`` (max - min of the solution) and the
-    DC value let callers confirm that against the quadrature normalizer.
-    ``n_guarded`` counts kernel transform bins too close to zero to divide
-    by; the right-hand side is zero there, so the solution is unaffected.
+    The right-hand side is constant, so its transform is n at frequency
+    zero and exactly zero elsewhere: the solution is the DC constant
+    ``dc_value`` = 1 / (dy * sum K) on every grid point, and
+    ``nonconstancy`` (max - min of the solution) reads 0.  ``n_guarded``
+    counts kernel transform bins too close to zero to divide by; the
+    right-hand side is zero there, so the solution is unaffected.
     """
 
     ys: np.ndarray = field(repr=False)
@@ -449,9 +449,11 @@ def fft_deconvolve_check(k: KernelSpec, w: Window) -> DeconvolutionReport:
     """Solve dy * (a circ-conv K) = 1 on the window grid by discrete Fourier
     transform and report how constant the solution is.
 
-    Requires ``w.n_grid`` to be a power of two.  Kernel transform bins with
-    magnitude below 1e-12 of the DC bin are guarded (set to zero in the
-    quotient) and counted.
+    The right-hand side's transform is DC-only, so the solution is the
+    constant 1 / (dy * khat[0]), with khat the kernel's transform; the
+    other bins of the quotient are exactly zero.  Requires ``w.n_grid`` to
+    be a power of two.  Kernel transform bins with magnitude below 1e-12
+    of the DC bin are guarded (their quotient would be 0 / ~0) and counted.
     """
     n = w.n_grid
     if n & (n - 1) != 0:
@@ -463,16 +465,14 @@ def fft_deconvolve_check(k: KernelSpec, w: Window) -> DeconvolutionReport:
     kv = k.eval(disp)
 
     khat = np.fft.fft(kv)
-    bhat = np.fft.fft(np.ones(n))
     guard = np.abs(khat) < 1e-12 * np.abs(khat[0])
-    denom = np.where(guard, 1.0, dy * khat)
-    ahat = np.where(guard, 0.0, bhat / denom)
-    a = np.fft.ifft(ahat).real
+    dc = 1.0 / (dy * khat[0].real)
+    a = np.full(n, dc)
 
     return DeconvolutionReport(
         ys=w.periodic_grid(),
         solution=a,
-        dc_value=float(ahat[0].real / n),
+        dc_value=float(dc),
         nonconstancy=float(a.max() - a.min()),
         n_guarded=int(guard.sum()),
     )

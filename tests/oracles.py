@@ -1,9 +1,10 @@
 """Independent numerical oracles used to pin expected values.
 
 Nothing here touches the package's adaptive quadrature or FFT paths; these
-are deliberately dumb, high-resolution reference computations (midpoint
-Riemann sums, cumulative trapezoids, direct Jacobi-style eigensolves via
-mpmath) so the two routes can disagree when the library is wrong.
+are deliberately dumb reference computations (midpoint Riemann sums,
+cumulative trapezoids, direct Jacobi-style eigensolves via mpmath, the
+three-transform discrete deconvolution) so the two routes can disagree
+when the library is wrong.
 """
 from __future__ import annotations
 
@@ -56,3 +57,22 @@ def eigvalsh_mpmath(matrix: np.ndarray, dps: int = 30) -> np.ndarray:
         m = mp.matrix(matrix.tolist())
         eigs, _ = mp.eigsy(m)
         return np.array(sorted(float(e) for e in eigs))
+
+
+def fft_deconvolve_reference(kernel, lo: float, hi: float, n: int):
+    """Solve dy * (a circ-conv K) = 1 on n periodic points of [lo, hi] with
+    three transforms: the kernel's, the constant right-hand side's and the
+    inverse of their quotient, with kernel bins below 1e-12 of the DC bin
+    set to zero in the quotient.
+
+    ``kernel`` is the elementwise kernel K.  Returns (solution, dc_value,
+    nonconstancy, n_guarded).
+    """
+    dy = (hi - lo) / n
+    j = np.arange(n)
+    khat = np.fft.fft(kernel(np.where(j <= n // 2, j, j - n) * dy))
+    bhat = np.fft.fft(np.ones(n))
+    guard = np.abs(khat) < 1e-12 * np.abs(khat[0])
+    ahat = np.where(guard, 0.0, bhat / np.where(guard, 1.0, dy * khat))
+    a = np.fft.ifft(ahat).real
+    return a, float(ahat[0].real / n), float(a.max() - a.min()), int(guard.sum())

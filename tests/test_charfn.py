@@ -209,6 +209,14 @@ def test_register_family_extension_point():
     with pytest.raises(TypeError):
         register_family(int)
 
+    class Unnamed(CharFn):
+        family = ""
+
+    families = dict(charfn.FAMILIES)
+    with pytest.raises(ValueError, match="non-empty"):
+        register_family(Unnamed)
+    assert charfn.FAMILIES == families
+
 
 @given(
     spec=st.sampled_from(CATALOG),

@@ -100,6 +100,14 @@ class TestDensity:
             "1d967982d5be372815d6634a62795db336f3452b6175a8b7fbc263b051b64b6a"
         )
 
+    def test_asymmetric_window_grid_spans_the_window(self, capsys):
+        assert run(["density", "--phi", "normal:1", "--psi", "normal:1", "--window", "1", "30",
+                    "--mu", "10", "--grid", "16"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "y,density"
+        ys = [float(line.split(",")[0]) for line in lines[1:]]
+        assert ys == np.linspace(1.0, 30.0, 17).tolist()
+
     def test_seventeen_significant_digits(self, tmp_path):
         out = tmp_path / "curve.csv"
         run(["density", "--phi", "normal:1", "--psi", "normal:1", "--grid", "64",
@@ -248,6 +256,18 @@ class TestValidationErrors:
         assert "2.5" in err
         assert not (tmp_path / "v").exists()  # no partial output
 
+    def test_tolerance_below_rounding_floor_exits_two(self, capsys, tmp_path):
+        args = ["density", "--phi", "normal:1", "--psi", "normal:1", "--tol", "1e-300"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(args) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith("numerical failure: quadrature tolerance is below the integral's rounding floor ")
+            assert err.count("\n") == 1 and err.endswith("\n")
+            assert run([*args, "--out", str(tmp_path / "curve.csv")]) == 2
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_flag(self, capsys):
         assert run(["density", "--phl", "normal:1"]) == 1
 
@@ -351,6 +371,17 @@ class TestConfigFile:
         path.write_text(json.dumps({"phi": {"family": "normal", "params": {}}, "frequency": 1}))
         assert run(["density", "--config", str(path)]) == 1
         assert "frequency" in capsys.readouterr().err
+
+    def test_missing_config_file_named(self, tmp_path, capsys):
+        path = tmp_path / "absent.json"
+        assert run(["density", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot read config file {str(path)!r}: ")
+
+    def test_config_must_hold_an_object(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text("[1, 2]")
+        assert run(["density", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: config file {str(path)!r} must hold a JSON object\n"
 
 
 class TestVerify:

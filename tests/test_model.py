@@ -425,7 +425,6 @@ class TestGuidePick:
         ])
         u = u[(u >= 0.0) & (u < 1.0)]
         scaled, guide = _guide_table(cdf)
-        assert guide.dtype == np.uint8
         cell = _pick_cells(scaled, guide, u.copy())
         assert np.array_equal(cell, np.searchsorted(cdf, u, side="right"))
         assert cell.max() < ENVELOPE_CELLS
@@ -447,6 +446,13 @@ class TestDiagnostics:
         d = rep.to_dict()
         assert d["classification"] == "PDM"
         assert "edm_exclusion_note" in d
+
+    def test_default_grid_is_nine_points_over_the_position_domain(self):
+        m = trivial_model()
+        rep = diagnostics(m, tol=1e-9)
+        grid = np.linspace(*m.position_domain, 9)
+        assert list(rep.normalization_residuals) == grid.tolist()
+        assert rep.to_dict() == diagnostics(m, mu_grid=grid, tol=1e-9).to_dict()
 
     def test_report_for_perturbed_model(self):
         rep = diagnostics(fig2d_model(), mu_grid=[0.0, 2.0], tol=1e-8)

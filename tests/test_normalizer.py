@@ -31,7 +31,7 @@ from chardisp.quadrature import (
     integrate_shifts,
 )
 
-from oracles import midpoint_convolution, midpoint_integral
+from oracles import fft_deconvolve_reference, midpoint_convolution, midpoint_integral
 
 NN = UnitDeviancePair(Normal(1.0), Normal(1.0))
 LL = UnitDeviancePair(Laplace(1.0), Laplace(1.0))
@@ -363,6 +363,8 @@ class TestPerturbations:
         assert f.eval(5.0) == 0.0
         with pytest.raises(InvalidSpecError, match="strictly increasing"):
             TabulatedEven(knots=(1.0, 0.5), values=(0.0, 0.0))
+        with pytest.raises(InvalidSpecError, match="equal length"):
+            TabulatedEven(knots=(0.0, 1.0, 2.0), values=(1.0, 0.0))
         for bad in (math.nan, math.inf):
             with pytest.raises(InvalidSpecError, match="knots must be finite"):
                 TabulatedEven(knots=(0.0, bad, 2.0), values=(1.0, 0.5, 0.0))
@@ -499,6 +501,20 @@ class TestFFTDeconvolve:
         for pair in pairs:
             rep = fft_deconvolve_check(KernelSpec(pair, 1.0), w)
             assert rep.nonconstancy <= 1e-10 * rep.dc_value
+
+    @pytest.mark.parametrize("lo, hi", [(-20.0, 20.0), (-3.3, 7.1)], ids=["symmetric", "asymmetric"])
+    @pytest.mark.parametrize("cf", [
+        Normal(1.3), Cauchy(0.7), Laplace(2.0), SymmetricStable(1.5, 1.0), SymmetricNIG(1.0, 0.5),
+    ], ids=lambda cf: cf.family)
+    def test_closed_form_equals_three_transform_solve(self, cf, lo, hi):
+        for lam in (0.0, 1.0, 10.0):
+            k = KernelSpec(UnitDeviancePair(cf, cf), lam)
+            for n in (16, 1024, 4096):
+                rep = fft_deconvolve_check(k, Window(lo, hi, n))
+                solution, dc_value, nonconstancy, n_guarded = fft_deconvolve_reference(k.eval, lo, hi, n)
+                assert rep.solution.tobytes() == solution.tobytes()
+                assert (rep.dc_value, rep.nonconstancy, rep.n_guarded) == (dc_value, nonconstancy, n_guarded)
+                assert rep.nonconstancy == 0.0
 
     def test_power_of_two_required(self):
         with pytest.raises(ValueError):
