@@ -24,8 +24,9 @@ leaves no partial files.  The text is then rendered while it is written:
 a CSV file one ASCII chunk of ``CSV_CHUNK_ROWS`` rows at a time, so the
 text held at once is about two chunks whatever the size of the file, and
 no file is ever joined into one string or encoded twice.
-Exit codes: 0 success, 1 validation, configuration or output error, 2
-numerical failure (quadrature budget, sampling envelope).
+Exit codes: 0 success, 1 validation, configuration or output error, or a
+request too large for memory (``--n`` or ``--grid``), 2 numerical failure
+(quadrature budget, sampling envelope).
 """
 from __future__ import annotations
 
@@ -282,7 +283,8 @@ def _cmd_verify(cfg: RunConfig) -> dict:
     return {
         "verify.json": _json(doc),
         "residuals.csv": _csv("mu,residual", list(residuals), list(residuals.values())),
-        "deconvolution.csv": _csv("index,y,value", np.arange(fft.solution.size), fft.ys, fft.solution),
+        "deconvolution.csv": _csv("index,y,value", np.arange(fft.n_grid), cfg.window.periodic_grid(),
+                                  np.full(fft.n_grid, fft.dc_value)),
     }
 
 
@@ -395,7 +397,7 @@ def run(argv: list[str]) -> int:
         cfg = build_config(args)
         handler, _, default_out = _COMMANDS[cfg.subcommand]
         _write(cfg.out if cfg.out is not None else default_out, handler(cfg))
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (QuadratureError, EnvelopeError) as exc:

@@ -21,8 +21,6 @@ the relative coordinate rather than to a fixed absolute frame.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from fractions import Fraction
-from math import floor
 
 import numpy as np
 
@@ -36,16 +34,21 @@ def rational_enumeration(n: int) -> list[float]:
     Zero first, then each positive rational in Calkin-Wilf order followed
     immediately by its negative: 0, 1, -1, 1/2, -1/2, 2, -2, 1/3, -1/3,
     3/2, -3/2, ...  Deterministic and duplicate-free.
+
+    The current rational q = a/b is carried as two integers and stepped by
+    q -> 1 / (2 floor(q) - q + 1), i.e. (a, b) -> (b, 2 (a // b) b - a + b);
+    ``a / b`` of two ints is the correctly rounded float of the fraction.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     out = [0.0]
-    q = Fraction(1)
+    a, b = 1, 1
     while len(out) < n:
-        out.append(float(q))
+        q = a / b
+        out.append(q)
         if len(out) < n:
-            out.append(float(-q))
-        q = 1 / (2 * floor(q) - q + 1)
+            out.append(-q)
+        a, b = b, 2 * (a // b) * b - a + b
     return out[:n]
 
 
@@ -71,7 +74,8 @@ class TranslateSystem:
         outside = [p for p in pts if not lo <= p <= hi]
         if outside:
             raise ValueError(
-                f"translation points {outside} lie outside the window's middle half [{lo}, {hi}]"
+                f"{len(outside)} translation points lie outside the window's middle half "
+                f"[{lo}, {hi}]; the first is {outside[0]}"
             )
 
 

@@ -3,8 +3,8 @@
 Nothing here touches the package's adaptive quadrature or FFT paths; these
 are deliberately dumb reference computations (midpoint Riemann sums,
 cumulative trapezoids, direct Jacobi-style eigensolves via mpmath, the
-three-transform discrete deconvolution) so the two routes can disagree
-when the library is wrong.
+rational enumeration in exact fractions, the three-transform discrete
+deconvolution) so the two routes can disagree when the library is wrong.
 """
 from __future__ import annotations
 
@@ -57,6 +57,20 @@ def eigvalsh_mpmath(matrix: np.ndarray, dps: int = 30) -> np.ndarray:
         m = mp.matrix(matrix.tolist())
         eigs, _ = mp.eigsy(m)
         return np.array(sorted(float(e) for e in eigs))
+
+
+def rational_enumeration_reference(n: int) -> list[float]:
+    """The signed Calkin-Wilf enumeration 0, q1, -q1, q2, -q2, ... through
+    exact ``Fraction`` arithmetic: q -> 1 / (2 floor(q) - q + 1) from q = 1."""
+    from fractions import Fraction
+    from math import floor
+
+    out = [0.0]
+    q = Fraction(1)
+    while len(out) < n:
+        out += [float(q), float(-q)]
+        q = 1 / (2 * floor(q) - q + 1)
+    return out[:n]
 
 
 def fft_deconvolve_reference(kernel, lo: float, hi: float, n: int):

@@ -268,6 +268,20 @@ class TestValidationErrors:
             assert run([*args, "--out", str(tmp_path / "curve.csv")]) == 2
         assert list(tmp_path.iterdir()) == []
 
+    # 2^50 float64s are 8 PiB, beyond any x86-64 user address space, so no
+    # overcommit can grant the allocation and start a long run
+    @pytest.mark.parametrize("args", [
+        ["sample", "--phi", "normal:1", "--psi", "normal:1", "--n", str(2**50)],
+        ["density", "--phi", "normal:1", "--psi", "normal:1", "--grid", str(2**50)],
+    ], ids=["sample-n", "density-grid"])
+    def test_request_too_large_for_memory_exits_one(self, args, capsys, tmp_path):
+        assert run([*args, "--out", str(tmp_path / "out.csv")]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: Unable to allocate ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_flag(self, capsys):
         assert run(["density", "--phl", "normal:1"]) == 1
 
@@ -402,6 +416,28 @@ class TestVerify:
         assert lines[0] == "index,y,value"
         assert len(lines) == 257  # header + n_grid solution entries
 
+    def test_outputs_are_pinned(self, tmp_path):
+        # changes only when the diagnostics' numbers or the output formatting change
+        out = tmp_path / "verify"
+        assert run(["verify", "--phi", "laplace:1", "--psi", "laplace:1", "--perturb", "cosgauss",
+                    "--grid", "64", "--out", str(out)]) == 0
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+        assert digests == {
+            "deconvolution.csv": "4d65bbc9b1cc15ca5d51d84996ee9fe7e3e58192f37942c7f4a2819744c3430a",
+            "residuals.csv": "211b34d170d84ce2b982accc573caaac7f6605d21d41aee14f29e154f1712115",
+            "verify.json": "3a0020935a7ea0e2d947bc08b8c3c2a76e67eec34957d17c43973c0a554a7003",
+        }
+
+    @pytest.mark.parametrize("n", [17, 1000])
+    def test_any_grid(self, tmp_path, n):
+        out = tmp_path / "verify"
+        assert run(["verify", "--phi", "normal:1", "--psi", "normal:1", "--grid", str(n),
+                    "--out", str(out)]) == 0
+        doc = json.loads((out / "verify.json").read_text())
+        assert doc["fft_deconvolution"]["n_grid"] == n
+        lines = (out / "deconvolution.csv").read_text().splitlines()
+        assert len(lines) == n + 1
+
     def test_perturbed_classification(self, tmp_path):
         out = tmp_path / "verify"
         code = run(["verify", "--phi", "laplace:1", "--psi", "laplace:1",
@@ -435,6 +471,16 @@ class TestRiesz:
         assert 0 < doc["frame_bounds"]["lower_over_k_norm_sq"] < 1
         lines = (out / "orthogonality.csv").read_text().splitlines()
         assert lines[0] == "mu,residual"
+
+    def test_outputs_are_pinned(self, tmp_path):
+        # changes only when the Gram matrix, the residual curve or the output formatting change
+        out = tmp_path / "riesz"
+        assert run(["riesz", "--phi", "laplace:1", "--psi", "laplace:1", "--n", "8", "--out", str(out)]) == 0
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+        assert digests == {
+            "orthogonality.csv": "d4d4030e6933b5d01e3f2378dca3189d1c7b4232b78f82e216f82fc180b00929",
+            "riesz.json": "87115b395cd3f4c133c857f29ce75a45b559a898eec42ebd6516403ed450c969",
+        }
 
 
 class TestSample:

@@ -474,7 +474,7 @@ class TestFFTDeconvolve:
         rep = fft_deconvolve_check(KernelSpec(NN, 0.0), Window(-10.0, 10.0, 1024))
         assert rep.dc_value == pytest.approx(0.05, abs=1e-14)
         assert rep.nonconstancy <= 1e-12
-        assert rep.solution.size == 1024
+        assert rep.n_grid == 1024
 
     @pytest.mark.parametrize("pair", [NN, LL], ids=["normal", "laplace"])
     def test_matches_quadrature_normalizer(self, pair):
@@ -512,13 +512,19 @@ class TestFFTDeconvolve:
             for n in (16, 1024, 4096):
                 rep = fft_deconvolve_check(k, Window(lo, hi, n))
                 solution, dc_value, nonconstancy, n_guarded = fft_deconvolve_reference(k.eval, lo, hi, n)
-                assert rep.solution.tobytes() == solution.tobytes()
+                assert np.full(n, rep.dc_value).tobytes() == solution.tobytes()
                 assert (rep.dc_value, rep.nonconstancy, rep.n_guarded) == (dc_value, nonconstancy, n_guarded)
                 assert rep.nonconstancy == 0.0
 
-    def test_power_of_two_required(self):
-        with pytest.raises(ValueError):
-            fft_deconvolve_check(KernelSpec(NN, 1.0), Window(-10.0, 10.0, 1000))
+    @pytest.mark.parametrize("n", [17, 1000])
+    def test_any_grid(self, n):
+        # the closed form divides by the DC bin alone, so no grid size is special
+        k = KernelSpec(NN, 1.0)
+        rep = fft_deconvolve_check(k, Window(-10.0, 10.0, n))
+        _, dc_value, _, n_guarded = fft_deconvolve_reference(k.eval, -10.0, 10.0, n)
+        assert abs(rep.dc_value / dc_value - 1.0) <= 1e-15
+        assert rep.n_guarded == n_guarded
+        assert rep.n_grid == n
 
     def test_report_serializes(self):
         d = fft_deconvolve_check(KernelSpec(NN, 1.0), Window(-10.0, 10.0, 256)).to_dict()

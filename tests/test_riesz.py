@@ -15,7 +15,7 @@ from chardisp.riesz import (
     rational_enumeration,
 )
 
-from oracles import midpoint_convolution
+from oracles import midpoint_convolution, rational_enumeration_reference
 
 NN = UnitDeviancePair(Normal(1.0), Normal(1.0))
 LL = UnitDeviancePair(Laplace(1.0), Laplace(1.0))
@@ -74,6 +74,11 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             rational_enumeration(0)
 
+    @pytest.mark.parametrize("n", [1, 2, 20_000, 20_001])
+    def test_equals_the_exact_fraction_recurrence(self, n):
+        got = rational_enumeration(n)
+        assert [q.hex() for q in got] == [q.hex() for q in rational_enumeration_reference(n)]
+
 
 class TestTranslateSystem:
     def test_rejects_duplicates(self):
@@ -83,6 +88,14 @@ class TestTranslateSystem:
     def test_rejects_points_outside_middle_half(self):
         with pytest.raises(ValueError, match="middle half"):
             TranslateSystem(KernelSpec(NN, 1.0), (0.0, 15.0), W20)
+
+    def test_outside_points_are_counted_not_listed(self):
+        # the middle half of W20 is [-10, 10]: 20 points on each side lie beyond it
+        with pytest.raises(ValueError) as info:
+            TranslateSystem(KernelSpec(NN, 1.0), tuple(range(-30, 31)), W20)
+        msg = str(info.value)
+        assert msg == "40 translation points lie outside the window's middle half [-10.0, 10.0]; the first is -30.0"
+        assert len(msg.encode()) < 200
 
     def test_accepts_enumeration_prefix(self):
         pts = tuple(rational_enumeration(8))
