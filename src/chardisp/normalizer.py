@@ -57,6 +57,8 @@ class Window:
         lo, hi = self.lo, self.hi
         if not (is_number(lo) and is_number(hi) and np.isfinite(lo) and np.isfinite(hi) and hi > lo):
             raise ValueError(f"window needs lo < hi, got [{lo}, {hi}]")
+        if not math.isfinite(float(hi) - float(lo)):
+            raise ValueError(f"window width overflows a float, got [{lo}, {hi}]")
         if not (isinstance(self.n_grid, numbers.Integral) and self.n_grid >= 16):
             raise ValueError(f"n_grid must be at least 16, got {self.n_grid}")
 

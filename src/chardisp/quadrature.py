@@ -16,15 +16,16 @@ always converged.
 ``s`` at once.  The live panels of all unconverged integrals sit in flat
 arrays, grouped by integral and ordered by position.  A round takes each
 integral's bound and largest error from per-integral reductions, marks
-panels by the rule above, evaluates every child panel in one integrand call
-on an ``(m, 15)`` array of abscissae, with ``s`` broadcast per row, and
-puts each split panel's two children in its place.  Panel sums are
-row-wise and every reduction stays within one integral, so a shift's
-value, bound and panel count are bit-identical whether it is integrated
-alone or in a batch.  Shifts are processed ``SHIFT_CHUNK`` at a time and a
-shift's panels are dropped as soon as it converges, which bounds memory
-for any number of shifts.  :func:`integrate` is the one-integral case of
-the same engine.
+panels by the rule above, evaluates the child panels ``PANEL_BLOCK`` at a
+time, each block in one integrand call on an ``(m, 15)`` array of
+abscissae with ``s`` broadcast per row, and puts each split panel's two
+children in its place.  Panel sums are row-wise and every reduction stays
+within one integral, so a shift's value, bound and panel count are
+bit-identical whether it is integrated alone or in a batch, and whatever
+the block.  Shifts are processed ``SHIFT_CHUNK`` at a time and a shift's
+panels are dropped as soon as it converges, so a run holds one block's
+temporaries plus about 100 B of state per live panel, whatever the number
+of shifts.  :func:`integrate` is the one-integral case of the same engine.
 
 The per-panel error estimate is the conservative ``|kronrod - gauss|``
 difference, and an integral converges when the sum of its estimates is at
@@ -78,9 +79,18 @@ _WEIGHTS_G = np.concatenate([_WG[:-1], _WG[::-1]])
 
 DEFAULT_TOL = 1e-10
 MAX_PANELS = 10_000
-# Shifts advanced together by one run of rounds; bounds the panel arrays
-# and the abscissa array held at once, whatever the number of shifts.
-SHIFT_CHUNK = 64
+# Panels evaluated per integrand call: caps each (m, 15) temporary of a
+# round at 7,680 abscissae (61 KB of float64), so the temporaries stay in
+# cache however many panels a round splits.
+PANEL_BLOCK = 512
+# Shifts advanced together by one run of rounds.  A live panel costs about
+# 100 B of state (bounds, shift, value, estimate and a round's copies of
+# them).  Were a round evaluated in one integrand call, its (m, 15)
+# temporaries would add about 850 B per panel (a stable-kernel
+# convolution), about 1 KB per live panel, and 64 shifts would be the most
+# that keep a run within 64 x MAX_PANELS x 1 KB = 640 MB.  Blocks keep that
+# bound for 64 x 1 KB / 100 B = 640 shifts, rounded down to 512 (512 MB).
+SHIFT_CHUNK = 512
 # A round bisects every splittable panel whose error estimate is at least
 # this share of its integral's largest splittable estimate.  Lower values
 # split more panels per round: fewer rounds, more panels.
@@ -138,23 +148,28 @@ class QuadResult:
 
 def _gk15(f, lo: np.ndarray, hi: np.ndarray, s: np.ndarray):
     """Gauss-Kronrod panels [lo[r], hi[r]] of the integrand f(x, s[r]):
-    returns (kronrod values, error estimates)."""
-    mid = (0.5 * (lo + hi))[:, None]
-    half = 0.5 * (hi - lo)
-    x = mid + half[:, None] * _NODES
-    fx = np.asarray(f(x, s[:, None]), dtype=float)
-    # Row-wise sums, not a matrix product, so that a row's value does not
-    # depend on how many rows share the call.
-    k = half * (fx * _WEIGHTS_K).sum(axis=1)
-    # The Kronrod sum is finite only if every sample is: check the sums,
-    # and look for the culprit only on failure.
-    if not np.isfinite(k).all():
-        r = int(np.flatnonzero(~np.isfinite(k))[0])
-        bad = np.flatnonzero(~np.isfinite(fx[r]))
-        i = int(bad[0]) if bad.size else int(np.argmax(np.abs(fx[r])))
-        raise NonFiniteIntegrandError(float(x[r, i]), float(fx[r, i]))
-    g = half * (fx[:, 1::2] * _WEIGHTS_G).sum(axis=1)
-    return k, np.abs(k - g)
+    returns (kronrod values, error estimates).  The panels are evaluated
+    ``PANEL_BLOCK`` at a time, one integrand call each."""
+    k, err = np.empty(lo.size), np.empty(lo.size)
+    for start in range(0, lo.size, PANEL_BLOCK):
+        rows = slice(start, start + PANEL_BLOCK)
+        mid = (0.5 * (lo[rows] + hi[rows]))[:, None]
+        half = 0.5 * (hi[rows] - lo[rows])
+        x = mid + half[:, None] * _NODES
+        fx = np.asarray(f(x, s[rows, None]), dtype=float)
+        # Row-wise sums, not a matrix product, so that a row's value does not
+        # depend on how many rows share the call.
+        kb = half * (fx * _WEIGHTS_K).sum(axis=1)
+        # The Kronrod sum is finite only if every sample is: check the sums,
+        # and look for the culprit only on failure.
+        if not np.isfinite(kb).all():
+            r = int(np.flatnonzero(~np.isfinite(kb))[0])
+            bad = np.flatnonzero(~np.isfinite(fx[r]))
+            i = int(bad[0]) if bad.size else int(np.argmax(np.abs(fx[r])))
+            raise NonFiniteIntegrandError(float(x[r, i]), float(fx[r, i]))
+        k[rows] = kb
+        err[rows] = np.abs(kb - half * (fx[:, 1::2] * _WEIGHTS_G).sum(axis=1))
+    return k, err
 
 
 def _rounds(f, a: float, b: float, shifts: np.ndarray, edges: list, tol: float, max_panels: int,
@@ -215,8 +230,12 @@ def _adapt(f, a: float, b: float, shifts: np.ndarray, cuts: list, tol: float, ma
            named: bool) -> list[QuadResult]:
     """Integral i of ``f(x, shifts[i])``, cut at ``cuts[i]``, for every i, in
     chunks of ``SHIFT_CHUNK``; ``named`` puts the shift in budget errors.
-    Cuts that force more than ``max_panels`` panels are refused before any
-    evaluation."""
+    A chunk holds ``PANEL_BLOCK`` panels' temporaries plus about 100 B per
+    live panel, at most ``SHIFT_CHUNK x max_panels`` of them.  Chunks run in
+    order, so a budget failure names the first shift, in order, of those
+    that fail in the earliest failing round of the first chunk with a
+    failure.  Cuts that force more than ``max_panels`` panels are refused
+    before any evaluation, naming the first such shift."""
     if not tol > 0:  # NaN too
         raise ValueError(f"tol must be positive, got {tol}")
     if b < a:
@@ -249,8 +268,8 @@ def integrate(
     ----------
     f : callable
         Vectorized elementwise integrand; receives an ndarray of abscissae
-        (of shape ``(m, 15)``).  A NaN or infinite value raises
-        :class:`NonFiniteIntegrandError`.
+        (of shape ``(m, 15)``, ``m`` at most ``PANEL_BLOCK``).  A NaN or
+        infinite value raises :class:`NonFiniteIntegrandError`.
     a, b : float
         Integration limits, ``a <= b``.
     tol : float
@@ -285,15 +304,18 @@ def integrate_shifts(
     """Integrate ``f(x, s)`` over ``[a, b]`` for every shift ``s``.
 
     ``f`` is called on an ``(m, 15)`` array of abscissae and an ``(m, 1)``
-    column holding each row's shift, and must act elementwise.  Each
-    integral is cut at ``breakpoints`` and at its own shift.  All integrals
-    refine together in rounds; in each, every unconverged integral bisects
-    each splittable panel whose estimate is at least ``MARK_FRACTION`` times
-    its own largest one.  An integral's marking depends on its own panels
-    only, so it refines as :func:`integrate` would refine it alone, with the
-    same ``tol`` and ``max_panels``: the results (one per shift, in order)
-    are bit-identical to those one-shift integrals.  The first integral to
-    exhaust its budget raises :class:`QuadratureError` naming its shift.
+    column holding each row's shift, ``m`` at most ``PANEL_BLOCK``, and
+    must act elementwise.  Each integral is cut at ``breakpoints`` and at
+    its own shift.  All integrals refine together in rounds; in each, every
+    unconverged integral bisects each splittable panel whose estimate is at
+    least ``MARK_FRACTION`` times its own largest one.  An integral's
+    marking depends on its own panels only, so it refines as
+    :func:`integrate` would refine it alone, with the same ``tol`` and
+    ``max_panels``: the results (one per shift, in order) are bit-identical
+    to those one-shift integrals.  An integral that exhausts its budget
+    raises :class:`QuadratureError` naming its shift: among the shifts of
+    the first ``SHIFT_CHUNK``-shift chunk with a failure, the first in order
+    of those failing in the earliest failing round.
     """
     shifts = np.asarray(shifts, dtype=float).ravel()
     fixed = tuple(breakpoints)

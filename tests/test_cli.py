@@ -248,6 +248,16 @@ class TestValidationErrors:
         assert err == "error: nig alpha must have a finite square, got 1e+200\n"
         assert not (tmp_path / "v").exists()
 
+    def test_window_whose_width_overflows(self, capsys):
+        # both ends are finite, but hi - lo is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["density", "--phi", "normal:1", "--psi", "normal:1", "--window", "-1e308", "1e308"])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: window width overflows a float, got [-1e+308, 1e+308]\n"
+
     def test_invalid_stable_index_names_value(self, capsys, tmp_path):
         code = run(["verify", "--phi", "stable:2.5,1", "--psi", "normal:1",
                     "--out", str(tmp_path / "v")])

@@ -4,6 +4,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
+from chardisp import quadrature
 from chardisp.charfn import Cauchy, InvalidSpecError, Laplace, Normal, SymmetricNIG, SymmetricStable
 from chardisp.deviance import UnitDeviancePair
 from chardisp.normalizer import (
@@ -24,7 +25,6 @@ from chardisp.normalizer import (
     window_convolve,
 )
 from chardisp.quadrature import (
-    SHIFT_CHUNK,
     NonFiniteIntegrandError,
     QuadratureError,
     integrate,
@@ -62,6 +62,11 @@ class TestWindow:
             Window(2.0, -2.0)
         with pytest.raises(ValueError):
             Window(-1.0, 1.0, n_grid=8)
+
+    def test_rejects_a_width_that_overflows(self):
+        with pytest.raises(ValueError, match="window width overflows"):
+            Window(-1e308, 1e308)
+        assert Window(-8e307, 8e307).width == 1.6e308
 
     @pytest.mark.parametrize("lo, hi, n_grid", [([1.0], [2.0], 16), (True, 5.0, 16), ("a", 1.0, 16), (-1.0, 1.0, 20.5)])
     def test_rejects_non_numbers(self, lo, hi, n_grid):
@@ -164,18 +169,28 @@ class TestWindowConvolve:
             abscissae += sum(single.calls)
         assert sum(k.calls) == abscissae
 
-    def test_more_shifts_than_one_chunk_match_single_shifts(self):
-        # the cusp-heavy stable 0.7 x normal kernel, across chunk boundaries:
-        # every shift refines exactly as it does alone
+    def test_more_shifts_than_one_chunk_match_single_shifts(self, monkeypatch):
+        # the cusp-heavy stable 0.7 x normal kernel, across chunk and block
+        # boundaries made small: every shift refines exactly as it does alone,
+        # and no integrand call gets more than a block of panels
         k = KernelSpec(UnitDeviancePair(SymmetricStable(0.7, 1.0), Normal(1.0)), 1.0)
-        shifts = np.linspace(-9.0, 9.0, SHIFT_CHUNK + 7)
+        chunk, block = 4, 16
+        shifts = np.linspace(-9.0, 9.0, 2 * chunk + 3)
         f = lambda y, s: k.eval(y) * k.eval(s - y)
-        batch = integrate_shifts(f, W20.lo, W20.hi, shifts, tol=1e-10, breakpoints=(0.0,))
+        alone = [integrate(lambda y: f(y, s), W20.lo, W20.hi, tol=1e-10, breakpoints=(s, 0.0)) for s in shifts]
+        single = [window_convolve(k.eval, k, s, W20, 1e-10) for s in shifts]
+        monkeypatch.setattr(quadrature, "SHIFT_CHUNK", chunk)
+        monkeypatch.setattr(quadrature, "PANEL_BLOCK", block)
+        rows, panels = [], []
+        gk15 = quadrature._gk15
+        monkeypatch.setattr(quadrature, "_gk15", lambda f, lo, hi, s: panels.append(lo.size) or gk15(f, lo, hi, s))
+        counting = lambda y, s: rows.append(len(y)) or f(y, s)
+        batch = integrate_shifts(counting, W20.lo, W20.hi, shifts, tol=1e-10, breakpoints=(0.0,))
         values = window_convolve(k.eval, k, shifts, W20, 1e-10)
-        for s, res, value in zip(shifts, batch, values):
-            alone = integrate(lambda y: f(y, s), W20.lo, W20.hi, tol=1e-10, breakpoints=(s, 0.0))
-            assert res == alone  # value, error bound and panel count
-            assert value == window_convolve(k.eval, k, s, W20, 1e-10) == alone.value
+        assert max(rows) <= block < max(panels)
+        for res, one, value, single_value in zip(batch, alone, values, single):
+            assert res == one  # value, error bound and panel count
+            assert value == single_value == one.value
 
     def test_budget_failure_names_the_shift(self):
         with pytest.raises(QuadratureError) as exc:
