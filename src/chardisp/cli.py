@@ -15,7 +15,8 @@ negative exponents such as ``--mu -1e-3`` are accepted.
 
 Numeric output is reproducible byte for byte.  A JSON number is Python's
 shortest round-tripping repr (``"h": 0.0001``).  Every CSV cell carries
-17 significant digits: it is exactly what ``"%.17g" % value`` prints;
+at most 17 significant digits (``0.5`` prints as ``0.5``): it is exactly
+what ``"%.17g" % value`` prints;
 :mod:`chardisp.g17` formats each chunk's array at once, from exact integer
 digits where ``%g`` uses fixed notation and through ``%`` itself for the
 rest.  Every number a subcommand outputs is computed, and every CSV column

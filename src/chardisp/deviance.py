@@ -119,9 +119,6 @@ class RegularityReport:
     h: float
     local_exponent: float
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def regularity_probe(pair: UnitDeviancePair, mu: float = 0.0, h: float = 1e-4) -> RegularityReport:
     """Probe smoothness of mu' -> d(mu; mu') at mu' = mu with step h.

@@ -291,8 +291,12 @@ class NormalizerSpec:
     of the first value that is not finite (an overflow, or NaN), or else of
     the smallest value, is raised in :class:`PositivityError`.  When all are
     positive, a non-constant a(y) is zoomed in on over the two scan
-    intervals beside its smallest value, which catches a minimum that lies
-    between scan points; a zoomed value <= 0 is raised at its own abscissa.
+    intervals beside its smallest scanned value, and a zoomed value <= 0 is
+    raised at its own abscissa.  Only that one minimum is searched: a dip
+    below zero between scan points elsewhere is not caught.  For instance,
+    normal x normal at lambda 1 on [1, 30] with
+    ``cosgauss:-0.01738574289704768,17,100`` is accepted although a(y)
+    is about -3.5e-6 at y = 1.108797.
     Its integrals against a kernel (at most 1) must stay finite too: a
     ValueError is raised when the largest scanned value times max(2, window
     width) overflows, since a Gauss-Kronrod panel sums weights up to 2 and

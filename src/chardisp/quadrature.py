@@ -127,16 +127,25 @@ class QuadratureError(RuntimeError):
 
 
 class NonFiniteIntegrandError(QuadratureError):
-    """The integrand returned NaN or an infinity, or a panel sum overflowed."""
+    """The integrand returned NaN or an infinity, or a panel sum overflowed.
 
-    def __init__(self, x: float, value: float):
+    ``x`` and ``value`` are the first sample that is not finite.  When every
+    sample is finite but a panel's weighted sum overflowed, they are the
+    largest sample in magnitude (``part="sample"``); when every panel is
+    finite but an integral's sum over them overflowed, the midpoint and
+    value of its largest panel (``part="panel"``).  ``shift`` is the failing
+    integral's shift when it came from :func:`integrate_shifts`.
+    """
+
+    def __init__(self, x: float, value: float, shift: Optional[float] = None, part: str = "sample"):
         self.x = x
         self.value = value
-        if math.isfinite(value):  # _gk15 names the largest sample when all are finite
-            what = "panel sum overflowed: every sample is finite, the largest in magnitude is"
+        if math.isfinite(value):
+            what = f"panel sum overflowed: every {part} is finite, the largest in magnitude is"
         else:
             what = "integrand is not finite: value"
-        super().__init__(math.nan, math.inf, f"{what} {value!r} at x={x!r}")
+        where = "" if shift is None else f" for shift {shift!r}"
+        super().__init__(math.nan, math.inf, f"{what} {value!r} at x={x!r}{where}", shift=shift)
 
 
 @dataclass(frozen=True)
@@ -146,10 +155,11 @@ class QuadResult:
     n_panels: int
 
 
-def _gk15(f, lo: np.ndarray, hi: np.ndarray, s: np.ndarray):
+def _gk15(f, lo: np.ndarray, hi: np.ndarray, s: np.ndarray, named: bool):
     """Gauss-Kronrod panels [lo[r], hi[r]] of the integrand f(x, s[r]):
     returns (kronrod values, error estimates).  The panels are evaluated
-    ``PANEL_BLOCK`` at a time, one integrand call each."""
+    ``PANEL_BLOCK`` at a time, one integrand call each; ``named`` puts the
+    shift in a non-finite error."""
     k, err = np.empty(lo.size), np.empty(lo.size)
     for start in range(0, lo.size, PANEL_BLOCK):
         rows = slice(start, start + PANEL_BLOCK)
@@ -158,17 +168,20 @@ def _gk15(f, lo: np.ndarray, hi: np.ndarray, s: np.ndarray):
         x = mid + half[:, None] * _NODES
         fx = np.asarray(f(x, s[rows, None]), dtype=float)
         # Row-wise sums, not a matrix product, so that a row's value does not
-        # depend on how many rows share the call.
-        kb = half * (fx * _WEIGHTS_K).sum(axis=1)
-        # The Kronrod sum is finite only if every sample is: check the sums,
-        # and look for the culprit only on failure.
-        if not np.isfinite(kb).all():
-            r = int(np.flatnonzero(~np.isfinite(kb))[0])
+        # depend on how many rows share the call.  A sum that is not finite
+        # is raised below, so numpy's warnings about it are not wanted.
+        with np.errstate(over="ignore", invalid="ignore"):
+            kb = half * (fx * _WEIGHTS_K).sum(axis=1)
+            eb = np.abs(kb - half * (fx[:, 1::2] * _WEIGHTS_G).sum(axis=1))
+        # The estimate is finite only if every sample and both sums are:
+        # check it, and look for the culprit only on failure.
+        if not np.isfinite(eb).all():
+            r = int(np.flatnonzero(~np.isfinite(eb))[0])
             bad = np.flatnonzero(~np.isfinite(fx[r]))
             i = int(bad[0]) if bad.size else int(np.argmax(np.abs(fx[r])))
-            raise NonFiniteIntegrandError(float(x[r, i]), float(fx[r, i]))
+            raise NonFiniteIntegrandError(float(x[r, i]), float(fx[r, i]), float(s[start + r]) if named else None)
         k[rows] = kb
-        err[rows] = np.abs(kb - half * (fx[:, 1::2] * _WEIGHTS_G).sum(axis=1))
+        err[rows] = eb
     return k, err
 
 
@@ -188,11 +201,21 @@ def _rounds(f, a: float, b: float, shifts: np.ndarray, edges: list, tol: float, 
     # panel's shift.
     ids, count = np.arange(len(edges)), np.array(count)
     lo, hi, s = np.array(lo, dtype=float), np.array(hi, dtype=float), np.repeat(shifts, count)
-    val, err = _gk15(f, lo, hi, s)
+    val, err = _gk15(f, lo, hi, s, named)
     while True:
         start = np.cumsum(count) - count
-        bound = np.add.reduceat(err, start)
-        floor = ROUNDING_ULPS * np.finfo(float).eps * np.add.reduceat(np.abs(val), start)
+        # Sums over finite panels may overflow: a bound that does keeps
+        # refining, a total of |values| that does is raised, and a value's
+        # sum is bounded by that total.
+        with np.errstate(over="ignore"):
+            bound = np.add.reduceat(err, start)
+            total = np.add.reduceat(np.abs(val), start)
+        if not np.isfinite(total).all():
+            j = int(np.flatnonzero(~np.isfinite(total))[0])
+            p = start[j] + int(np.argmax(np.abs(val[start[j]:start[j] + count[j]])))
+            raise NonFiniteIntegrandError(0.5 * float(lo[p]) + 0.5 * float(hi[p]), float(val[p]),
+                                          float(s[p]) if named else None, part="panel")
+        floor = ROUNDING_ULPS * np.finfo(float).eps * total
         # Panels too narrow to bisect keep their error in the bound.
         splittable = hi - lo >= 64 * np.finfo(float).eps * np.maximum(np.maximum(np.abs(lo), np.abs(hi)), b - a)
         worst = np.maximum.reduceat(np.where(splittable, err, -np.inf), start)
@@ -223,7 +246,7 @@ def _rounds(f, a: float, b: float, shifts: np.ndarray, edges: list, tol: float, 
         lo, hi, val, err, s = (np.repeat(v, rep) for v in (lo, hi, val, err, s))
         first = np.flatnonzero(kids)[::2]
         hi[first] = lo[first + 1] = 0.5 * (lo[first] + hi[first])
-        val[kids], err[kids] = _gk15(f, lo[kids], hi[kids], s[kids])
+        val[kids], err[kids] = _gk15(f, lo[kids], hi[kids], s[kids], named)
 
 
 def _adapt(f, a: float, b: float, shifts: np.ndarray, cuts: list, tol: float, max_panels: int,
@@ -234,12 +257,23 @@ def _adapt(f, a: float, b: float, shifts: np.ndarray, cuts: list, tol: float, ma
     live panel, at most ``SHIFT_CHUNK x max_panels`` of them.  Chunks run in
     order, so a budget failure names the first shift, in order, of those
     that fail in the earliest failing round of the first chunk with a
-    failure.  Cuts that force more than ``max_panels`` panels are refused
-    before any evaluation, naming the first such shift."""
-    if not tol > 0:  # NaN too
-        raise ValueError(f"tol must be positive, got {tol}")
+    failure.  Inputs that cannot be integrated are refused before any
+    evaluation: a tolerance that is not positive and finite, limits that
+    are not finite or out of order or whose width overflows, a NaN shift,
+    and cuts that force more than ``max_panels`` panels (naming the first
+    such shift)."""
+    if not 0 < tol < math.inf:  # NaN too
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    a, b = float(a), float(b)  # so that b - a overflows to inf, unwarned
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"integration limits must be finite: [{a}, {b}]")
     if b < a:
         raise ValueError(f"integration limits out of order: [{a}, {b}]")
+    if not math.isfinite(b - a):
+        raise ValueError(f"integration width overflows a float: [{a}, {b}]")
+    nan = np.flatnonzero(np.isnan(shifts))
+    if nan.size:
+        raise ValueError(f"shifts[{int(nan[0])}] is NaN")
     if a == b:
         return [QuadResult(0.0, 0.0, 0) for _ in cuts]
     edges = [[a, *sorted({float(p) for p in c if a < p < b}), b] for c in cuts]
@@ -269,13 +303,16 @@ def integrate(
     f : callable
         Vectorized elementwise integrand; receives an ndarray of abscissae
         (of shape ``(m, 15)``, ``m`` at most ``PANEL_BLOCK``).  A NaN or
-        infinite value raises :class:`NonFiniteIntegrandError`.
+        infinite value, or a panel sum that overflows, raises
+        :class:`NonFiniteIntegrandError`.
     a, b : float
-        Integration limits, ``a <= b``.
+        Integration limits: finite, ``a <= b``, and ``b - a`` finite.
     tol : float
-        Absolute error target for the summed panel estimates.  The
-        returned ``error_bound`` is that sum plus the rounding floor (see
-        ``ROUNDING_ULPS``), so it may exceed ``tol`` for a large integral.
+        Absolute error target for the summed panel estimates, positive and
+        finite.  Limits or a ``tol`` outside these ranges raise ValueError
+        before any evaluation.  The returned ``error_bound`` is that sum
+        plus the rounding floor (see ``ROUNDING_ULPS``), so it may exceed
+        ``tol`` for a large integral.
     breakpoints : iterable of float
         Points forced to be panel boundaries (kinks, corners).  Values
         outside ``(a, b)`` are ignored.
@@ -312,10 +349,12 @@ def integrate_shifts(
     marking depends on its own panels only, so it refines as
     :func:`integrate` would refine it alone, with the same ``tol`` and
     ``max_panels``: the results (one per shift, in order) are bit-identical
-    to those one-shift integrals.  An integral that exhausts its budget
-    raises :class:`QuadratureError` naming its shift: among the shifts of
-    the first ``SHIFT_CHUNK``-shift chunk with a failure, the first in order
-    of those failing in the earliest failing round.
+    to those one-shift integrals.  A NaN shift raises ValueError before any
+    evaluation.  An integral that exhausts its budget, or whose integrand
+    or panel sums are not finite, raises :class:`QuadratureError` naming
+    its shift: among the shifts of the first ``SHIFT_CHUNK``-shift chunk
+    with a failure, the first in order of those failing in the earliest
+    failing round.
     """
     shifts = np.asarray(shifts, dtype=float).ravel()
     fixed = tuple(breakpoints)

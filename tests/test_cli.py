@@ -278,6 +278,15 @@ class TestValidationErrors:
             assert run([*args, "--out", str(tmp_path / "curve.csv")]) == 2
         assert list(tmp_path.iterdir()) == []
 
+    def test_infinite_tolerance_exits_one(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["density", "--phi", "normal:1", "--psi", "normal:1", "--tol", "inf"])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: tol must be positive and finite, got inf\n"
+
     # 2^50 float64s are 8 PiB, beyond any x86-64 user address space, so no
     # overcommit can grant the allocation and start a long run
     @pytest.mark.parametrize("args", [
@@ -796,14 +805,30 @@ class TestFiguresDefaultOut:
 
 
 class TestModuleEntry:
-    def test_python_dash_m_runs_the_cli(self):
+    @staticmethod
+    def module(*args):
         root = Path(__file__).resolve().parent.parent
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "chardisp.cli", "density", "--phi", "normal:1", "--psi", "normal:1", "--grid", "16"],
+        return subprocess.run(
+            [sys.executable, "-W", "error", "-m", "chardisp.cli", *args],
             env=env, capture_output=True, text=True, timeout=120,
         )
+
+    def test_python_dash_m_runs_the_cli(self):
+        proc = self.module("density", "--phi", "normal:1", "--psi", "normal:1", "--grid", "16")
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.splitlines()
         assert lines[0] == "y,density" and len(lines) == 18
+
+    @pytest.mark.parametrize("args, code, prefix", [
+        (["--window", "-1e308", "1e308"], 1, "error: window width overflows a float"),
+        (["--tol", "1e-300"], 2, "numerical failure: quadrature tolerance is below the integral's rounding floor"),
+    ], ids=["validation", "numerical"])
+    def test_failures_exit_with_one_line(self, args, code, prefix):
+        # the process, not cli.run: its exit status and all of its stderr
+        proc = self.module("density", "--phi", "normal:1", "--psi", "normal:1", *args)
+        assert proc.returncode == code
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(prefix) and proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+        assert "Traceback" not in proc.stderr

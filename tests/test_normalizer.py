@@ -183,7 +183,7 @@ class TestWindowConvolve:
         monkeypatch.setattr(quadrature, "PANEL_BLOCK", block)
         rows, panels = [], []
         gk15 = quadrature._gk15
-        monkeypatch.setattr(quadrature, "_gk15", lambda f, lo, hi, s: panels.append(lo.size) or gk15(f, lo, hi, s))
+        monkeypatch.setattr(quadrature, "_gk15", lambda f, lo, *rest: panels.append(lo.size) or gk15(f, lo, *rest))
         counting = lambda y, s: rows.append(len(y)) or f(y, s)
         batch = integrate_shifts(counting, W20.lo, W20.hi, shifts, tol=1e-10, breakpoints=(0.0,))
         values = window_convolve(k.eval, k, shifts, W20, 1e-10)

@@ -123,6 +123,74 @@ def test_overflowing_panel_sum_names_the_largest_sample():
     assert "not finite" not in str(exc.value)
 
 
+def test_overflowing_panel_sum_raises_without_a_warning():
+    # the same overflow as above, under warnings-as-errors: the error, not
+    # numpy's warning about the sum, reaches the caller
+    f = lambda x: np.where(x > 0.5, 1e308, 1.0)
+    with pytest.raises(NonFiniteIntegrandError, match="panel sum overflowed: every sample is finite") as exc:
+        integrate(f, 0.0, 1.0)
+    assert exc.value.value == 1e308 and exc.value.x > 0.5 and exc.value.shift is None
+
+
+def test_overflowing_sum_over_finite_panels_names_the_largest_panel():
+    # each of the two panels holds 1.2e308, their sum does not fit
+    f = lambda x: np.full(x.shape, 0.6e308)
+    with pytest.raises(NonFiniteIntegrandError, match="panel sum overflowed: every panel is finite") as exc:
+        integrate(f, -2.0, 2.0, breakpoints=(0.0,))
+    assert exc.value.value == pytest.approx(1.2e308) and exc.value.x in (-1.0, 1.0)
+    assert "rounding floor" not in str(exc.value)
+
+
+@pytest.mark.parametrize("f, b, message", [
+    (lambda x, s: np.where(x > s, np.nan, 1.0), 1.0, "integrand is not finite: value nan"),
+    (lambda x, s: np.where(x > s, 1e308, 1.0), 1.0, "every sample is finite"),
+    (lambda x, s: np.full(x.shape, 0.6e308) * (s == 0.5), 2.0, "every panel is finite"),
+], ids=["nan", "sample-sum", "panel-sum"])
+def test_batched_non_finite_failure_names_its_shift(f, b, message):
+    # shift 2 stays finite and shift 0.5 does not
+    with pytest.raises(NonFiniteIntegrandError, match=message) as exc:
+        integrate_shifts(f, -2.0, b, [2.0, 0.5], breakpoints=(0.0,))
+    assert exc.value.shift == 0.5 and str(exc.value).endswith(" for shift 0.5")
+
+
+def _counting(calls):
+    def f(x, s=None):
+        calls.append(x.shape)
+        return np.sin(x)
+    return f
+
+
+@pytest.mark.parametrize("a, b, message", [
+    (0.0, np.inf, r"limits must be finite: \[0\.0, inf\]"),
+    (-np.inf, 0.0, r"limits must be finite: \[-inf, 0\.0\]"),
+    (np.nan, 1.0, r"limits must be finite: \[nan, 1\.0\]"),
+    (-1e308, 1e308, r"width overflows a float: \[-1e\+308, 1e\+308\]"),
+], ids=["inf", "minus-inf", "nan", "width"])
+def test_limits_that_cannot_be_integrated_are_refused_unevaluated(a, b, message):
+    calls = []
+    with pytest.raises(ValueError, match=message):
+        integrate(_counting(calls), a, b)
+    with pytest.raises(ValueError, match=message):
+        integrate_shifts(_counting(calls), a, b, [0.0])
+    assert calls == []
+
+
+def test_infinite_tolerance_is_refused_unevaluated():
+    # an infinite tolerance would return the first panels' sum as converged
+    calls = []
+    for tol in (np.inf, np.nan):
+        with pytest.raises(ValueError, match=f"tol must be positive and finite, got {tol}"):
+            integrate(_counting(calls), 0.0, 30.0, tol=tol)
+    assert calls == []
+
+
+def test_nan_shift_is_refused_unevaluated():
+    calls = []
+    with pytest.raises(ValueError, match=r"shifts\[1\] is NaN"):
+        integrate_shifts(_counting(calls), -1.0, 1.0, [0.0, np.nan, 0.5])
+    assert calls == []
+
+
 def _cusp_integral(c: float) -> float:
     """Integral of |x - c|**0.7 over [-1, 2], for c in [-1, 2]."""
     return ((c + 1) ** 1.7 + (2 - c) ** 1.7) / 1.7

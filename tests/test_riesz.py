@@ -152,7 +152,7 @@ class TestGramMatrix:
         # displacements refining in one run
         panels = []
         gk15 = quadrature._gk15
-        monkeypatch.setattr(quadrature, "_gk15", lambda f, lo, hi, s: panels.append(lo.size) or gk15(f, lo, hi, s))
+        monkeypatch.setattr(quadrature, "_gk15", lambda f, lo, *rest: panels.append(lo.size) or gk15(f, lo, *rest))
         k = KernelSpec(UnitDeviancePair(SymmetricStable(0.7, 1.0), Normal(1.0)), 1.0)
         gram_matrix(TranslateSystem(k, tuple(rational_enumeration(32)), Window()))
         assert (len(panels), sum(panels)) == (20, 19_408)
