@@ -337,14 +337,17 @@ def _cmd_figures(cfg: RunConfig) -> dict:
     standard normal and t (3 degrees of freedom) reference densities."""
     ys = _symmetric_grid(cfg.window, cfg.window.n_grid)
 
-    def curve(phi, psi, perturb=None):
-        return replace(cfg, phi=phi, psi=psi, perturb=perturb).model().density(ys, 0.0)
+    def model(phi, psi):
+        return replace(cfg, phi=phi, psi=psi, perturb=None).model()
 
+    # fig2D perturbs fig2C's normalizer, so the Laplace kernel is integrated once.
+    laplace = model(charfn.Laplace(1.0), charfn.Laplace(1.0))
+    perturbed = DispersionModel(laplace.kernel, perturbed_normalizer(laplace.normalizer, CosineGaussian()))
     curves = {
-        "fig1A.csv": curve(charfn.Normal(1.0), charfn.Normal(1.0)),
-        "fig1B.csv": curve(charfn.Cauchy(1.0), charfn.Normal(1.0)),
-        "fig2C.csv": curve(charfn.Laplace(1.0), charfn.Laplace(1.0)),
-        "fig2D.csv": curve(charfn.Laplace(1.0), charfn.Laplace(1.0), CosineGaussian()),
+        "fig1A.csv": model(charfn.Normal(1.0), charfn.Normal(1.0)).density(ys, 0.0),
+        "fig1B.csv": model(charfn.Cauchy(1.0), charfn.Normal(1.0)).density(ys, 0.0),
+        "fig2C.csv": laplace.density(ys, 0.0),
+        "fig2D.csv": perturbed.density(ys, 0.0),
         "reference_normal.csv": _std_normal_pdf(ys),
         "reference_t3.csv": _t3_pdf(ys),
     }

@@ -37,9 +37,20 @@ class UnitDeviancePair:
     phi: CharFn
     psi: CharFn
 
-    def deviance(self, y: ArrayLike, mu: ArrayLike) -> ArrayLike:
-        t = np.asarray(y, dtype=float) - np.asarray(mu, dtype=float)
+    def at(self, t: ArrayLike) -> ArrayLike:
+        """d(mu + t; mu) = (1 - phi(t)) |psi(t)|, the deviance at displacement
+        ``t`` from the position, which does not depend on mu.
+
+        The one home of the formula: :meth:`deviance` calls it on ``y - mu``
+        and the kernel on ``y`` itself, so both give the same bits for the
+        same displacement.  ``t`` is anything the members' ``eval`` accepts
+        (a number or an array); the result is a numpy float scalar for a
+        scalar ``t`` and an array of the shape of ``t`` otherwise.
+        """
         return (1.0 - self.phi.eval(t)) * np.abs(self.psi.eval(t))
+
+    def deviance(self, y: ArrayLike, mu: ArrayLike) -> ArrayLike:
+        return self.at(np.asarray(y, dtype=float) - np.asarray(mu, dtype=float))
 
     def is_regular(self) -> bool:
         """Both members have finite first and second moments."""

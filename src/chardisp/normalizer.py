@@ -100,7 +100,7 @@ class KernelSpec:
             raise ValueError(f"index parameter lam must be >= 0, got {self.lam}")
 
     def eval(self, y: ArrayLike) -> ArrayLike:
-        return np.exp(-self.lam * self.pair.deviance(y, 0.0))
+        return np.exp(-self.lam * self.pair.at(y))
 
 
 def kernel_integral(k: KernelSpec, w: Window, tol: float = DEFAULT_TOL) -> float:

@@ -34,6 +34,15 @@ and Gauss sums agree to the bit it is zero, yet the value still carries
 the rounding of its weighted sums.  So the reported ``error_bound`` is the
 summed estimate plus the integral's rounding floor, ``ROUNDING_ULPS`` eps
 times the sum of its |panel values|.
+
+Many rounds evaluate only a few dozen panels, so their cost is mostly
+Python overhead.  Every numpy call made once per round or once per block
+therefore goes straight to a ufunc, a ufunc method or an ndarray method
+implemented in C (``v.repeat``, ``np.add.accumulate``,
+``np.logical_or.reduce``, ``np.add.reduce``, ``.nonzero()``), not to
+numpy's Python-level wrappers (``np.repeat``, ``np.cumsum``,
+``ndarray.any``, ``ndarray.sum``, ``np.flatnonzero``), which compute the
+same bits and add 1-2 us a call.  Paths that only raise keep the wrappers.
 """
 from __future__ import annotations
 
@@ -100,6 +109,8 @@ MARK_FRACTION = 0.25
 # relative rounding, so estimates below the floor are rounding, not error,
 # and the floor is added to every returned error bound.
 ROUNDING_ULPS = 32
+# Read once: np.finfo is a Python-level call.
+_EPS = np.finfo(float).eps
 
 
 class QuadratureError(RuntimeError):
@@ -163,7 +174,7 @@ def _gk15(f, lo: np.ndarray, hi: np.ndarray, s: np.ndarray, named: bool):
     k, err = np.empty(lo.size), np.empty(lo.size)
     for start in range(0, lo.size, PANEL_BLOCK):
         rows = slice(start, start + PANEL_BLOCK)
-        mid = (0.5 * (lo[rows] + hi[rows]))[:, None]
+        mid = (0.5 * lo[rows] + 0.5 * hi[rows])[:, None]
         half = 0.5 * (hi[rows] - lo[rows])
         x = mid + half[:, None] * _NODES
         fx = np.asarray(f(x, s[rows, None]), dtype=float)
@@ -171,11 +182,11 @@ def _gk15(f, lo: np.ndarray, hi: np.ndarray, s: np.ndarray, named: bool):
         # depend on how many rows share the call.  A sum that is not finite
         # is raised below, so numpy's warnings about it are not wanted.
         with np.errstate(over="ignore", invalid="ignore"):
-            kb = half * (fx * _WEIGHTS_K).sum(axis=1)
-            eb = np.abs(kb - half * (fx[:, 1::2] * _WEIGHTS_G).sum(axis=1))
+            kb = half * np.add.reduce(fx * _WEIGHTS_K, axis=1)
+            eb = np.abs(kb - half * np.add.reduce(fx[:, 1::2] * _WEIGHTS_G, axis=1))
         # The estimate is finite only if every sample and both sums are:
         # check it, and look for the culprit only on failure.
-        if not np.isfinite(eb).all():
+        if not np.logical_and.reduce(np.isfinite(eb)):
             r = int(np.flatnonzero(~np.isfinite(eb))[0])
             bad = np.flatnonzero(~np.isfinite(fx[r]))
             i = int(bad[0]) if bad.size else int(np.argmax(np.abs(fx[r])))
@@ -200,52 +211,52 @@ def _rounds(f, a: float, b: float, shifts: np.ndarray, edges: list, tol: float, 
     # group j is the count[j] panels of integral ids[j], and s holds each
     # panel's shift.
     ids, count = np.arange(len(edges)), np.array(count)
-    lo, hi, s = np.array(lo, dtype=float), np.array(hi, dtype=float), np.repeat(shifts, count)
+    lo, hi, s = np.array(lo, dtype=float), np.array(hi, dtype=float), shifts.repeat(count)
     val, err = _gk15(f, lo, hi, s, named)
     while True:
-        start = np.cumsum(count) - count
+        start = np.add.accumulate(count) - count
         # Sums over finite panels may overflow: a bound that does keeps
         # refining, a total of |values| that does is raised, and a value's
         # sum is bounded by that total.
         with np.errstate(over="ignore"):
             bound = np.add.reduceat(err, start)
             total = np.add.reduceat(np.abs(val), start)
-        if not np.isfinite(total).all():
+        if not np.logical_and.reduce(np.isfinite(total)):
             j = int(np.flatnonzero(~np.isfinite(total))[0])
             p = start[j] + int(np.argmax(np.abs(val[start[j]:start[j] + count[j]])))
             raise NonFiniteIntegrandError(0.5 * float(lo[p]) + 0.5 * float(hi[p]), float(val[p]),
                                           float(s[p]) if named else None, part="panel")
-        floor = ROUNDING_ULPS * np.finfo(float).eps * total
+        floor = ROUNDING_ULPS * _EPS * total
         # Panels too narrow to bisect keep their error in the bound.
-        splittable = hi - lo >= 64 * np.finfo(float).eps * np.maximum(np.maximum(np.abs(lo), np.abs(hi)), b - a)
+        splittable = hi - lo >= 64 * _EPS * np.maximum(np.maximum(np.abs(lo), np.abs(hi)), b - a)
         worst = np.maximum.reduceat(np.where(splittable, err, -np.inf), start)
         done = bound <= tol
         failed = ~done & ((count >= max_panels) | (worst == -np.inf))
-        if failed.any():
+        if np.logical_or.reduce(failed):
             j = int(np.flatnonzero(failed)[0])
             seg = slice(start[j], start[j] + count[j])
             raise QuadratureError(float(val[seg].sum()), float(bound[j]), shift=float(s[seg.start]) if named else None,
                                   floor=float(floor[j]) if bound[j] <= floor[j] else None)
-        if done.any():
+        if np.logical_or.reduce(done):
             value = np.add.reduceat(val, start)
-            for j in np.flatnonzero(done).tolist():
+            for j in done.nonzero()[0].tolist():
                 results[ids[j]] = QuadResult(float(value[j]), float(bound[j] + floor[j]), int(count[j]))
-            if done.all():
+            if np.logical_and.reduce(done):
                 return results
-        mark = splittable & (err >= np.repeat(np.where(done, np.inf, MARK_FRACTION * worst), count))
+        mark = splittable & (err >= np.where(done, np.inf, MARK_FRACTION * worst).repeat(count))
         room = max_panels - count
         marked = np.add.reduceat(mark, start)
-        for j in np.flatnonzero(marked > room).tolist():  # the largest errors fill what budget is left
-            seg = start[j] + np.flatnonzero(mark[start[j]:start[j] + count[j]])
+        for j in (marked > room).nonzero()[0].tolist():  # the largest errors fill what budget is left
+            seg = start[j] + mark[start[j]:start[j] + count[j]].nonzero()[0]
             mark[seg[np.argsort(-err[seg], kind="stable")[room[j]:]]] = False
         # Each live panel once, each marked one twice: the two copies become
         # its children in place, so grouping and order hold.
-        rep = np.repeat(~done, count) * (1 + mark)
+        rep = (~done).repeat(count) * (1 + mark)
         ids, count = ids[~done], (count + np.minimum(marked, room))[~done]
-        kids = np.repeat(mark, rep)
-        lo, hi, val, err, s = (np.repeat(v, rep) for v in (lo, hi, val, err, s))
-        first = np.flatnonzero(kids)[::2]
-        hi[first] = lo[first + 1] = 0.5 * (lo[first] + hi[first])
+        kids = mark.repeat(rep)
+        lo, hi, val, err, s = (v.repeat(rep) for v in (lo, hi, val, err, s))
+        first = kids.nonzero()[0][::2]
+        hi[first] = lo[first + 1] = 0.5 * lo[first] + 0.5 * hi[first]
         val[kids], err[kids] = _gk15(f, lo[kids], hi[kids], s[kids], named)
 
 

@@ -5,10 +5,20 @@ are deliberately dumb reference computations (midpoint Riemann sums,
 cumulative trapezoids, direct Jacobi-style eigensolves via mpmath, the
 rational enumeration in exact fractions, the three-transform discrete
 deconvolution) so the two routes can disagree when the library is wrong.
+It also counts the frames a call enters in numpy's Python-level wrappers,
+for the tests that keep them out of the quadrature's hot paths.
 """
 from __future__ import annotations
 
+import os
+import sys
+
 import numpy as np
+
+# numpy's modules of Python-level wrappers around ufuncs and ndarray methods
+# (np.repeat, np.clip, np.cumsum, np.flatnonzero, ndarray.sum/any/all...),
+# by basename: numpy 1.x keeps them in numpy/core, 2.x in numpy/_core.
+NUMPY_WRAPPER_FILES = ("fromnumeric.py", "numeric.py", "_methods.py")
 
 
 def midpoint_integral(f, a: float, b: float, n: int = 10_000_000, chunk: int = 1_000_000) -> float:
@@ -90,3 +100,24 @@ def fft_deconvolve_reference(kernel, lo: float, hi: float, n: int):
     ahat = np.where(guard, 0.0, bhat / np.where(guard, 1.0, dy * khat))
     a = np.fft.ifft(ahat).real
     return a, float(ahat[0].real / n), float(a.max() - a.min()), int(guard.sum())
+
+
+def numpy_wrapper_frames(call, files=NUMPY_WRAPPER_FILES) -> int:
+    """Python frames entered in numpy's modules named ``files`` while
+    ``call()`` runs, counted as ``call`` events under ``sys.setprofile``."""
+    root = os.path.dirname(np.__file__) + os.sep
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        path = frame.f_code.co_filename
+        if event == "call" and path.startswith(root) and os.path.basename(path) in files:
+            count += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(previous)
+    return count

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chardisp.charfn import Cauchy, InvalidSpecError, Laplace, Normal, SymmetricNIG, SymmetricStable
+from chardisp.charfn import T_CAP, Cauchy, InvalidSpecError, Laplace, Normal, SymmetricNIG, SymmetricStable
 from chardisp.deviance import (
     UnitDeviancePair,
     check_unit_deviance,
     regularity_probe,
 )
+from chardisp.normalizer import KernelSpec
 
 NN = UnitDeviancePair(Normal(1.0), Normal(1.0))
 CN = UnitDeviancePair(Cauchy(1.0), Normal(1.0))
@@ -201,3 +202,41 @@ def test_property_translation_symmetry_bounds(pair, y, mu, c):
     # symmetry in the separation
     t = y - mu
     assert pair.deviance(mu + t, mu) == pytest.approx(pair.deviance(mu - t, mu), abs=1e-15)
+
+
+# Scales up to 1e300, past the 1e142 where the clamp tightens below T_CAP;
+# a NIG member's clamp scale is sqrt(delta), so its delta reaches 1e300 too.
+_SCALES = st.one_of(st.floats(1e-3, 1e3), st.floats(1e142, 1e300))
+_MEMBERS = st.one_of(
+    st.builds(Normal, _SCALES),
+    st.builds(Cauchy, _SCALES),
+    st.builds(Laplace, _SCALES),
+    st.builds(SymmetricStable, st.floats(0.05, 2.0), _SCALES),
+    st.builds(SymmetricNIG, st.floats(1e-3, 1e3), st.one_of(_SCALES, st.floats(1e284, 1e300))),
+)
+_BEYOND_CAP = st.floats(T_CAP, 1e300) | st.just(math.inf)
+_DISPLACEMENTS = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(-1e3, 1e3),
+    _BEYOND_CAP,
+    _BEYOND_CAP.map(lambda t: -t),
+    st.integers(-10**15, 10**15),
+    st.floats(-1e12, 1e12).map(np.float64),
+    st.floats(-1e12, 1e12).map(np.asarray),
+    st.lists(st.floats(-1e12, 1e12), min_size=1, max_size=5).map(np.array),
+)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=300)
+@given(phi=_MEMBERS, psi=_MEMBERS, t=_DISPLACEMENTS, lam=st.floats(0.0, 10.0))
+def test_at_is_the_deviance_at_a_displacement_bit_for_bit(phi, psi, t, lam):
+    pair = UnitDeviancePair(phi, psi)
+    d = pair.deviance(t, 0.0)
+    assert _same_bits(pair.at(t), d)
+    assert type(pair.at(t)) is type(d)
+    assert _same_bits(KernelSpec(pair, lam).eval(t), np.exp(-lam * d))

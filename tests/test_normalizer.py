@@ -31,7 +31,7 @@ from chardisp.quadrature import (
     integrate_shifts,
 )
 
-from oracles import fft_deconvolve_reference, midpoint_convolution, midpoint_integral
+from oracles import fft_deconvolve_reference, midpoint_convolution, midpoint_integral, numpy_wrapper_frames
 
 NN = UnitDeviancePair(Normal(1.0), Normal(1.0))
 LL = UnitDeviancePair(Laplace(1.0), Laplace(1.0))
@@ -111,6 +111,17 @@ class TestKernel:
     def test_rejects_negative_lambda(self):
         with pytest.raises(ValueError):
             KernelSpec(NN, -0.5)
+
+    @pytest.mark.parametrize(
+        "phi", [Normal(1.0), Cauchy(1.0), Laplace(1.0), SymmetricStable(0.7, 1.0), SymmetricNIG(1.0, 1.0)],
+        ids=lambda phi: phi.family,
+    )
+    def test_evaluation_enters_no_fromnumeric_wrapper(self, phi):
+        # the kernel runs once per quadrature block, where a wrapper such as
+        # np.clip costs as much as the arithmetic of a small block
+        k = KernelSpec(UnitDeviancePair(phi, Normal(1.0)), 1.0)
+        ys = np.linspace(-5.0, 5.0, 15)
+        assert numpy_wrapper_frames(lambda: k.eval(ys), files=("fromnumeric.py",)) == 0
 
 
 class TestKernelIntegral:

@@ -11,7 +11,7 @@ from chardisp.quadrature import (
     integrate_shifts,
 )
 
-from oracles import midpoint_integral
+from oracles import midpoint_integral, numpy_wrapper_frames
 
 
 def test_exact_on_polynomials():
@@ -242,3 +242,34 @@ def test_error_bound_dominates_on_cusps(tol):
     batch = integrate_shifts(lambda x, s: np.abs(x - s) ** 0.7, -1.0, 2.0, shifts, tol=tol)
     for s, res in zip(shifts, batch):
         assert abs(res.value - _cusp_integral(s)) <= res.error_bound + 1e-15
+
+
+def test_midpoints_near_the_float_maximum_do_not_overflow():
+    # lo + hi overflows on every panel of [1e308, 1.7e308]; 0.5 lo + 0.5 hi
+    # does not, for a panel's midpoint nor for a bisection point
+    res = integrate(lambda x: np.ones_like(x), 1e308, 1.7e308, tol=1e295)
+    assert res.value == pytest.approx(0.7e308, rel=1e-15) and res.n_panels == 1
+    res = integrate(lambda x: np.cos((x - 1e308) / 1e307), 1e308, 1.7e308, tol=1e295)
+    assert res.n_panels > 1
+    assert res.value == pytest.approx(1e307 * np.sin(7.0), rel=1e-13)
+
+
+def test_numpy_wrapper_frames_do_not_grow_with_rounds():
+    # numpy's Python-level wrappers cost 1-2 us a call, so none of them may
+    # run once per round: a cusp refining in 20 rounds enters as many wrapper
+    # frames as a smooth integrand refining in 6
+    shifts = np.linspace(-0.5, 0.5, 5)
+    calls = []
+
+    def frames(f):
+        def counted(x, s):
+            calls.append(None)
+            return f(x, s)
+        calls.clear()
+        n = numpy_wrapper_frames(lambda: integrate_shifts(counted, -1.0, 1.0, shifts))
+        return n, len(calls)
+
+    smooth, smooth_rounds = frames(lambda x, s: np.cos(20.0 * (x - s)))
+    cusp, cusp_rounds = frames(lambda x, s: np.abs(x - s) ** 0.3)
+    assert cusp_rounds >= 3 * smooth_rounds
+    assert cusp == smooth
