@@ -110,7 +110,7 @@ def kernel_integral(k: KernelSpec, w: Window, tol: float = DEFAULT_TOL) -> float
     Raises :class:`QuadratureError` (carrying the best estimate and its
     error bound) if the subdivision budget is exhausted first.
     """
-    return float(window_convolve(np.ones_like, k, 0.0, w, tol))
+    return float(window_convolve(lambda y: 1.0, k, 0.0, w, tol))
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +400,43 @@ def window_convolve(g, k: KernelSpec, shifts, window: Window, tol: float, corner
     )
     values = np.array([r.value for r in results])
     return values[which].reshape(np.shape(shifts))
+
+
+def window_autoconvolve(k: KernelSpec, shifts, window: Window, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Integral over the window W = [lo, hi] of K(y) K(s - y) dy, and its
+    error bound, for each shift s, each integral folded about s/2.
+
+    The integrand h(y) = K(y) K(s - y) is symmetric about s/2, since
+    h(s - y) = h(y).  On the reflected overlap I = W n (s - W) =
+    [max(lo, s - hi), min(hi, s - lo)], whose midpoint is s/2, the part of
+    the integral left of s/2 therefore equals the part right of it, and the
+    integral is that of h times a factor: 2 on I right of s/2, 0 on I left
+    of it, and 1 outside I (everywhere when I is empty, that is when s/2
+    lies outside the window).  Each integral is cut at the kinks 0 and s of
+    h, at s/2 and at the two edges of I, so every panel lies in one region,
+    and a panel's factor is decided from its centre, never from each
+    abscissa: one rounded onto an edge keeps its panel's factor.  The
+    centre is in I when its distance from s/2 is below I's half-width
+    min(hi - s/2, s/2 - lo), which is negative when I is empty.  Refinement
+    thus works on one mirror half of I only, and on the kinks in that half.
+
+    ``shifts`` is an array of any shape; both results have that shape, and
+    equal shifts share one value.  The kernel is evaluated only through
+    ``k.eval``.  An unconverged integral raises :class:`QuadratureError`
+    naming its shift.
+    """
+    lo, hi = window.lo, window.hi
+
+    def folded(y, s):
+        half = 0.5 * s
+        d = y[:, 7:8] - half  # each row's panel centre, from s/2
+        return k.eval(y) * k.eval(s - y) * (1.0 + np.sign(d) * (np.abs(d) < np.minimum(hi - half, half - lo)))
+
+    distinct, which = np.unique(np.asarray(shifts, dtype=float), return_inverse=True)
+    results = integrate_shifts(folded, lo, hi, distinct, tol=tol,
+                               breakpoints=lambda s: (0.0, 0.5 * s, max(lo, s - hi), min(hi, s - lo)))
+    which = which.reshape(np.shape(shifts))
+    return np.array([r.value for r in results])[which], np.array([r.error_bound for r in results])[which]
 
 
 def convolution_residual(

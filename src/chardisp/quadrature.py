@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
 
@@ -346,16 +346,19 @@ def integrate_shifts(
     b: float,
     shifts: Iterable[float],
     tol: float = DEFAULT_TOL,
-    breakpoints: Iterable[float] = (),
+    breakpoints: Union[Iterable[float], Callable[[float], Iterable[float]]] = (),
     max_panels: int = MAX_PANELS,
 ) -> list[QuadResult]:
     """Integrate ``f(x, s)`` over ``[a, b]`` for every shift ``s``.
 
     ``f`` is called on an ``(m, 15)`` array of abscissae and an ``(m, 1)``
-    column holding each row's shift, ``m`` at most ``PANEL_BLOCK``, and
-    must act elementwise.  Each integral is cut at ``breakpoints`` and at
-    its own shift.  All integrals refine together in rounds; in each, every
-    unconverged integral bisects each splittable panel whose estimate is at
+    column holding each row's shift, ``m`` at most ``PANEL_BLOCK``.  Row r
+    holds the 15 abscissae of one panel in increasing order, the middle one
+    (column 7) at its midpoint, so ``f`` may act elementwise or decide a
+    factor per row from the panel it holds.  Each integral is cut at its
+    own shift and at ``breakpoints``: a fixed iterable for every shift, or
+    a callable returning the cuts of the integral at shift ``s``.  All
+    integrals refine together in rounds; in each, every unconverged integral bisects each splittable panel whose estimate is at
     least ``MARK_FRACTION`` times its own largest one.  An integral's
     marking depends on its own panels only, so it refines as
     :func:`integrate` would refine it alone, with the same ``tol`` and
@@ -368,6 +371,8 @@ def integrate_shifts(
     failing round.
     """
     shifts = np.asarray(shifts, dtype=float).ravel()
-    fixed = tuple(breakpoints)
-    cuts = [(s, *fixed) for s in shifts.tolist()]
+    if not callable(breakpoints):
+        fixed = tuple(breakpoints)
+        breakpoints = lambda s: fixed
+    cuts = [(s, *breakpoints(s)) for s in shifts.tolist()]
     return _adapt(f, a, b, shifts, cuts, tol, max_panels, True)

@@ -16,7 +16,12 @@ Inner products of translates depend only on the displacement between the
 translation points, so each Gram entry is computed in the displaced
 coordinate over the window.  That makes the diagonal exactly equal to the
 squared kernel norm, at the price of working with the window attached to
-the relative coordinate rather than to a fixed absolute frame.
+the relative coordinate rather than to a fixed absolute frame.  Each entry
+is one integral folded about the midpoint of its integrand's symmetry
+(see :func:`gram_matrix`), which halves the panels the quadrature refines;
+the entries moved when the fold was introduced, each by at most the sum
+of its old and new error bounds, and the largest bound of a matrix is
+reported as ``max_entry_error_bound``.
 """
 from __future__ import annotations
 
@@ -24,7 +29,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .normalizer import KernelSpec, Perturbation, Window, window_convolve
+from .normalizer import KernelSpec, Perturbation, Window, window_autoconvolve, window_convolve
 from .quadrature import DEFAULT_TOL
 
 
@@ -88,7 +93,9 @@ class GramReport:
     against the claimed tight constant (both ratios equal 1 only for an
     exactly orthogonal system).  ``tight_claim_gap`` is the largest
     off-diagonal magnitude: the distance of the finite system from an
-    exactly orthogonal (tight) one.
+    exactly orthogonal (tight) one.  ``max_entry_error_bound`` is the
+    largest quadrature error bound (summed estimate plus rounding floor) of
+    the entries, over the distinct displacements.
     """
 
     gram: np.ndarray = field(repr=False)
@@ -96,6 +103,7 @@ class GramReport:
     max_eigenvalue: float = 0.0
     k_norm_sq: float = 0.0
     tight_claim_gap: float = 0.0
+    max_entry_error_bound: float = 0.0
 
     def to_dict(self) -> dict:
         return {**asdict(self), "gram": self.gram.tolist()}
@@ -108,14 +116,22 @@ def gram_matrix(sys: TranslateSystem, tol: float = DEFAULT_TOL) -> GramReport:
     Entry (i, j) is the integral over the window of K(u) K(u - (p_i - p_j)),
     the inner product of the two translates written in the coordinate of
     the first one; K is even, so that is K convolved with itself at shift
-    |p_i - p_j|.  Entries with equal |displacement| (the whole diagonal in
+    s = |p_i - p_j|.  Entries with equal |displacement| (the whole diagonal in
     particular) share a single computed value, so the matrix is symmetric
     exactly as stored and the diagonal is constant by construction.
+
+    The integrand h(y) = K(y) K(s - y) satisfies h(s - y) = h(y), so each
+    entry is computed by :func:`normalizer.window_autoconvolve` as one
+    folded integral: on I = W n (s - W), whose midpoint is s/2, h counts
+    twice right of s/2 and not at all left of it, and once outside I.  The
+    integral is cut at 0, s, s/2 and the edges of I, and each panel takes
+    the factor of its centre, so only one mirror half of I (and only its
+    kink) is refined.
     """
     k = sys.kernel
     pts = np.asarray(sys.points)
     n = pts.size
-    gram = window_convolve(k.eval, k, np.abs(np.subtract.outer(pts, pts)), sys.window, tol)
+    gram, bounds = window_autoconvolve(k, np.abs(np.subtract.outer(pts, pts)), sys.window, tol)
 
     eigs = np.linalg.eigvalsh(gram)
     off_gap = 0.0
@@ -128,6 +144,7 @@ def gram_matrix(sys: TranslateSystem, tol: float = DEFAULT_TOL) -> GramReport:
         max_eigenvalue=float(eigs[-1]),
         k_norm_sq=float(gram[0, 0]),
         tight_claim_gap=off_gap,
+        max_entry_error_bound=float(bounds.max()),
     )
 
 

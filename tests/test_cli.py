@@ -486,6 +486,7 @@ class TestRiesz:
         assert doc["points"] == [0.0, 1.0, -1.0, 0.5]
         gram = np.array(doc["gram_report"]["gram"])
         assert gram.shape == (4, 4)
+        assert 0.0 < doc["gram_report"]["max_entry_error_bound"] <= 1e-9 + 1e-12
         assert doc["frame_bounds"]["lower"] <= doc["frame_bounds"]["upper"]
         assert 0 < doc["frame_bounds"]["lower_over_k_norm_sq"] < 1
         lines = (out / "orthogonality.csv").read_text().splitlines()
@@ -498,7 +499,7 @@ class TestRiesz:
         digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
         assert digests == {
             "orthogonality.csv": "d4d4030e6933b5d01e3f2378dca3189d1c7b4232b78f82e216f82fc180b00929",
-            "riesz.json": "87115b395cd3f4c133c857f29ce75a45b559a898eec42ebd6516403ed450c969",
+            "riesz.json": "e4e7a8755602ce0d237bd4d2828a58124a9e2860a62052b7a53740f415845fee",
         }
 
 

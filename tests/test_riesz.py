@@ -2,12 +2,23 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chardisp import quadrature
 from chardisp.quadrature import integrate_shifts
 from chardisp.charfn import Laplace, Normal, SymmetricStable
 from chardisp.deviance import UnitDeviancePair
-from chardisp.normalizer import CosineGaussian, KernelSpec, OddGaussian, TabulatedEven, Window, Zero
+from chardisp.normalizer import (
+    CosineGaussian,
+    KernelSpec,
+    OddGaussian,
+    TabulatedEven,
+    Window,
+    Zero,
+    window_autoconvolve,
+    window_convolve,
+)
 from chardisp.riesz import (
     TranslateSystem,
     gram_matrix,
@@ -148,15 +159,74 @@ class TestGramMatrix:
     def test_cusp_heavy_gram_refines_in_few_rounds(self, monkeypatch):
         # stable 0.7 x normal at n = 32 on the default window: splitting one
         # panel per integral per round took 204 integrand rounds and 18,912
-        # panels; maximum marking takes 20 rounds for 19,408 panels, all 147
-        # displacements refining in one run
+        # panels; maximum marking took 20 rounds for 19,408 panels, all 147
+        # displacements refining in one run; folding each integral about
+        # s/2 refines one mirror half, in 19 rounds for 10,074 panels
         panels = []
         gk15 = quadrature._gk15
         monkeypatch.setattr(quadrature, "_gk15", lambda f, lo, *rest: panels.append(lo.size) or gk15(f, lo, *rest))
         k = KernelSpec(UnitDeviancePair(SymmetricStable(0.7, 1.0), Normal(1.0)), 1.0)
         gram_matrix(TranslateSystem(k, tuple(rational_enumeration(32)), Window()))
-        assert (len(panels), sum(panels)) == (20, 19_408)
+        assert (len(panels), sum(panels)) == (19, 10_074)
         assert len(panels) <= 0.4 * 204 and sum(panels) <= 1.15 * 18_912
+        assert sum(panels) <= 0.55 * 19_408
+
+    def test_a_kernel_subclass_sees_every_gram_abscissa(self, monkeypatch):
+        # the fold evaluates the kernel only through eval: K(y) and K(s - y),
+        # 15 abscissae each per panel, and the values are the plain kernel's
+        pts = tuple(rational_enumeration(8))
+        want = gram_matrix(TranslateSystem(KernelSpec(LL, 1.0), pts, W20)).gram
+        seen, panels = [], []
+
+        class Recording(KernelSpec):
+            def eval(self, y):
+                seen.append(np.size(y))
+                return super().eval(y)
+
+        gk15 = quadrature._gk15
+        monkeypatch.setattr(quadrature, "_gk15", lambda f, lo, *rest: panels.append(lo.size) or gk15(f, lo, *rest))
+        got = gram_matrix(TranslateSystem(Recording(LL, 1.0), pts, W20)).gram
+        assert np.array_equal(got, want)
+        assert sum(seen) == 2 * 15 * sum(panels) > 0
+
+    def test_max_entry_error_bound_is_the_largest_displacement_bound(self):
+        pts = tuple(rational_enumeration(8))
+        k = KernelSpec(LL, 1.0)
+        rep = gram_matrix(TranslateSystem(k, pts, W20), tol=1e-9)
+        _, bounds = window_autoconvolve(k, np.unique(np.abs(np.subtract.outer(pts, pts))), W20, 1e-9)
+        assert rep.max_entry_error_bound == bounds.max()
+        assert 0.0 < rep.max_entry_error_bound <= 1e-9 + 1e-12  # the estimate plus the rounding floor
+
+
+_FOLD_KERNELS = {
+    "normal": KernelSpec(NN, 1.0),
+    "stable07_normal": KernelSpec(UnitDeviancePair(SymmetricStable(0.7, 1.0), Normal(1.0)), 1.0),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    kernel=st.sampled_from(sorted(_FOLD_KERNELS)),
+    lo=st.floats(-25.0, 15.0),
+    width=st.floats(0.5, 40.0),
+    fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+)
+@example(kernel="stable07_normal", lo=-20.0, width=40.0, fractions=[0.0, 0.0125, 0.5, 1.0])  # symmetric
+@example(kernel="stable07_normal", lo=-12.0, width=32.0, fractions=[0.0, 0.25, 0.9])  # partial reflection
+@example(kernel="normal", lo=1.0, width=29.0, fractions=[0.0, 0.05, 0.5])  # no overlap below s = 2
+@example(kernel="normal", lo=3.265, width=12.806, fractions=[0.578])  # no kink in I, whose centre rounds off s/2
+@example(kernel="stable07_normal", lo=-30.0, width=10.0, fractions=[0.3])  # window below 0: no overlap
+def test_folded_gram_entries_agree_with_the_unfolded_integrals(kernel, lo, width, fractions):
+    # G(s) folded about s/2 against the plain window convolution of K with
+    # itself, for s in [0, width], within the sum of the two error bounds
+    k, w, tol = _FOLD_KERNELS[kernel], Window(lo, lo + width), 1e-10
+    shifts = np.array(fractions) * w.width
+    folded, folded_bounds = window_autoconvolve(k, shifts, w, tol)
+    unfolded = integrate_shifts(lambda y, s: k.eval(y) * k.eval(s - y), w.lo, w.hi, shifts, tol=tol,
+                                breakpoints=(0.0,))
+    assert np.array_equal([r.value for r in unfolded], window_convolve(k.eval, k, shifts, w, tol))
+    for value, bound, r in zip(folded, folded_bounds, unfolded):
+        assert abs(value - r.value) <= bound + r.error_bound
 
 
 class TestFrameBounds:
