@@ -76,8 +76,8 @@ class AxiomReport:
         return {**asdict(self), "violations": [list(v) for v in self.violations]}
 
 
-def check_unit_deviance(pair, y_grid, mu_grid, diagonal_tol: float = DIAGONAL_TOL) -> AxiomReport:
-    """Verify d(mu;mu) = 0 and d(y;mu) > 0 on the grid y_grid x mu_grid.
+def check_unit_deviance(pair, y_grid, mu_grid) -> AxiomReport:
+    """Verify |d(mu;mu)| <= DIAGONAL_TOL and d(y;mu) > 0 on the grid y_grid x mu_grid.
 
     Accepts any object with a ``deviance(y, mu)`` method, so deliberately
     corrupted evaluators can be fed in to confirm the check bites.
@@ -95,7 +95,7 @@ def check_unit_deviance(pair, y_grid, mu_grid, diagonal_tol: float = DIAGONAL_TO
     off = ~diag
     # Written as failures of the axioms, so that NaN entries are witnesses.
     witnesses = []
-    for bad in (diag & ~(np.abs(d) <= diagonal_tol), off & ~(d > 0.0)):
+    for bad in (diag & ~(np.abs(d) <= DIAGONAL_TOL), off & ~(d > 0.0)):
         ii, jj = np.nonzero(bad)
         for i, j in zip(ii[:MAX_WITNESSES], jj[:MAX_WITNESSES]):
             witnesses.append((float(y[i]), float(mu[j]), float(d[i, j])))
@@ -106,7 +106,6 @@ def check_unit_deviance(pair, y_grid, mu_grid, diagonal_tol: float = DIAGONAL_TO
         min_off_diagonal=float(np.min(d[off])) if off.any() else np.inf,
         n_diagonal=int(diag.sum()),
         n_off_diagonal=int(off.sum()),
-        diagonal_tol=diagonal_tol,
         violations=tuple(witnesses[:MAX_WITNESSES]),
     )
 

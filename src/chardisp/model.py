@@ -286,6 +286,8 @@ def diagnostics(
         lo, hi = m.position_domain
         mu_grid = np.linspace(lo, hi, 9)
     mu_grid = np.atleast_1d(np.asarray(mu_grid, dtype=float))
+    if mu_grid.size == 0:
+        raise ValueError("mu_grid must hold at least one point")
     residuals = convolution_residual(m.normalizer, m.kernel, mu_grid, tol=tol)
     return DiagnosticsReport(
         normalization_residuals={float(mu): float(r) for mu, r in zip(mu_grid, residuals)},

@@ -387,19 +387,14 @@ def window_convolve(g, k: KernelSpec, shifts, window: Window, tol: float, corner
     """Integral over the window of g(y) K(s - y) dy, for each shift s.
 
     ``g`` is a vectorized elementwise callable and ``shifts`` an array of
-    any shape; the result has that shape.  The distinct shifts are
-    integrated together by :func:`quadrature.integrate_shifts`, each cut at
-    s (the corner of K(s - y)), at 0 and at ``corners`` (where ``g`` may
-    have one, such as the knots of a table), so equal shifts share one
-    value; an unconverged integral raises :class:`QuadratureError` naming
-    its shift.
+    any shape; the result has that shape.  The shifts are integrated
+    together by :func:`quadrature.integrate_shifts`, each distinct one
+    once, cut at the corners 0 and s of K(s - y) and at ``corners`` (where
+    ``g`` may have one, such as the knots of a table); an unconverged
+    integral raises :class:`QuadratureError` naming its shift.
     """
-    distinct, which = np.unique(np.asarray(shifts, dtype=float), return_inverse=True)
-    results = integrate_shifts(
-        lambda y, s: g(y) * k.eval(s - y), window.lo, window.hi, distinct, tol=tol, breakpoints=(0.0, *corners)
-    )
-    values = np.array([r.value for r in results])
-    return values[which].reshape(np.shape(shifts))
+    return integrate_shifts(lambda y, s: g(y) * k.eval(s - y), window.lo, window.hi, shifts, tol=tol,
+                            breakpoints=lambda s: (s, 0.0, *corners))[0]
 
 
 def window_autoconvolve(k: KernelSpec, shifts, window: Window, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -421,9 +416,10 @@ def window_autoconvolve(k: KernelSpec, shifts, window: Window, tol: float) -> tu
     thus works on one mirror half of I only, and on the kinks in that half.
 
     ``shifts`` is an array of any shape; both results have that shape, and
-    equal shifts share one value.  The kernel is evaluated only through
-    ``k.eval``.  An unconverged integral raises :class:`QuadratureError`
-    naming its shift.
+    each distinct shift is integrated once by
+    :func:`quadrature.integrate_shifts`.  The kernel is evaluated only
+    through ``k.eval``.  An unconverged integral raises
+    :class:`QuadratureError` naming its shift.
     """
     lo, hi = window.lo, window.hi
 
@@ -432,11 +428,8 @@ def window_autoconvolve(k: KernelSpec, shifts, window: Window, tol: float) -> tu
         d = y[:, 7:8] - half  # each row's panel centre, from s/2
         return k.eval(y) * k.eval(s - y) * (1.0 + np.sign(d) * (np.abs(d) < np.minimum(hi - half, half - lo)))
 
-    distinct, which = np.unique(np.asarray(shifts, dtype=float), return_inverse=True)
-    results = integrate_shifts(folded, lo, hi, distinct, tol=tol,
-                               breakpoints=lambda s: (0.0, 0.5 * s, max(lo, s - hi), min(hi, s - lo)))
-    which = which.reshape(np.shape(shifts))
-    return np.array([r.value for r in results])[which], np.array([r.error_bound for r in results])[which]
+    return integrate_shifts(folded, lo, hi, shifts, tol=tol,
+                            breakpoints=lambda s: (s, 0.0, 0.5 * s, max(lo, s - hi), min(hi, s - lo)))[:2]
 
 
 def convolution_residual(

@@ -1,19 +1,24 @@
 """Globally adaptive panel quadrature with an embedded Gauss-Kronrod pair.
 
 Every integral in this package runs through one refinement engine.  The
-interval is cut at caller-supplied breakpoints (kink locations must be
-panel boundaries, otherwise the error estimate is useless there), and each
+interval is cut at caller-supplied breakpoints and nowhere else (kink
+locations must be panel boundaries, otherwise the error estimate is
+useless there, and only the caller knows where they are), and each
 panel is evaluated with a 7-point Gauss rule embedded in a 15-point Kronrod
 rule.  Refinement runs in rounds of maximum marking: while an integral's
 summed error estimate exceeds the absolute tolerance, every splittable
 panel whose estimate is at least ``MARK_FRACTION`` times the largest
 splittable estimate of that integral is bisected.  Panels too narrow to
 split keep their error in the bound.  If the panel budget runs out first,
-:class:`QuadratureError` is raised, so a returned :class:`QuadResult` is
-always converged.
+:class:`QuadratureError` is raised, so a returned value is always
+converged.
 
-:func:`integrate_shifts` integrates a family ``f(x, s)`` for many shifts
-``s`` at once.  The live panels of all unconverged integrals sit in flat
+:func:`integrate_shifts` integrates a family ``f(x, s)`` for an array of
+shifts ``s`` of any shape, each distinct shift once, and returns the
+values, error bounds and panel counts as arrays of that shape.  It is
+the one home of that bookkeeping: the window integrals of
+:mod:`chardisp.normalizer` are each one call of it.  The live panels of
+all unconverged integrals sit in flat
 arrays, grouped by integral and ordered by position.  A round takes each
 integral's bound and largest error from per-integral reductions, marks
 panels by the rule above, evaluates the child panels ``PANEL_BLOCK`` at a
@@ -25,7 +30,10 @@ bit-identical whether it is integrated alone or in a batch, and whatever
 the block.  Shifts are processed ``SHIFT_CHUNK`` at a time and a shift's
 panels are dropped as soon as it converges, so a run holds one block's
 temporaries plus about 100 B of state per live panel, whatever the number
-of shifts.  :func:`integrate` is the one-integral case of the same engine.
+of shifts.  A converged integral's value, bound and panel count are
+written by index into the result arrays; :func:`integrate` is the
+one-integral case of the same engine and wraps its entry in a
+:class:`QuadResult`.
 
 The per-panel error estimate is the conservative ``|kronrod - gauss|``
 difference, and an integral converges when the sum of its estimates is at
@@ -43,12 +51,14 @@ implemented in C (``v.repeat``, ``np.add.accumulate``,
 numpy's Python-level wrappers (``np.repeat``, ``np.cumsum``,
 ``ndarray.any``, ``ndarray.sum``, ``np.flatnonzero``), which compute the
 same bits and add 1-2 us a call.  Paths that only raise keep the wrappers.
+For the same reason numpy's error state is entered once per run, around
+all its rounds, and not once per round or block.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -179,11 +189,9 @@ def _gk15(f, lo: np.ndarray, hi: np.ndarray, s: np.ndarray, named: bool):
         x = mid + half[:, None] * _NODES
         fx = np.asarray(f(x, s[rows, None]), dtype=float)
         # Row-wise sums, not a matrix product, so that a row's value does not
-        # depend on how many rows share the call.  A sum that is not finite
-        # is raised below, so numpy's warnings about it are not wanted.
-        with np.errstate(over="ignore", invalid="ignore"):
-            kb = half * np.add.reduce(fx * _WEIGHTS_K, axis=1)
-            eb = np.abs(kb - half * np.add.reduce(fx[:, 1::2] * _WEIGHTS_G, axis=1))
+        # depend on how many rows share the call.
+        kb = half * np.add.reduce(fx * _WEIGHTS_K, axis=1)
+        eb = np.abs(kb - half * np.add.reduce(fx[:, 1::2] * _WEIGHTS_G, axis=1))
         # The estimate is finite only if every sample and both sums are:
         # check it, and look for the culprit only on failure.
         if not np.logical_and.reduce(np.isfinite(eb)):
@@ -197,11 +205,13 @@ def _gk15(f, lo: np.ndarray, hi: np.ndarray, s: np.ndarray, named: bool):
 
 
 def _rounds(f, a: float, b: float, shifts: np.ndarray, edges: list, tol: float, max_panels: int,
-            named: bool) -> list[QuadResult]:
+            named: bool, out: list) -> None:
     """Adaptive refinement of one chunk of integrals, integral i starting
     from the panels between ``edges[i]``, advanced together in rounds of
-    maximum marking (see the module docstring)."""
-    results: list = [None] * len(edges)
+    maximum marking (see the module docstring).  Integral i's value, error
+    bound and panel count are written to index i of the three ``out``
+    arrays as it converges."""
+    value, error_bound, n_panels = out
     count, lo, hi = [], [], []
     for e in edges:
         count.append(len(e) - 1)
@@ -218,9 +228,8 @@ def _rounds(f, a: float, b: float, shifts: np.ndarray, edges: list, tol: float, 
         # Sums over finite panels may overflow: a bound that does keeps
         # refining, a total of |values| that does is raised, and a value's
         # sum is bounded by that total.
-        with np.errstate(over="ignore"):
-            bound = np.add.reduceat(err, start)
-            total = np.add.reduceat(np.abs(val), start)
+        bound = np.add.reduceat(err, start)
+        total = np.add.reduceat(np.abs(val), start)
         if not np.logical_and.reduce(np.isfinite(total)):
             j = int(np.flatnonzero(~np.isfinite(total))[0])
             p = start[j] + int(np.argmax(np.abs(val[start[j]:start[j] + count[j]])))
@@ -238,11 +247,12 @@ def _rounds(f, a: float, b: float, shifts: np.ndarray, edges: list, tol: float, 
             raise QuadratureError(float(val[seg].sum()), float(bound[j]), shift=float(s[seg.start]) if named else None,
                                   floor=float(floor[j]) if bound[j] <= floor[j] else None)
         if np.logical_or.reduce(done):
-            value = np.add.reduceat(val, start)
-            for j in done.nonzero()[0].tolist():
-                results[ids[j]] = QuadResult(float(value[j]), float(bound[j] + floor[j]), int(count[j]))
+            j = ids[done]
+            value[j] = np.add.reduceat(val, start)[done]
+            error_bound[j] = (bound + floor)[done]
+            n_panels[j] = count[done]
             if np.logical_and.reduce(done):
-                return results
+                return
         mark = splittable & (err >= np.where(done, np.inf, MARK_FRACTION * worst).repeat(count))
         room = max_panels - count
         marked = np.add.reduceat(mark, start)
@@ -261,18 +271,24 @@ def _rounds(f, a: float, b: float, shifts: np.ndarray, edges: list, tol: float, 
 
 
 def _adapt(f, a: float, b: float, shifts: np.ndarray, cuts: list, tol: float, max_panels: int,
-           named: bool) -> list[QuadResult]:
+           named: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Integral i of ``f(x, shifts[i])``, cut at ``cuts[i]``, for every i, in
-    chunks of ``SHIFT_CHUNK``; ``named`` puts the shift in budget errors.
-    A chunk holds ``PANEL_BLOCK`` panels' temporaries plus about 100 B per
-    live panel, at most ``SHIFT_CHUNK x max_panels`` of them.  Chunks run in
-    order, so a budget failure names the first shift, in order, of those
-    that fail in the earliest failing round of the first chunk with a
-    failure.  Inputs that cannot be integrated are refused before any
+    chunks of ``SHIFT_CHUNK``: returns the arrays (values, error bounds,
+    panel counts), entry i for integral i.  ``named`` puts the shift in
+    errors.  A chunk holds ``PANEL_BLOCK`` panels' temporaries plus about
+    100 B per live panel, at most ``SHIFT_CHUNK x max_panels`` of them.
+    Chunks run in order, so a failure names the first shift, in order, of
+    those that fail in the earliest failing round of the first chunk with
+    a failure.  Inputs that cannot be integrated are refused before any
     evaluation: a tolerance that is not positive and finite, limits that
-    are not finite or out of order or whose width overflows, a NaN shift,
-    and cuts that force more than ``max_panels`` panels (naming the first
-    such shift)."""
+    are not finite or out of order or whose width overflows, and cuts that
+    force more than ``max_panels`` panels (naming the first such shift).
+
+    numpy's overflow and invalid-value warnings are silenced once for the
+    whole run, integrand calls included: a sample or a panel sum that is
+    not finite is raised as :class:`NonFiniteIntegrandError`, and a bound
+    that overflows keeps refining, so the warnings would say nothing more.
+    """
     if not 0 < tol < math.inf:  # NaN too
         raise ValueError(f"tol must be positive and finite, got {tol}")
     a, b = float(a), float(b)  # so that b - a overflows to inf, unwarned
@@ -282,21 +298,19 @@ def _adapt(f, a: float, b: float, shifts: np.ndarray, cuts: list, tol: float, ma
         raise ValueError(f"integration limits out of order: [{a}, {b}]")
     if not math.isfinite(b - a):
         raise ValueError(f"integration width overflows a float: [{a}, {b}]")
-    nan = np.flatnonzero(np.isnan(shifts))
-    if nan.size:
-        raise ValueError(f"shifts[{int(nan[0])}] is NaN")
+    out = np.zeros(len(cuts)), np.zeros(len(cuts)), np.zeros(len(cuts), dtype=int)
     if a == b:
-        return [QuadResult(0.0, 0.0, 0) for _ in cuts]
+        return out
     edges = [[a, *sorted({float(p) for p in c if a < p < b}), b] for c in cuts]
     for s, e in zip(shifts.tolist(), edges):
         if len(e) - 1 > max_panels:
             where = f" at shift {s!r}" if named else ""
             raise ValueError(f"breakpoints force {len(e) - 1} panels{where}, more than max_panels={max_panels}")
-    results = []
-    for start in range(0, len(cuts), SHIFT_CHUNK):
-        chunk = slice(start, start + SHIFT_CHUNK)
-        results += _rounds(f, a, b, shifts[chunk], edges[chunk], tol, max_panels, named)
-    return results
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, len(cuts), SHIFT_CHUNK):
+            chunk = slice(start, start + SHIFT_CHUNK)
+            _rounds(f, a, b, shifts[chunk], edges[chunk], tol, max_panels, named, [v[chunk] for v in out])
+    return out
 
 
 def integrate(
@@ -315,7 +329,8 @@ def integrate(
         Vectorized elementwise integrand; receives an ndarray of abscissae
         (of shape ``(m, 15)``, ``m`` at most ``PANEL_BLOCK``).  A NaN or
         infinite value, or a panel sum that overflows, raises
-        :class:`NonFiniteIntegrandError`.
+        :class:`NonFiniteIntegrandError`; numpy's overflow and
+        invalid-value warnings are silenced while ``f`` runs.
     a, b : float
         Integration limits: finite, ``a <= b``, and ``b - a`` finite.
     tol : float
@@ -336,43 +351,53 @@ def integrate(
         carrying the best estimate and bound, and the integral's rounding
         floor when the bound had reached it.
     """
-    (result,) = _adapt(lambda x, s: f(x), a, b, np.zeros(1), [tuple(breakpoints)], tol, max_panels, False)
-    return result
+    value, bound, panels = _adapt(lambda x, s: f(x), a, b, np.zeros(1), [tuple(breakpoints)], tol, max_panels, False)
+    return QuadResult(float(value[0]), float(bound[0]), int(panels[0]))
 
 
 def integrate_shifts(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     a: float,
     b: float,
-    shifts: Iterable[float],
+    shifts,
     tol: float = DEFAULT_TOL,
-    breakpoints: Union[Iterable[float], Callable[[float], Iterable[float]]] = (),
+    breakpoints: Callable[[float], Iterable[float]] = lambda s: (),
     max_panels: int = MAX_PANELS,
-) -> list[QuadResult]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Integrate ``f(x, s)`` over ``[a, b]`` for every shift ``s``.
+
+    ``shifts`` is an array of any shape.  Returns the arrays ``(values,
+    error_bounds, n_panels)``, each of that shape.  Each distinct shift is
+    integrated once, so equal shifts share one result.
 
     ``f`` is called on an ``(m, 15)`` array of abscissae and an ``(m, 1)``
     column holding each row's shift, ``m`` at most ``PANEL_BLOCK``.  Row r
     holds the 15 abscissae of one panel in increasing order, the middle one
     (column 7) at its midpoint, so ``f`` may act elementwise or decide a
-    factor per row from the panel it holds.  Each integral is cut at its
-    own shift and at ``breakpoints``: a fixed iterable for every shift, or
-    a callable returning the cuts of the integral at shift ``s``.  All
-    integrals refine together in rounds; in each, every unconverged integral bisects each splittable panel whose estimate is at
-    least ``MARK_FRACTION`` times its own largest one.  An integral's
-    marking depends on its own panels only, so it refines as
-    :func:`integrate` would refine it alone, with the same ``tol`` and
-    ``max_panels``: the results (one per shift, in order) are bit-identical
-    to those one-shift integrals.  A NaN shift raises ValueError before any
+    factor per row from the panel it holds.  ``breakpoints(s)`` returns the
+    cuts of the integral at shift ``s``; no other cut is made, so a corner
+    of ``f`` that moves with ``s`` must be named there.  All integrals
+    refine together in rounds; in each, every unconverged integral bisects
+    each splittable panel whose estimate is at least ``MARK_FRACTION``
+    times its own largest one.  An integral's marking depends on its own
+    panels only, so it refines as :func:`integrate` would refine it alone,
+    with the same cuts, ``tol`` and ``max_panels``: each result is
+    bit-identical to that one-shift integral.  numpy's overflow and
+    invalid-value warnings are silenced while the integrals run.
+
+    A NaN shift raises ValueError, naming its flat index, before any
     evaluation.  An integral that exhausts its budget, or whose integrand
     or panel sums are not finite, raises :class:`QuadratureError` naming
-    its shift: among the shifts of the first ``SHIFT_CHUNK``-shift chunk
-    with a failure, the first in order of those failing in the earliest
-    failing round.
+    its shift.  The distinct shifts run in sorted order, ``SHIFT_CHUNK`` at
+    a time, and the one named is, among the shifts of the first chunk with
+    a failure, the smallest of those failing in the earliest failing
+    round.
     """
-    shifts = np.asarray(shifts, dtype=float).ravel()
-    if not callable(breakpoints):
-        fixed = tuple(breakpoints)
-        breakpoints = lambda s: fixed
-    cuts = [(s, *breakpoints(s)) for s in shifts.tolist()]
-    return _adapt(f, a, b, shifts, cuts, tol, max_panels, True)
+    shifts = np.asarray(shifts, dtype=float)
+    nan = np.flatnonzero(np.isnan(shifts))
+    if nan.size:
+        raise ValueError(f"shifts[{int(nan[0])}] is NaN")
+    distinct, which = np.unique(shifts, return_inverse=True)
+    cuts = [breakpoints(s) for s in distinct.tolist()]
+    which = which.reshape(shifts.shape)
+    return tuple(v[which] for v in _adapt(f, a, b, distinct, cuts, tol, max_panels, True))

@@ -61,9 +61,9 @@ def rational_enumeration(n: int) -> list[float]:
 class TranslateSystem:
     """Finitely many kernel translates K(. - p) over a common window.
 
-    Translation points must be pairwise distinct and stay in the middle
-    half of the window so the translated kernels keep their mass away from
-    the truncation edges.
+    There must be at least one translation point.  The points must be
+    pairwise distinct and stay in the middle half of the window so the
+    translated kernels keep their mass away from the truncation edges.
     """
 
     kernel: KernelSpec
@@ -73,6 +73,8 @@ class TranslateSystem:
     def __post_init__(self):
         pts = tuple(float(p) for p in self.points)
         object.__setattr__(self, "points", pts)
+        if not pts:
+            raise ValueError("a translate system needs at least one translation point")
         if len(set(pts)) != len(pts):
             raise ValueError("translation points must be pairwise distinct")
         lo, hi = self.window.middle_half()

@@ -454,6 +454,10 @@ class TestDiagnostics:
         assert list(rep.normalization_residuals) == grid.tolist()
         assert rep.to_dict() == diagnostics(m, mu_grid=grid, tol=1e-9).to_dict()
 
+    def test_empty_grid_is_refused_by_name(self):
+        with pytest.raises(ValueError, match="mu_grid must hold at least one point"):
+            diagnostics(trivial_model(), mu_grid=[])
+
     def test_report_for_perturbed_model(self):
         rep = diagnostics(fig2d_model(), mu_grid=[0.0, 2.0], tol=1e-8)
         assert rep.classification is Classification.NSDM_CANDIDATE

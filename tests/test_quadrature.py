@@ -149,7 +149,7 @@ def test_overflowing_sum_over_finite_panels_names_the_largest_panel():
 def test_batched_non_finite_failure_names_its_shift(f, b, message):
     # shift 2 stays finite and shift 0.5 does not
     with pytest.raises(NonFiniteIntegrandError, match=message) as exc:
-        integrate_shifts(f, -2.0, b, [2.0, 0.5], breakpoints=(0.0,))
+        integrate_shifts(f, -2.0, b, [2.0, 0.5], breakpoints=lambda s: (s, 0.0))
     assert exc.value.shift == 0.5 and str(exc.value).endswith(" for shift 0.5")
 
 
@@ -222,9 +222,9 @@ def test_forced_panels_over_the_budget_are_refused_unevaluated():
 
     with pytest.raises(ValueError, match=r"force 4 panels, more than max_panels=2"):
         integrate(f, 0.0, 1.0, breakpoints=(0.25, 0.5, 0.75), max_panels=2)
-    # in a batch, the shift's own cut counts, and the error names it
+    # in a batch, each shift's own cuts count, and the error names the shift
     with pytest.raises(ValueError, match=r"force 3 panels at shift 0\.6, more than max_panels=2"):
-        integrate_shifts(lambda x, s: f(x), 0.0, 1.0, [0.4, 0.6], breakpoints=(0.4,), max_panels=2)
+        integrate_shifts(lambda x, s: f(x), 0.0, 1.0, [0.4, 0.6], breakpoints=lambda s: (s, 0.4), max_panels=2)
     assert calls == []
     assert integrate(np.sin, 0.0, 1.0, breakpoints=(0.25, 0.5, 0.75), max_panels=4).n_panels == 4
 
@@ -239,9 +239,10 @@ def test_error_bound_dominates_on_cusps(tol):
         res = integrate(f, -1.0, 2.0, tol=tol, breakpoints=breakpoints)
         assert abs(res.value - _cusp_integral(0.0)) <= res.error_bound + 1e-15
     shifts = np.linspace(-1.0, 2.0, 13)
-    batch = integrate_shifts(lambda x, s: np.abs(x - s) ** 0.7, -1.0, 2.0, shifts, tol=tol)
-    for s, res in zip(shifts, batch):
-        assert abs(res.value - _cusp_integral(s)) <= res.error_bound + 1e-15
+    values, bounds, _ = integrate_shifts(lambda x, s: np.abs(x - s) ** 0.7, -1.0, 2.0, shifts, tol=tol,
+                                         breakpoints=lambda s: (s,))
+    for s, value, bound in zip(shifts, values, bounds):
+        assert abs(value - _cusp_integral(s)) <= bound + 1e-15
 
 
 def test_midpoints_near_the_float_maximum_do_not_overflow():
@@ -266,10 +267,47 @@ def test_numpy_wrapper_frames_do_not_grow_with_rounds():
             calls.append(None)
             return f(x, s)
         calls.clear()
-        n = numpy_wrapper_frames(lambda: integrate_shifts(counted, -1.0, 1.0, shifts))
-        return n, len(calls)
+        run = lambda: integrate_shifts(counted, -1.0, 1.0, shifts, breakpoints=lambda s: (s,))
+        n, rounds = numpy_wrapper_frames(run), len(calls)
+        return n, rounds, numpy_wrapper_frames(run, files=("_ufunc_config.py",))
 
-    smooth, smooth_rounds = frames(lambda x, s: np.cos(20.0 * (x - s)))
-    cusp, cusp_rounds = frames(lambda x, s: np.abs(x - s) ** 0.3)
+    smooth, smooth_rounds, smooth_errstate = frames(lambda x, s: np.cos(20.0 * (x - s)))
+    cusp, cusp_rounds, cusp_errstate = frames(lambda x, s: np.abs(x - s) ** 0.3)
     assert cusp_rounds >= 3 * smooth_rounds
     assert cusp == smooth
+    # numpy's error state is entered a fixed number of times per run
+    assert cusp_errstate == smooth_errstate
+
+
+def test_shifts_of_any_shape_integrate_each_distinct_shift_once():
+    shifts = np.array([[0.5, -0.25, 0.5], [1.0, -0.25, 0.5]])
+    cusp = lambda x, s: np.abs(x - s) ** 0.7
+    seen = []  # the shift of every panel the batch evaluates
+
+    def f(x, s):
+        seen.extend(s[:, 0].tolist())
+        return cusp(x, s)
+
+    values, bounds, panels = integrate_shifts(f, -1.0, 2.0, shifts, tol=1e-10, breakpoints=lambda s: (s,))
+    assert values.shape == bounds.shape == panels.shape == shifts.shape
+    for s in (-0.25, 0.5, 1.0):
+        rows = []  # the panels the shift takes alone
+        alone = integrate(lambda x: rows.append(len(x)) or cusp(x, s), -1.0, 2.0, tol=1e-10, breakpoints=(s,))
+        for idx in zip(*np.nonzero(shifts == s)):
+            assert (values[idx], bounds[idx], panels[idx]) == (alone.value, alone.error_bound, alone.n_panels)
+        # the 0.5 thrice and the -0.25 twice, each refined as one integral
+        assert seen.count(s) == sum(rows)
+
+
+def test_an_overflowing_integrand_is_raised_not_warned():
+    # exp(1000 x) overflows to inf on most of [0, 1]: numpy's warning about
+    # it is silenced, and the sample is raised
+    with pytest.raises(NonFiniteIntegrandError, match=r"integrand is not finite: value inf at x=") as exc:
+        integrate(lambda x: np.exp(1000 * x), 0.0, 1.0)
+    assert exc.value.value == np.inf and exc.value.x > 0.7
+
+
+def test_an_overflow_inside_a_finite_integrand_is_not_warned():
+    # 1 / exp(1000 x) is 0 wherever exp overflows, so the integral is finite
+    res = integrate(lambda x: 1 / np.exp(1000 * x), 0.0, 1.0)
+    assert abs(res.value - 1e-3) <= res.error_bound
