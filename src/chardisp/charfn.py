@@ -113,6 +113,11 @@ class CharFn(Spec, ABC):
     """A real, even characteristic function with known moment behaviour."""
 
     kind = "characteristic function"
+    # beta in 1 - phi(t) ~ c |t|^beta at the origin: where the kernel of a
+    # deviance with this phi has its corner, and how sharp it is.  The
+    # quadrature grades the panels at such a corner when beta is not an
+    # integer.  A family that declares none is integrated without grading.
+    origin_exponent = 2.0
 
     def __post_init__(self):
         """By default, every parameter must be positive and finite."""
@@ -137,6 +142,7 @@ class Normal(CharFn):
 
     scale: float = 1.0
     family = "normal"
+    origin_exponent = 2.0
 
     def eval(self, t):
         return np.exp(-0.5 * (self.scale * _clamp(t, self.scale)) ** 2)
@@ -151,6 +157,7 @@ class Cauchy(CharFn):
 
     scale: float = 1.0
     family = "cauchy"
+    origin_exponent = 1.0
 
     def eval(self, t):
         return np.exp(-self.scale * np.abs(_clamp(t, self.scale)))
@@ -165,6 +172,7 @@ class Laplace(CharFn):
 
     scale: float = 1.0
     family = "laplace"
+    origin_exponent = 2.0
 
     def eval(self, t):
         return 1.0 / (1.0 + (self.scale * _clamp(t, self.scale)) ** 2)
@@ -184,6 +192,10 @@ class SymmetricStable(CharFn):
     alpha: float = 1.5
     scale: float = 1.0
     family = "stable"
+
+    @property
+    def origin_exponent(self) -> float:
+        return self.alpha
 
     def eval(self, t):
         return np.exp(-np.abs(self.scale * _clamp(t, self.scale)) ** self.alpha)
@@ -210,6 +222,7 @@ class SymmetricNIG(CharFn):
     alpha: float = 1.0
     delta: float = 1.0
     family = "nig"
+    origin_exponent = 2.0
 
     def __post_init__(self):
         super().__post_init__()

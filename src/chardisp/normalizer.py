@@ -102,6 +102,14 @@ class KernelSpec:
     def eval(self, y: ArrayLike) -> ArrayLike:
         return np.exp(-self.lam * self.pair.at(y))
 
+    @property
+    def graded(self) -> bool:
+        """True when phi's exponent beta at the origin is not an integer:
+        K then has a |y|^beta term at its corner 0, and the panels that end
+        there are graded (see :func:`quadrature.integrate`).  Otherwise K
+        is smooth on each side of 0 and every panel is plain."""
+        return not float(self.pair.phi.origin_exponent).is_integer()
+
 
 def kernel_integral(k: KernelSpec, w: Window, tol: float = DEFAULT_TOL) -> float:
     """Adaptive quadrature of K over the window, absolute tolerance tol.
@@ -389,12 +397,14 @@ def window_convolve(g, k: KernelSpec, shifts, window: Window, tol: float, corner
     ``g`` is a vectorized elementwise callable and ``shifts`` an array of
     any shape; the result has that shape.  The shifts are integrated
     together by :func:`quadrature.integrate_shifts`, each distinct one
-    once, cut at the corners 0 and s of K(s - y) and at ``corners`` (where
-    ``g`` may have one, such as the knots of a table); an unconverged
+    once, cut at s and 0 and at ``corners`` (where ``g`` may have one, such
+    as the knots of a table), with K(s - y)'s corner s graded as a cusp
+    when the kernel has one (see :attr:`KernelSpec.graded`); an unconverged
     integral raises :class:`QuadratureError` naming its shift.
     """
     return integrate_shifts(lambda y, s: g(y) * k.eval(s - y), window.lo, window.hi, shifts, tol=tol,
-                            breakpoints=lambda s: (s, 0.0, *corners))[0]
+                            breakpoints=lambda s: (s, 0.0, *corners),
+                            cusps=(lambda s: (s,)) if k.graded else None)[0]
 
 
 def window_autoconvolve(k: KernelSpec, shifts, window: Window, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -409,11 +419,16 @@ def window_autoconvolve(k: KernelSpec, shifts, window: Window, tol: float) -> tu
     of it, and 1 outside I (everywhere when I is empty, that is when s/2
     lies outside the window).  Each integral is cut at the kinks 0 and s of
     h, at s/2 and at the two edges of I, so every panel lies in one region,
-    and a panel's factor is decided from its centre, never from each
-    abscissa: one rounded onto an edge keeps its panel's factor.  The
-    centre is in I when its distance from s/2 is below I's half-width
-    min(hi - s/2, s/2 - lo), which is negative when I is empty.  Refinement
-    thus works on one mirror half of I only, and on the kinks in that half.
+    and a panel's factor is decided from one point strictly inside it,
+    never from each abscissa: one rounded onto an edge keeps its panel's
+    factor.  That point is column 7 of the panel's row of abscissae (see
+    :func:`quadrature.integrate_shifts`): the midpoint of a plain panel, and
+    c +- h/16 of a panel of width h graded at its cusp c.  It is in I when
+    its distance from s/2 is below I's half-width min(hi - s/2, s/2 - lo),
+    which is negative when I is empty.  Refinement thus works on one mirror
+    half of I only, and on the kinks in that half.  When the kernel has a
+    fractional exponent (:attr:`KernelSpec.graded`), the kinks 0 and s are
+    marked as cusps, and the panels that end there are graded.
 
     ``shifts`` is an array of any shape; both results have that shape, and
     each distinct shift is integrated once by
@@ -425,11 +440,12 @@ def window_autoconvolve(k: KernelSpec, shifts, window: Window, tol: float) -> tu
 
     def folded(y, s):
         half = 0.5 * s
-        d = y[:, 7:8] - half  # each row's panel centre, from s/2
+        d = y[:, 7:8] - half  # a point inside each row's panel, from s/2
         return k.eval(y) * k.eval(s - y) * (1.0 + np.sign(d) * (np.abs(d) < np.minimum(hi - half, half - lo)))
 
     return integrate_shifts(folded, lo, hi, shifts, tol=tol,
-                            breakpoints=lambda s: (s, 0.0, 0.5 * s, max(lo, s - hi), min(hi, s - lo)))[:2]
+                            breakpoints=lambda s: (s, 0.0, 0.5 * s, max(lo, s - hi), min(hi, s - lo)),
+                            cusps=(lambda s: (s, 0.0)) if k.graded else None)[:2]
 
 
 def convolution_residual(

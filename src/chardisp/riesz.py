@@ -20,8 +20,10 @@ the relative coordinate rather than to a fixed absolute frame.  Each entry
 is one integral folded about the midpoint of its integrand's symmetry
 (see :func:`gram_matrix`), which halves the panels the quadrature refines;
 the entries moved when the fold was introduced, each by at most the sum
-of its old and new error bounds, and the largest bound of a matrix is
-reported as ``max_entry_error_bound``.
+of its old and new error bounds, and those of a kernel with a fractional
+exponent moved again, within the same sum, when the panels at its kinks
+were graded.  The largest bound of a matrix is reported as
+``max_entry_error_bound``.
 """
 from __future__ import annotations
 
@@ -127,8 +129,9 @@ def gram_matrix(sys: TranslateSystem, tol: float = DEFAULT_TOL) -> GramReport:
     folded integral: on I = W n (s - W), whose midpoint is s/2, h counts
     twice right of s/2 and not at all left of it, and once outside I.  The
     integral is cut at 0, s, s/2 and the edges of I, and each panel takes
-    the factor of its centre, so only one mirror half of I (and only its
-    kink) is refined.
+    the factor of a point inside it, so only one mirror half of I (and only
+    its kink) is refined.  For a stable phi with alpha other than 1 and 2,
+    the panels that end at the kinks 0 and s are graded.
     """
     k = sys.kernel
     pts = np.asarray(sys.points)

@@ -137,6 +137,23 @@ def test_second_moment_table():
     assert not SymmetricStable(1.5, 1.0).has_finite_second_moment()
 
 
+def test_origin_exponent_table():
+    assert Normal(1.0).origin_exponent == Laplace(1.0).origin_exponent == SymmetricNIG(1.0, 1.0).origin_exponent == 2.0
+    assert Cauchy(1.0).origin_exponent == 1.0
+    assert SymmetricStable(0.7, 1.0).origin_exponent == 0.7
+    assert SymmetricStable(2.0, 1.0).origin_exponent == 2.0
+
+
+@pytest.mark.parametrize("spec", CATALOG, ids=repr)
+def test_origin_exponent_is_the_slope_of_one_minus_phi(spec):
+    # 1 - phi(t) ~ c |t|^beta at the origin: its log-log slope over
+    # [1e-4, 1e-3] is the declared beta
+    t = np.array([1e-4, 1e-3])
+    gap = 1.0 - spec.eval(t)
+    slope = math.log(gap[1] / gap[0]) / math.log(10.0)
+    assert slope == pytest.approx(spec.origin_exponent, abs=0.01)
+
+
 def test_serialization_round_trip():
     for spec in CATALOG:
         d = spec.to_dict()

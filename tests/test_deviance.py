@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chardisp.charfn import T_CAP, Cauchy, InvalidSpecError, Laplace, Normal, SymmetricNIG, SymmetricStable
@@ -194,14 +194,18 @@ def test_second_derivative_positive_for_regular_pairs():
     mu=st.floats(-50, 50),
     c=st.floats(-50, 50),
 )
+@example(pair=CN, y=-29.188240816602136, mu=-30.75, c=0.0)  # separations +-t round to different magnitudes
 def test_property_translation_symmetry_bounds(pair, y, mu, c):
     d = pair.deviance(y, mu)
     assert 0.0 <= d <= 2.0
     # translation invariance: depends on y - mu only
     assert pair.deviance(y + c, mu + c) == pytest.approx(d, abs=1e-12)
-    # symmetry in the separation
+    # symmetry in the separation, exactly: d is even in the displacement, and
+    # the deviance at mu + t is d at the rounded separation (mu + t) - mu,
+    # which need not mirror (mu - t) - mu
     t = y - mu
-    assert pair.deviance(mu + t, mu) == pytest.approx(pair.deviance(mu - t, mu), abs=1e-15)
+    assert pair.at(t) == pair.at(-t)
+    assert pair.deviance(mu + t, mu) == pair.at((mu + t) - mu)
 
 
 # Scales up to 1e300, past the 1e142 where the clamp tightens below T_CAP;

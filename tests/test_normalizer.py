@@ -156,10 +156,41 @@ class TestKernelIntegral:
     )
     def test_is_the_plain_integral_of_the_kernel(self, charfn):
         # the window convolution of 1 with K at shift 0 integrates K(0 - y),
-        # which equals K(y) bit for bit, cut at the same single point
+        # which equals K(y) bit for bit, cut at the same single point and
+        # graded there only for the fractional stable exponent
         k = KernelSpec(UnitDeviancePair(charfn, Normal(1.0)), 1.0)
-        plain = integrate(k.eval, W20.lo, W20.hi, tol=1e-10, breakpoints=(0.0,)).value
+        assert k.graded == isinstance(charfn, SymmetricStable)
+        plain = integrate(k.eval, W20.lo, W20.hi, tol=1e-10, breakpoints=(0.0,), cusps=(0.0,) if k.graded else ()).value
         assert kernel_integral(k, W20, tol=1e-10) == plain
+
+
+    @pytest.mark.parametrize(
+        "phi, psi, graded",
+        [(SymmetricStable(0.7, 1.0), Normal(1.0), True), (SymmetricStable(1.5, 2.0), Cauchy(1.0), True),
+         (SymmetricStable(1.0, 1.0), Normal(1.0), False), (SymmetricStable(2.0, 1.0), Normal(1.0), False),
+         (Cauchy(1.0), Normal(1.0), False), (Normal(1.0), SymmetricStable(0.7, 1.0), False),
+         (Laplace(1.0), Laplace(1.0), False), (SymmetricNIG(1.0, 1.0), SymmetricNIG(1.0, 1.0), False)],
+    )
+    def test_only_a_fractional_phi_exponent_grades(self, phi, psi, graded):
+        assert KernelSpec(UnitDeviancePair(phi, psi), 1.0).graded is graded
+
+    @pytest.mark.parametrize("alpha", [0.7, 1.5, 1.9])
+    def test_graded_stable_kernel_matches_a_50_digit_reference(self, alpha):
+        # K of stable alpha x normal, graded at its cusp 0, on [0, 1] and as
+        # the kernel integral over the window, against mpmath's tanh-sinh
+        # quadrature at 50 digits: each within its own error bound
+        import mpmath as mp
+
+        k = KernelSpec(UnitDeviancePair(SymmetricStable(alpha, 1.0), Normal(1.0)), 1.0)
+        one_sided = integrate(k.eval, 0.0, 1.0, tol=1e-13, cusps=(0.0,))
+        window = integrate(k.eval, W20.lo, W20.hi, tol=1e-10, breakpoints=(0.0,), cusps=(0.0,))
+        assert window.value == kernel_integral(k, W20, tol=1e-10)
+        assert one_sided.n_panels < integrate(k.eval, 0.0, 1.0, tol=1e-13).n_panels
+        with mp.workdps(50):
+            a = mp.mpf(alpha)
+            kernel = lambda y: mp.exp(-(1 - mp.exp(-abs(y) ** a)) * mp.exp(-y * y / 2))
+            assert abs(mp.mpf(one_sided.value) - mp.quad(kernel, [0, 1])) <= one_sided.error_bound
+            assert abs(mp.mpf(window.value) - 2 * mp.quad(kernel, [0, 1, 2, 4, 8, 20])) <= window.error_bound
 
 
 class TestWindowConvolve:
@@ -183,12 +214,14 @@ class TestWindowConvolve:
     def test_more_shifts_than_one_chunk_match_single_shifts(self, monkeypatch):
         # the cusp-heavy stable 0.7 x normal kernel, across chunk and block
         # boundaries made small: every shift refines exactly as it does alone,
-        # and no integrand call gets more than a block of panels
+        # graded at its corner s, and no integrand call gets more than a
+        # block of panels
         k = KernelSpec(UnitDeviancePair(SymmetricStable(0.7, 1.0), Normal(1.0)), 1.0)
         chunk, block = 4, 16
         shifts = np.linspace(-9.0, 9.0, 2 * chunk + 3)
         f = lambda y, s: k.eval(y) * k.eval(s - y)
-        alone = [integrate(lambda y: f(y, s), W20.lo, W20.hi, tol=1e-10, breakpoints=(s, 0.0)) for s in shifts]
+        alone = [integrate(lambda y: f(y, s), W20.lo, W20.hi, tol=1e-10, breakpoints=(s, 0.0), cusps=(s,))
+                 for s in shifts]
         single = [window_convolve(k.eval, k, s, W20, 1e-10) for s in shifts]
         monkeypatch.setattr(quadrature, "SHIFT_CHUNK", chunk)
         monkeypatch.setattr(quadrature, "PANEL_BLOCK", block)
@@ -196,7 +229,8 @@ class TestWindowConvolve:
         gk15 = quadrature._gk15
         monkeypatch.setattr(quadrature, "_gk15", lambda f, lo, *rest: panels.append(lo.size) or gk15(f, lo, *rest))
         counting = lambda y, s: rows.append(len(y)) or f(y, s)
-        batch = integrate_shifts(counting, W20.lo, W20.hi, shifts, tol=1e-10, breakpoints=lambda s: (s, 0.0))
+        batch = integrate_shifts(counting, W20.lo, W20.hi, shifts, tol=1e-10, breakpoints=lambda s: (s, 0.0),
+                                 cusps=lambda s: (s,))
         values = window_convolve(k.eval, k, shifts, W20, 1e-10)
         assert max(rows) <= block < max(panels)
         for res, one, value, single_value in zip(zip(*batch), alone, values, single):

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from chardisp import quadrature
 from chardisp.quadrature import (
     ROUNDING_ULPS,
     NonFiniteIntegrandError,
@@ -232,17 +235,18 @@ def test_forced_panels_over_the_budget_are_refused_unevaluated():
 @settings(max_examples=25, deadline=None)
 @given(tol=st.floats(1e-13, 1e-3))
 def test_error_bound_dominates_on_cusps(tol):
-    # a kink at a breakpoint, or left to bisection, and a batch of shifted
-    # kinks, each cut at its own shift
+    # a kink at a breakpoint, or left to bisection, or graded as a cusp, and
+    # a batch of shifted kinks, each cut (and graded) at its own shift
     f = lambda x: np.abs(x) ** 0.7
-    for breakpoints in ((), (0.0,)):
-        res = integrate(f, -1.0, 2.0, tol=tol, breakpoints=breakpoints)
+    for breakpoints, cusps in (((), ()), ((0.0,), ()), ((), (0.0,))):
+        res = integrate(f, -1.0, 2.0, tol=tol, breakpoints=breakpoints, cusps=cusps)
         assert abs(res.value - _cusp_integral(0.0)) <= res.error_bound + 1e-15
     shifts = np.linspace(-1.0, 2.0, 13)
-    values, bounds, _ = integrate_shifts(lambda x, s: np.abs(x - s) ** 0.7, -1.0, 2.0, shifts, tol=tol,
-                                         breakpoints=lambda s: (s,))
-    for s, value, bound in zip(shifts, values, bounds):
-        assert abs(value - _cusp_integral(s)) <= bound + 1e-15
+    for cusps in (None, lambda s: (s,)):
+        values, bounds, _ = integrate_shifts(lambda x, s: np.abs(x - s) ** 0.7, -1.0, 2.0, shifts, tol=tol,
+                                             breakpoints=lambda s: (s,), cusps=cusps)
+        for s, value, bound in zip(shifts, values, bounds):
+            assert abs(value - _cusp_integral(s)) <= bound + 1e-15
 
 
 def test_midpoints_near_the_float_maximum_do_not_overflow():
@@ -258,25 +262,27 @@ def test_midpoints_near_the_float_maximum_do_not_overflow():
 def test_numpy_wrapper_frames_do_not_grow_with_rounds():
     # numpy's Python-level wrappers cost 1-2 us a call, so none of them may
     # run once per round: a cusp refining in 20 rounds enters as many wrapper
-    # frames as a smooth integrand refining in 6
+    # frames as a smooth integrand refining in 6, and so does the same cusp
+    # graded, in graded and plain panels
     shifts = np.linspace(-0.5, 0.5, 5)
     calls = []
 
-    def frames(f):
+    def frames(f, cusps=None):
         def counted(x, s):
             calls.append(None)
             return f(x, s)
         calls.clear()
-        run = lambda: integrate_shifts(counted, -1.0, 1.0, shifts, breakpoints=lambda s: (s,))
+        run = lambda: integrate_shifts(counted, -1.0, 1.0, shifts, breakpoints=lambda s: (s,), cusps=cusps)
         n, rounds = numpy_wrapper_frames(run), len(calls)
         return n, rounds, numpy_wrapper_frames(run, files=("_ufunc_config.py",))
 
     smooth, smooth_rounds, smooth_errstate = frames(lambda x, s: np.cos(20.0 * (x - s)))
     cusp, cusp_rounds, cusp_errstate = frames(lambda x, s: np.abs(x - s) ** 0.3)
-    assert cusp_rounds >= 3 * smooth_rounds
-    assert cusp == smooth
+    graded, graded_rounds, graded_errstate = frames(lambda x, s: np.abs(x - s) ** 0.3, lambda s: (s,))
+    assert cusp_rounds >= 3 * smooth_rounds and graded_rounds > 1
+    assert cusp == smooth == graded
     # numpy's error state is entered a fixed number of times per run
-    assert cusp_errstate == smooth_errstate
+    assert cusp_errstate == smooth_errstate == graded_errstate
 
 
 def test_shifts_of_any_shape_integrate_each_distinct_shift_once():
@@ -311,3 +317,52 @@ def test_an_overflow_inside_a_finite_integrand_is_not_warned():
     # 1 / exp(1000 x) is 0 wherever exp overflows, so the integral is finite
     res = integrate(lambda x: 1 / np.exp(1000 * x), 0.0, 1.0)
     assert abs(res.value - 1e-3) <= res.error_bound
+
+
+@pytest.mark.parametrize("cusp", [0.0, 1.0])
+def test_only_the_panels_that_reach_a_cusp_are_graded(cusp):
+    # |x - c|^0.3 on [0, 1], graded at its cusp c: fewer panels than plain
+    # bisection (16 against 29), each row that reaches c has its nodes clustered there
+    # (its centre a sixteenth of the panel from c), and every other row,
+    # the other child of each split included, is plain
+    f = lambda x: np.abs(x - cusp) ** 0.3
+    rows = []
+    res = integrate(lambda x: rows.append(x.copy()) or f(x), 0.0, 1.0, tol=1e-13, cusps=(cusp,))
+    assert abs(res.value - 1 / 1.3) <= res.error_bound
+    assert 1 < res.n_panels < integrate(f, 0.0, 1.0, tol=1e-13).n_panels
+    x = np.concatenate(rows)
+    width = x[:, 14] - x[:, 0]
+    reaches = np.abs(x[:, 0 if cusp == 0.0 else 14] - cusp) < 1e-6 * width
+    near, far = np.abs(x[:, 7] - x[:, [0, 14]].T)
+    graded = np.minimum(near, far) < 0.1 * np.maximum(near, far)
+    assert np.array_equal(graded, reaches) and np.sum(graded) > 1
+
+
+def test_a_panel_between_two_cusps_is_cut_at_its_midpoint():
+    # (x (1 - x))^0.3 with both ends marked: [0, 1] starts as [0, 1/2]
+    # graded at 0 and [1/2, 1] graded at 1, and converges to the Beta value
+    rows = []
+    f = lambda x: (x * (1.0 - x)) ** 0.3
+    res = integrate(lambda x: rows.append(x.copy()) or f(x), 0.0, 1.0, tol=1e-13, cusps=(0.0, 1.0))
+    assert abs(res.value - math.gamma(1.3) ** 2 / math.gamma(2.6)) <= res.error_bound
+    first = rows[0]
+    assert len(first) == 2 and first[0, 7] == 0.5 / 16 and first[1, 7] == 1.0 - 0.5 / 16
+
+
+def test_cusps_outside_the_limits_are_ignored_and_inside_are_cuts():
+    f = lambda x: np.abs(x) ** 0.7
+    assert integrate(f, 0.5, 2.0, cusps=(0.0, 3.0)) == integrate(f, 0.5, 2.0)
+    assert integrate(f, -1.0, 2.0, cusps=(0.0,)).value == pytest.approx(_cusp_integral(0.0), abs=1e-10)
+
+
+def test_plain_integrals_keep_their_bits_beside_graded_ones(monkeypatch):
+    # blocks of 8 rows mixing graded and plain panels: a shift without a
+    # cusp gives the bits it gives alone without one, and a graded shift the
+    # bits it gives alone with one
+    f = lambda x, s: np.abs(x - s) ** 0.6 * np.exp(-x * x)
+    shifts = np.linspace(-1.0, 1.0, 9)
+    alone = [integrate(lambda x: f(x, s), -3.0, 3.0, breakpoints=(s,), cusps=(s,) if s > 0 else ()) for s in shifts]
+    monkeypatch.setattr(quadrature, "PANEL_BLOCK", 8)
+    batch = integrate_shifts(f, -3.0, 3.0, shifts, breakpoints=lambda s: (s,), cusps=lambda s: (s,) if s > 0 else ())
+    for res, one in zip(zip(*batch), alone):
+        assert res == (one.value, one.error_bound, one.n_panels)

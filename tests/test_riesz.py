@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from chardisp import quadrature
 from chardisp.quadrature import integrate_shifts
-from chardisp.charfn import Laplace, Normal, SymmetricStable
+from chardisp.charfn import Cauchy, Laplace, Normal, SymmetricNIG, SymmetricStable
 from chardisp.deviance import UnitDeviancePair
 from chardisp.normalizer import (
     CosineGaussian,
@@ -165,15 +166,39 @@ class TestGramMatrix:
         # panel per integral per round took 204 integrand rounds and 18,912
         # panels; maximum marking took 20 rounds for 19,408 panels, all 147
         # displacements refining in one run; folding each integral about
-        # s/2 refines one mirror half, in 19 rounds for 10,074 panels
+        # s/2 refines one mirror half, in 19 rounds for 10,074 panels;
+        # grading the panels at the cusps 0 and s takes 12 rounds for 4,258
         panels = []
         gk15 = quadrature._gk15
         monkeypatch.setattr(quadrature, "_gk15", lambda f, lo, *rest: panels.append(lo.size) or gk15(f, lo, *rest))
         k = KernelSpec(UnitDeviancePair(SymmetricStable(0.7, 1.0), Normal(1.0)), 1.0)
         gram_matrix(TranslateSystem(k, tuple(rational_enumeration(32)), Window()))
-        assert (len(panels), sum(panels)) == (19, 10_074)
+        assert (len(panels), sum(panels)) == (12, 4_258)
         assert len(panels) <= 0.4 * 204 and sum(panels) <= 1.15 * 18_912
         assert sum(panels) <= 0.55 * 19_408
+        assert len(panels) <= 0.7 * 19 and sum(panels) <= 0.5 * 10_074
+
+    @pytest.mark.parametrize("phi, psi, panels, digest", [
+        (Normal(1.0), Normal(1.0), [732, 294, 294, 296, 310, 542, 408, 66, 8, 4],
+         "4386ae991b463bacbeca3a0fb686657ce4092974754d18e6e37431312d654663"),
+        (Laplace(1.0), Laplace(1.0), [732, 294, 296, 304, 320, 326, 252, 62, 8],
+         "2309388107cf6354cd523245abd3b4a6b99511defb24b2eb16665f4b8ed5c5b5"),
+        (Cauchy(1.0), Normal(1.0), [732, 294, 294, 298, 310, 506, 180, 14],
+         "34d0e41cae1e5112168eac3731bd674b93d4006a5abe5444abf31d44370f8714"),
+        (SymmetricNIG(1.0, 1.0), SymmetricNIG(1.0, 1.0), [732, 294, 294, 302, 332, 380, 388, 102, 8],
+         "8f8eb1e7cdb32c7eeb6ee4554000fd3d3c97fe334048b37518af6cab81466133"),
+    ], ids=["normal", "laplace", "cauchy_normal", "nig"])
+    def test_pairs_without_a_fractional_exponent_keep_every_panel_and_bit(self, monkeypatch, phi, psi, panels,
+                                                                         digest):
+        # n = 32 on the default window: the panels of each round and the
+        # bytes of the matrix, as computed before panels were graded
+        rounds = []
+        gk15 = quadrature._gk15
+        monkeypatch.setattr(quadrature, "_gk15", lambda f, lo, *rest: rounds.append(lo.size) or gk15(f, lo, *rest))
+        k = KernelSpec(UnitDeviancePair(phi, psi), 1.0)
+        gram = gram_matrix(TranslateSystem(k, tuple(rational_enumeration(32)), Window())).gram
+        assert rounds == panels
+        assert hashlib.sha256(gram.tobytes()).hexdigest() == digest
 
     def test_a_kernel_subclass_sees_every_gram_abscissa(self, monkeypatch):
         # the fold evaluates the kernel only through eval: K(y) and K(s - y),
@@ -222,12 +247,14 @@ _FOLD_KERNELS = {
 @example(kernel="stable07_normal", lo=-30.0, width=10.0, fractions=[0.3])  # window below 0: no overlap
 def test_folded_gram_entries_agree_with_the_unfolded_integrals(kernel, lo, width, fractions):
     # G(s) folded about s/2 against the plain window convolution of K with
-    # itself, for s in [0, width], within the sum of the two error bounds
+    # itself, graded at the same cusp s, for s in [0, width], within the
+    # sum of the two error bounds
     k, w, tol = _FOLD_KERNELS[kernel], Window(lo, lo + width), 1e-10
     shifts = np.array(fractions) * w.width
     folded, folded_bounds = window_autoconvolve(k, shifts, w, tol)
     unfolded, unfolded_bounds, _ = integrate_shifts(lambda y, s: k.eval(y) * k.eval(s - y), w.lo, w.hi, shifts,
-                                                    tol=tol, breakpoints=lambda s: (s, 0.0))
+                                                    tol=tol, breakpoints=lambda s: (s, 0.0),
+                                                    cusps=(lambda s: (s,)) if k.graded else None)
     assert np.array_equal(unfolded, window_convolve(k.eval, k, shifts, w, tol))
     for value, bound, plain, plain_bound in zip(folded, folded_bounds, unfolded, unfolded_bounds):
         assert abs(value - plain) <= bound + plain_bound
