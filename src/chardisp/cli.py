@@ -13,18 +13,23 @@ the subcommands and every flag, and flags may come before or after the
 subcommand.  A value that starts with ``-`` and a digit is a number, so
 negative exponents such as ``--mu -1e-3`` are accepted.
 
-Numeric output is reproducible byte for byte.  A JSON number is Python's
-shortest round-tripping repr (``"h": 0.0001``).  Every CSV cell carries
-at most 17 significant digits (``0.5`` prints as ``0.5``): it is exactly
-what ``"%.17g" % value`` prints;
-:mod:`chardisp.g17` formats each chunk's array at once, from exact integer
-digits where ``%g`` uses fixed notation and through ``%`` itself for the
-rest.  Every number a subcommand outputs is computed, and every CSV column
-converted to a float array, before any file is opened, so a failing run
-leaves no partial files.  The text is then rendered while it is written:
-a CSV file one ASCII chunk of ``CSV_CHUNK_ROWS`` rows at a time, so the
-text held at once is about two chunks whatever the size of the file, and
-no file is ever joined into one string or encoded twice.
+Numeric output is reproducible byte for byte.  A JSON document is
+exactly what ``json.dumps(doc, indent=2)`` prints, so a JSON number is
+Python's shortest round-tripping repr (``"h": 0.0001``); ``_json``
+renders it with a small encoder of its own that prints each distinct
+float once per document, through a memo that lives for that one call,
+and joins each list of nonzero floats in one call.  Every CSV cell
+carries at most 17 significant digits (``0.5`` prints as ``0.5``): it is
+exactly what ``"%.17g" % value`` prints; :mod:`chardisp.g17` formats
+each chunk's array at once, from exact integer digits where ``%g`` uses
+fixed notation and through ``%`` itself for the rest, and a table of
+fewer than ``g17.SMALL_TABLE_CELLS`` cells through one ``%``.  Every
+number a subcommand outputs is computed, and every CSV column converted
+to a float array, before any file is opened, so a failing run leaves no
+partial files.  The text is then rendered while it is written: a CSV
+file one ASCII chunk of ``CSV_CHUNK_ROWS`` rows at a time, so the text
+held at once is about two chunks whatever the size of the file, and no
+file is ever joined into one string or encoded twice.
 Exit codes: 0 success, 1 validation, configuration or output error, or a
 request too large for memory (``--n`` or ``--grid``), 2 numerical failure
 (quadrature budget, sampling envelope).
@@ -38,6 +43,7 @@ import numbers
 import re
 import sys
 from dataclasses import dataclass, field, replace
+from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 from typing import Iterator, Optional
 
@@ -150,6 +156,12 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _seed(value) -> int:
+    if _integer(value) < 0:
+        raise TypeError(f"expected a non-negative integer, got {value!r}")
+    return int(value)
+
+
 def _string(value) -> str:
     if not isinstance(value, str):
         raise TypeError(f"expected a string, got {value!r}")
@@ -171,7 +183,7 @@ _KEYS = {
     "perturbation": lambda c, v, read: {"perturb": read[1](v)},
     "mu": lambda c, v, read: {"mu": _number(v)},
     "tol": lambda c, v, read: {"tol": _number(v), "residual_tol": _number(v)},
-    "seed": lambda c, v, read: {"seed": _integer(v)},
+    "seed": lambda c, v, read: {"seed": _seed(v)},
     "n": lambda c, v, read: {"n": _integer(v)},
     "out": lambda c, v, read: {"out": _string(v)},
 }
@@ -226,9 +238,76 @@ def _csv_chunks(header: str, columns: list) -> Iterator[bytes]:
         yield chunk
 
 
+def _float_text(x: float) -> str:
+    return "NaN" if x != x else "Infinity" if x == math.inf else "-Infinity" if x == -math.inf else float.__repr__(x)
+
+
+def _word(o) -> Optional[str]:
+    return "null" if o is None else "true" if o is True else "false" if o is False else None
+
+
+def _key_text(key) -> str:
+    """A dict key as ``json`` coerces it to a string."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _float_text(key)
+    if (word := _word(key)) is not None:
+        return word
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+class _FloatMemo(dict):
+    """float -> its JSON text, made on first lookup; one per document."""
+
+    def __missing__(self, x: float) -> str:
+        text = self[x] = _float_text(x)
+        return text
+
+
 def _json(doc: dict) -> list[bytes]:
-    """The document as indented JSON, ending in a newline, in one chunk."""
-    return [(json.dumps(doc, indent=2) + "\n").encode("ascii")]
+    """The document as indented JSON, ending in a newline, in one chunk:
+    byte for byte what ``json.dumps(doc, indent=2) + "\\n"`` gives, from
+    the same type checks in the same order.  Each distinct float is
+    printed once per document (a zero each time, since -0.0 == 0.0), and
+    a list of nonzero plain floats is one join over those texts."""
+    memo, out = _FloatMemo(), []
+
+    def put(o, indent: str) -> None:
+        if isinstance(o, str):
+            out.append(_encode_str(o))
+        elif (word := _word(o)) is not None:
+            out.append(word)
+        elif isinstance(o, int):
+            out.append(int.__repr__(o))
+        elif isinstance(o, float):
+            out.append(memo[o] if o else float.__repr__(o))
+        elif not isinstance(o, (list, tuple, dict)):
+            raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+        elif not o:
+            out.append("{}" if isinstance(o, dict) else "[]")
+        elif isinstance(o, dict):
+            inner, sep = indent + "  ", "{"
+            for key, value in o.items():
+                out.extend((sep, inner, _encode_str(_key_text(key)), ": "))
+                put(value, inner)
+                sep = ","
+            out.extend((indent, "}"))
+        else:
+            inner, sep = indent + "  ", "["
+            if set(map(type, o)) == {float} and 0.0 not in o:
+                out.extend((sep, inner, ("," + inner).join(map(memo.__getitem__, o))))
+            else:
+                for item in o:
+                    out.extend((sep, inner))
+                    put(item, inner)
+                    sep = ","
+            out.extend((indent, "]"))
+
+    put(doc, "\n")
+    return [("".join(out) + "\n").encode("ascii")]
 
 
 def _symmetric_grid(w: Window, n: int) -> np.ndarray:

@@ -18,6 +18,11 @@ to be written, and without a Python call per cell.
 * Every other cell -- zeros, subnormals, |v| < 1e-4, scientific notation,
   infinities and NaN -- is formatted by Python's own ``%`` and spliced in,
   so the reference formatter itself, not a second approximation, covers it.
+* A table of fewer than ``SMALL_TABLE_CELLS`` (256) cells skips the arrays
+  and goes through one ``%`` call on the whole table.  The array path's
+  fixed cost is about 130 numpy calls, so below that measured crossover
+  the reference formatter is also the faster one: a 21 x 2 table takes
+  about 19 us through ``%`` against 85 us through the arrays (2-core Xeon).
 
 The text is assembled in a (25, cells) byte array, one row per byte slot of
 a cell, so every array operation runs along all cells at once: a sign, the
@@ -30,6 +35,8 @@ slots also hold the longest ``%.17g`` text, "-1.7976931348623157e+308".
 from __future__ import annotations
 
 import numpy as np
+
+SMALL_TABLE_CELLS = 256  # fewer cells: one ``%`` call (see above)
 
 _WIDTH = 24
 _SPACE = ord(" ")
@@ -107,6 +114,8 @@ def csv_text(table: np.ndarray) -> bytes:
     exactly as ``"%.17g" % cell`` prints it."""
     rows, cols = table.shape
     v = np.ascontiguousarray(table, dtype=float).reshape(-1)
+    if v.size < SMALL_TABLE_CELLS:
+        return ((("%.17g," * (cols - 1) + "%.17g\n") * rows) % tuple(v.tolist())).encode("ascii")
     # Finite arithmetic for every cell: zeros, NaN and |v| < 1e-5 become
     # 1e-5, infinities and |v| >= 1e17 become 1e17, and the decimal exponent
     # of either (-5 or 17) sends the cell to the slow path below.

@@ -1,3 +1,4 @@
+import enum
 import hashlib
 import io
 import json
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chardisp import charfn, cli
+from chardisp import charfn, cli, g17
 from chardisp.charfn import InvalidSpecError, Laplace, Normal, SymmetricStable
 from chardisp.normalizer import CosineGaussian, OddGaussian, Zero
 
@@ -154,6 +155,21 @@ EXACT_ROUNDING = {
 }
 
 
+ANY_FLOATS = st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=40)
+FIXED_RANGE = st.lists(st.floats(-1e17, 1e17), max_size=40)
+WINDOW_RANGE = st.lists(st.floats(-20.0, 20.0), max_size=40)
+
+
+def _matches_the_reference(values_strategy):
+    """A property test that two columns of drawn values match the reference.
+    Hypothesis runs a test function for one class only, so each class that
+    holds such a test gets its own from here."""
+    @given(values=values_strategy)
+    def test(self, values):
+        assert csv_bytes("a,b", values, values[::-1]) == reference_csv("a,b", values, values[::-1]).encode()
+    return test
+
+
 class TestCsv:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_awkward_values_match_the_reference(self, k):
@@ -176,17 +192,9 @@ class TestCsv:
             rows_per_chunk = [chunk.count(b"\n") for chunk in cli._csv("value", column)]
             assert rows_per_chunk == [1] + [3] * (rows // 3) + [rows % 3] * (rows % 3 > 0)
 
-    @given(values=st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=40))
-    def test_any_floats_match_the_reference(self, values):
-        assert csv_bytes("a,b", values, values[::-1]) == reference_csv("a,b", values, values[::-1]).encode()
-
-    @given(values=st.lists(st.floats(-1e17, 1e17), max_size=40))
-    def test_fixed_notation_range_matches_the_reference(self, values):
-        assert csv_bytes("a,b", values, values[::-1]) == reference_csv("a,b", values, values[::-1]).encode()
-
-    @given(values=st.lists(st.floats(-20.0, 20.0), max_size=40))
-    def test_window_range_matches_the_reference(self, values):
-        assert csv_bytes("a,b", values, values[::-1]) == reference_csv("a,b", values, values[::-1]).encode()
+    test_any_floats_match_the_reference = _matches_the_reference(ANY_FLOATS)
+    test_fixed_notation_range_matches_the_reference = _matches_the_reference(FIXED_RANGE)
+    test_window_range_matches_the_reference = _matches_the_reference(WINDOW_RANGE)
 
     @pytest.mark.parametrize("case", sorted(EXACT_ROUNDING))
     def test_exact_rounding_cases(self, case):
@@ -226,6 +234,104 @@ class TestCsv:
     def test_bad_column_fails_before_any_text(self):
         with pytest.raises(ValueError):
             cli._csv("value", ["not a number"])
+
+
+class TestCsvArrayRoute(TestCsv):
+    """TestCsv again with every table on g17's array path: its other cases
+    render fewer than SMALL_TABLE_CELLS cells, which take the ``%`` route."""
+
+    @pytest.fixture(autouse=True, scope="class")
+    def array_route(self):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(g17, "SMALL_TABLE_CELLS", 0)
+            yield
+
+    test_any_floats_match_the_reference = _matches_the_reference(ANY_FLOATS)
+    test_fixed_notation_range_matches_the_reference = _matches_the_reference(FIXED_RANGE)
+    test_window_range_matches_the_reference = _matches_the_reference(WINDOW_RANGE)
+    # tables far above the threshold, on the array path in TestCsv already
+    test_bulk_random_values_match_the_reference = None
+    test_working_memory_is_bounded = None
+
+
+class TestSmallTableRoute:
+    @pytest.mark.parametrize("cells, cols, array_path", [
+        (g17.SMALL_TABLE_CELLS - 1, 1, False), (g17.SMALL_TABLE_CELLS - 1, 3, False),
+        (g17.SMALL_TABLE_CELLS, 1, True), (g17.SMALL_TABLE_CELLS, 2, True),
+    ])
+    def test_tables_either_side_of_the_threshold(self, monkeypatch, cells, cols, array_path):
+        values = [v for case in sorted(EXACT_ROUNDING) for v in EXACT_ROUNDING[case]] + AWKWARD
+        table = np.resize(np.array(values), (cells // cols, cols))
+        assert table.size == cells  # 255 = 3 * 85, 256 = 2 * 128
+        calls = []
+        digits = g17._digits
+        monkeypatch.setattr(g17, "_digits", lambda n, out: (calls.append(n.size), digits(n, out)))
+        columns = list(table.T)
+        header = ",".join("abc"[:cols])
+        assert csv_bytes(header, *columns) == reference_csv(header, *columns).encode()
+        assert calls == ([cells] if array_path else [])
+
+
+def reference_json(doc):
+    """The oracle _json must match byte for byte."""
+    return [(json.dumps(doc, indent=2) + "\n").encode("ascii")]
+
+
+class Level(enum.IntEnum):
+    HIGH = 7
+
+
+# Floats where repr is delicate or repeats are likely: zeros of both signs,
+# subnormals, NaN and infinities; lists drawn from a small pool repeat them.
+_JSON_FLOATS = st.floats() | st.sampled_from([0.0, -0.0, 5e-324, -2.225073858507201e-308, math.nan, math.inf, -math.inf])
+_JSON_TEXT = st.text() | st.text('"\\/\x00\x1f\x7f\u00e9\u2028\ud800\U0001f600a ', max_size=8)
+_JSON_DOCS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(min_value=2 ** 64) | _JSON_FLOATS | _JSON_TEXT
+    | st.lists(_JSON_FLOATS, min_size=1, max_size=3).flatmap(lambda pool: st.lists(st.sampled_from(pool), max_size=8)),
+    lambda inner: st.lists(inner, max_size=5) | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(_JSON_TEXT, inner, max_size=5),
+    max_leaves=30,
+)
+
+
+class TestJson:
+    @given(doc=_JSON_DOCS)
+    def test_any_document_matches_json_dumps(self, doc):
+        assert cli._json(doc) == reference_json(doc)
+
+    @pytest.mark.parametrize("doc", [
+        [0.0, -0.0, 1.5, 0.0, 1.5, -0.0, -2.5, -2.5],
+        {"a": [[0.25, 0.25, 0.5], [0.5, -0.0]], "b": -0.0, "c": 0.0, "d": [0.25]},
+        [np.float64(0.1), 0.1, np.float64(-0.0), np.float64(3.0), 3.0],
+        {"level": Level.HIGH, "levels": [Level.HIGH, 1]},
+        {1: "int", 2.5: "float", -0.0: "zero", math.inf: "inf", True: "bool", None: "none", "s": "str"},
+        {"": [], "e": {}, "t": (), "n": [[], {}, ()]},
+        ["\"quoted\"", "tab\tand\x01", "caf\u00e9 \u2603 \U0001f600"],
+        [10 ** 100, -(2 ** 64), True, False, None],
+        1.5, "top", None,
+    ])
+    def test_explicit_documents_match_json_dumps(self, doc):
+        assert cli._json(doc) == reference_json(doc)
+
+    @pytest.mark.parametrize("doc", [
+        {"n": np.int64(3)}, [1.0, {1, 2}], {"k": [np.bool_(True)]}, {(1, 2): 3}, {np.int64(1): 2},
+    ])
+    def test_unserializable_values_raise_as_json_dumps_does(self, doc):
+        with pytest.raises(TypeError) as expected:
+            json.dumps(doc, indent=2)
+        with pytest.raises(TypeError, match=re.escape(str(expected.value))):
+            cli._json(doc)
+
+    def test_floats_are_printed_once_per_distinct_value(self, monkeypatch):
+        printed = []
+        float_text = cli._float_text
+        monkeypatch.setattr(cli, "_float_text", lambda x: (printed.append(x), float_text(x))[1])
+        gram = [[float(abs(i - j)) + 0.5 for j in range(6)] for i in range(6)]
+        doc = {"gram": gram, "diag": 0.5, "zeros": [0.0, -0.0]}
+        assert cli._json(doc) == reference_json(doc)
+        assert sorted(printed) == [0.5, 1.5, 2.5, 3.5, 4.5, 5.5]
+        assert cli._json(doc) == reference_json(doc)
+        assert len(printed) == 12  # nothing is kept from one document to the next
 
 
 class TestExtremeScales:
@@ -548,6 +654,19 @@ class TestSample:
                         "--n", "10000", "--seed", "11", "--grid", grid, "--out", str(out)]) == 0
             draws.append(out.read_bytes())
         assert draws[1:] == draws[:-1]
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_seed_is_refused_before_any_work(self, tmp_path, capsys, monkeypatch, source):
+        monkeypatch.setattr(cli.RunConfig, "model", lambda self: pytest.fail("a model was built"))
+        args = ["sample", "--phi", "normal:1", "--psi", "normal:1", "--n", "3", "--out", str(tmp_path / "s.csv")]
+        if source == "flag":
+            args += ["--seed", "-1"]
+        else:
+            (tmp_path / "run.json").write_text(json.dumps({"seed": -1}))
+            args += ["--config", str(tmp_path / "run.json")]
+        assert run(args) == 1
+        assert capsys.readouterr().err == "error: bad value for 'seed': expected a non-negative integer, got -1\n"
+        assert not (tmp_path / "s.csv").exists()
 
     def test_different_seed_differs(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
