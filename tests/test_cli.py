@@ -127,8 +127,14 @@ def reference_csv(header, *columns):
 
 
 def csv_bytes(header, *columns):
-    """The file _csv's byte chunks make."""
-    return b"".join(cli._csv(header, *columns))
+    """The file _csv's byte chunks make, asserted the same on both of g17's
+    routes: a chunk of fewer than SMALL_TABLE_CELLS cells through one ``%``
+    (the default) and every chunk on the array path (threshold 0)."""
+    text = b"".join(cli._csv(header, *columns))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(g17, "SMALL_TABLE_CELLS", 0)
+        assert b"".join(cli._csv(header, *columns)) == text
+    return text
 
 
 AWKWARD = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1.7976931348623157e308,
@@ -155,21 +161,6 @@ EXACT_ROUNDING = {
 }
 
 
-ANY_FLOATS = st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=40)
-FIXED_RANGE = st.lists(st.floats(-1e17, 1e17), max_size=40)
-WINDOW_RANGE = st.lists(st.floats(-20.0, 20.0), max_size=40)
-
-
-def _matches_the_reference(values_strategy):
-    """A property test that two columns of drawn values match the reference.
-    Hypothesis runs a test function for one class only, so each class that
-    holds such a test gets its own from here."""
-    @given(values=values_strategy)
-    def test(self, values):
-        assert csv_bytes("a,b", values, values[::-1]) == reference_csv("a,b", values, values[::-1]).encode()
-    return test
-
-
 class TestCsv:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_awkward_values_match_the_reference(self, k):
@@ -192,9 +183,17 @@ class TestCsv:
             rows_per_chunk = [chunk.count(b"\n") for chunk in cli._csv("value", column)]
             assert rows_per_chunk == [1] + [3] * (rows // 3) + [rows % 3] * (rows % 3 > 0)
 
-    test_any_floats_match_the_reference = _matches_the_reference(ANY_FLOATS)
-    test_fixed_notation_range_matches_the_reference = _matches_the_reference(FIXED_RANGE)
-    test_window_range_matches_the_reference = _matches_the_reference(WINDOW_RANGE)
+    @given(values=st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=40))
+    def test_any_floats_match_the_reference(self, values):
+        assert csv_bytes("a,b", values, values[::-1]) == reference_csv("a,b", values, values[::-1]).encode()
+
+    @given(values=st.lists(st.floats(-1e17, 1e17), max_size=40))
+    def test_fixed_notation_range_matches_the_reference(self, values):
+        assert csv_bytes("a,b", values, values[::-1]) == reference_csv("a,b", values, values[::-1]).encode()
+
+    @given(values=st.lists(st.floats(-20.0, 20.0), max_size=40))
+    def test_window_range_matches_the_reference(self, values):
+        assert csv_bytes("a,b", values, values[::-1]) == reference_csv("a,b", values, values[::-1]).encode()
 
     @pytest.mark.parametrize("case", sorted(EXACT_ROUNDING))
     def test_exact_rounding_cases(self, case):
@@ -236,24 +235,6 @@ class TestCsv:
             cli._csv("value", ["not a number"])
 
 
-class TestCsvArrayRoute(TestCsv):
-    """TestCsv again with every table on g17's array path: its other cases
-    render fewer than SMALL_TABLE_CELLS cells, which take the ``%`` route."""
-
-    @pytest.fixture(autouse=True, scope="class")
-    def array_route(self):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(g17, "SMALL_TABLE_CELLS", 0)
-            yield
-
-    test_any_floats_match_the_reference = _matches_the_reference(ANY_FLOATS)
-    test_fixed_notation_range_matches_the_reference = _matches_the_reference(FIXED_RANGE)
-    test_window_range_matches_the_reference = _matches_the_reference(WINDOW_RANGE)
-    # tables far above the threshold, on the array path in TestCsv already
-    test_bulk_random_values_match_the_reference = None
-    test_working_memory_is_bounded = None
-
-
 class TestSmallTableRoute:
     @pytest.mark.parametrize("cells, cols, array_path", [
         (g17.SMALL_TABLE_CELLS - 1, 1, False), (g17.SMALL_TABLE_CELLS - 1, 3, False),
@@ -268,7 +249,7 @@ class TestSmallTableRoute:
         monkeypatch.setattr(g17, "_digits", lambda n, out: (calls.append(n.size), digits(n, out)))
         columns = list(table.T)
         header = ",".join("abc"[:cols])
-        assert csv_bytes(header, *columns) == reference_csv(header, *columns).encode()
+        assert b"".join(cli._csv(header, *columns)) == reference_csv(header, *columns).encode()
         assert calls == ([cells] if array_path else [])
 
 
