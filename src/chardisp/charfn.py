@@ -34,13 +34,13 @@ class InvalidSpecError(ValueError):
 
 
 def _clamp(t: ArrayLike, scale: float) -> np.ndarray:
-    """t clipped to +-min(T_CAP, SCALED_CAP / scale): the bound is a Python
-    float, so the clamp stays one pass, and it is T_CAP for every scale
-    below 1e142.  ``ndarray.clip``, not ``np.clip``: the same bits without
-    the three Python-level wrapper frames that every kernel evaluation
-    would enter."""
+    """t as float, clipped to +-min(T_CAP, SCALED_CAP / scale), a bound
+    that is T_CAP for every scale below 1e142.  Two ufuncs, not
+    ``np.clip`` or ``ndarray.clip``: the same bits, NaN and +-inf
+    included, without the Python-level wrapper frame that every kernel
+    evaluation would enter."""
     cap = min(T_CAP, SCALED_CAP / scale)
-    return np.asarray(t, dtype=float).clip(-cap, cap)
+    return np.minimum(np.maximum(t, -cap, dtype=float), cap)
 
 
 class Spec:

@@ -102,16 +102,19 @@ def fft_deconvolve_reference(kernel, lo: float, hi: float, n: int):
     return a, float(ahat[0].real / n), float(a.max() - a.min()), int(guard.sum())
 
 
-def numpy_wrapper_frames(call, files=NUMPY_WRAPPER_FILES) -> int:
-    """Python frames entered in numpy's modules named ``files`` while
-    ``call()`` runs, counted as ``call`` events under ``sys.setprofile``."""
+def numpy_wrapper_frames(call, files=NUMPY_WRAPPER_FILES, callers=None) -> int:
+    """Python frames entered in numpy's modules named ``files`` (None: in
+    any of numpy's modules) while ``call()`` runs, counted as ``call``
+    events under ``sys.setprofile``.  With ``callers``, a collection of
+    code objects, only the frames called directly from one of them count."""
     root = os.path.dirname(np.__file__) + os.sep
     count = 0
 
     def profile(frame, event, arg):
         nonlocal count
         path = frame.f_code.co_filename
-        if event == "call" and path.startswith(root) and os.path.basename(path) in files:
+        if (event == "call" and path.startswith(root) and (files is None or os.path.basename(path) in files)
+                and (callers is None or frame.f_back.f_code in callers)):
             count += 1
 
     previous = sys.getprofile()

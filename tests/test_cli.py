@@ -530,8 +530,8 @@ class TestVerify:
         digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
         assert digests == {
             "deconvolution.csv": "4d65bbc9b1cc15ca5d51d84996ee9fe7e3e58192f37942c7f4a2819744c3430a",
-            "residuals.csv": "211b34d170d84ce2b982accc573caaac7f6605d21d41aee14f29e154f1712115",
-            "verify.json": "3a0020935a7ea0e2d947bc08b8c3c2a76e67eec34957d17c43973c0a554a7003",
+            "residuals.csv": "764e09aa689bd898e3ce0492061d36afcfe5b5c25891aa1879be37e195a867cf",
+            "verify.json": "b8486a6762205475ca38d03a336294d907ea1f61623a851923d8442f58d11202",
         }
 
     @pytest.mark.parametrize("n", [17, 1000])
@@ -585,7 +585,7 @@ class TestRiesz:
         assert run(["riesz", "--phi", "laplace:1", "--psi", "laplace:1", "--n", "8", "--out", str(out)]) == 0
         digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
         assert digests == {
-            "orthogonality.csv": "d4d4030e6933b5d01e3f2378dca3189d1c7b4232b78f82e216f82fc180b00929",
+            "orthogonality.csv": "7b8bca21fd2147ba55e7c47effa543270dae2b47b01293a1b827917ae237a690",
             "riesz.json": "e4e7a8755602ce0d237bd4d2828a58124a9e2860a62052b7a53740f415845fee",
         }
 

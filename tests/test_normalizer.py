@@ -118,10 +118,12 @@ class TestKernel:
     )
     def test_evaluation_enters_no_fromnumeric_wrapper(self, phi):
         # the kernel runs once per quadrature block, where a wrapper such as
-        # np.clip costs as much as the arithmetic of a small block
+        # np.clip costs as much as the arithmetic of a small block: not that
+        # one, nor ndarray.clip's _methods._clip, nor any other Python-level
+        # numpy code runs, only ufuncs
         k = KernelSpec(UnitDeviancePair(phi, Normal(1.0)), 1.0)
         ys = np.linspace(-5.0, 5.0, 15)
-        assert numpy_wrapper_frames(lambda: k.eval(ys), files=("fromnumeric.py",)) == 0
+        assert numpy_wrapper_frames(lambda: k.eval(ys), files=None) == 0
 
 
 class TestKernelIntegral:

@@ -202,6 +202,8 @@ def _cusp_integral(c: float) -> float:
 @settings(max_examples=40, deadline=None)
 @given(tol=st.floats(1e-12, 1e-3), max_panels=st.integers(1, 80))
 @example(tol=1e-12, max_panels=1)
+@example(tol=1.5927407402904255e-12, max_panels=30)  # under maximum marking alone, bound > tol
+@example(tol=1.3337015264542533e-11, max_panels=25)  # bound > tol by less than the floor
 def test_max_panels_is_a_hard_cap(tol, max_panels):
     f = lambda x: np.abs(x) ** 0.7
     free = integrate(f, -1.0, 2.0, tol=tol)
@@ -211,9 +213,87 @@ def test_max_panels_is_a_hard_cap(tol, max_panels):
         assert not isinstance(exc, NonFiniteIntegrandError)
         assert exc.error_bound > tol and max_panels < free.n_panels
     else:
-        assert res.n_panels <= max_panels and res.error_bound <= tol
+        # the returned bound is the summed estimate, at most tol, plus the
+        # rounding floor, which for a nonnegative integrand is taken of the value
+        floor = ROUNDING_ULPS * np.finfo(float).eps * res.value
+        assert res.n_panels <= max_panels and res.error_bound - floor <= tol
         if max_panels >= free.n_panels:  # the cap never bound
             assert res == free
+
+
+def _replay(f, a, b, tol, max_panels, breakpoints, cusps):
+    """Integrate f over [a, b], recording every round: returns the list of
+    (live panels as (lo, hi, estimate) in order, set of (lo, hi) bisected)
+    of each round that bisects, and the result or the QuadratureError."""
+    evaluated = []
+    gk15 = quadrature._gk15
+
+    def recorded(g, lo, hi, *rest):
+        k, err = gk15(g, lo, hi, *rest)
+        evaluated.append(list(zip(lo.tolist(), hi.tolist(), err.tolist())))
+        return k, err
+
+    quadrature._gk15 = recorded
+    try:
+        result = integrate(f, a, b, tol=tol, breakpoints=breakpoints, max_panels=max_panels, cusps=cusps)
+    except QuadratureError as exc:
+        result = exc
+    finally:
+        quadrature._gk15 = gk15
+    live, rounds = evaluated[0], []
+    for kids in evaluated[1:]:
+        split = {(kids[i][0], kids[i + 1][1]): kids[i:i + 2] for i in range(0, len(kids), 2)}
+        rounds.append((live, set(split)))
+        live = [q for p in live for q in split.get(p[:2], [p])]
+    return rounds, result
+
+
+_marking_draws = dict(
+    beta=st.floats(0.1, 0.9), c=st.floats(-1.0, 2.0), tol=st.floats(1e-13, 1e-4),
+    max_panels=st.integers(2, 120), cut=st.sampled_from(["none", "breakpoint", "cusp"]),
+)
+
+
+def _marking_rounds(beta, c, tol, max_panels, cut):
+    f = lambda x: np.abs(x - c) ** beta
+    return _replay(f, -1.0, 2.0, tol, max_panels, (c,) if cut == "breakpoint" else (), (c,) if cut == "cusp" else ())
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_marking_draws)
+@example(beta=0.7, c=0.0, tol=1e-12, max_panels=120, cut="none")
+@example(beta=0.5, c=0.25, tol=1e-10, max_panels=7, cut="breakpoint")  # more maximum marks than room
+@example(beta=0.3, c=0.5, tol=1e-13, max_panels=12, cut="cusp")
+def test_tolerance_share_marks_a_superset_of_maximum_marking(beta, c, tol, max_panels, cut):
+    # each round bisects every splittable panel whose estimate is at least
+    # MARK_FRACTION times the largest (maximum marking) or 1 / MARK_FRACTION
+    # times the equal share tol / count of the tolerance; when the budget
+    # has room for fewer, the largest estimates among them
+    eps = np.finfo(float).eps
+    for live, split in _marking_rounds(beta, c, tol, max_panels, cut)[0]:
+        splittable = [p for p in live if p[1] - p[0] >= 64 * eps * max(abs(p[0]), abs(p[1]), 3.0)]
+        worst = max(e for _, _, e in splittable)
+        threshold = min(quadrature.MARK_FRACTION * worst, tol / (quadrature.MARK_FRACTION * len(live)))
+        maximum = {p[:2] for p in splittable if p[2] >= quadrature.MARK_FRACTION * worst}
+        marked = sorted((p for p in splittable if p[2] >= threshold), key=lambda p: -p[2])
+        room = max_panels - len(live)
+        assert maximum <= {p[:2] for p in marked}
+        assert split == {p[:2] for p in marked[:room]}
+        if len(maximum) <= room:
+            assert maximum <= split
+        else:  # the budget's room goes to the largest estimates, all of them maximum marks
+            assert split <= maximum and len(split) == room
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_marking_draws)
+@example(beta=0.5, c=0.25, tol=1e-10, max_panels=7, cut="breakpoint")
+def test_tolerance_share_marks_never_pass_the_budget(beta, c, tol, max_panels, cut):
+    rounds, result = _marking_rounds(beta, c, tol, max_panels, cut)
+    for live, split in rounds:
+        assert len(live) + len(split) <= max_panels
+    if not isinstance(result, QuadratureError):
+        assert result.n_panels <= max_panels
 
 
 def test_forced_panels_over_the_budget_are_refused_unevaluated():
@@ -261,11 +341,14 @@ def test_midpoints_near_the_float_maximum_do_not_overflow():
 
 def test_numpy_wrapper_frames_do_not_grow_with_rounds():
     # numpy's Python-level wrappers cost 1-2 us a call, so none of them may
-    # run once per round: a cusp refining in 20 rounds enters as many wrapper
-    # frames as a smooth integrand refining in 6, and so does the same cusp
-    # graded, in graded and plain panels
+    # run once per round: a cusp refining in 19 rounds enters as many wrapper
+    # frames as a smooth integrand refining in 4, and so does the same cusp
+    # graded, in graded and plain panels; and the rounds and the panel
+    # evaluation enter no numpy Python frame at all, not even a dispatcher
+    # such as np.where's
     shifts = np.linspace(-0.5, 0.5, 5)
     calls = []
+    engine = (quadrature._rounds.__code__, quadrature._gk15.__code__)
 
     def frames(f, cusps=None):
         def counted(x, s):
@@ -274,6 +357,7 @@ def test_numpy_wrapper_frames_do_not_grow_with_rounds():
         calls.clear()
         run = lambda: integrate_shifts(counted, -1.0, 1.0, shifts, breakpoints=lambda s: (s,), cusps=cusps)
         n, rounds = numpy_wrapper_frames(run), len(calls)
+        assert numpy_wrapper_frames(run, files=None, callers=engine) == 0
         return n, rounds, numpy_wrapper_frames(run, files=("_ufunc_config.py",))
 
     smooth, smooth_rounds, smooth_errstate = frames(lambda x, s: np.cos(20.0 * (x - s)))

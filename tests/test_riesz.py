@@ -11,6 +11,7 @@ from chardisp.quadrature import integrate_shifts
 from chardisp.charfn import Cauchy, Laplace, Normal, SymmetricNIG, SymmetricStable
 from chardisp.deviance import UnitDeviancePair
 from chardisp.normalizer import (
+    RESIDUAL_TOL,
     CosineGaussian,
     KernelSpec,
     OddGaussian,
@@ -167,36 +168,46 @@ class TestGramMatrix:
         # panels; maximum marking took 20 rounds for 19,408 panels, all 147
         # displacements refining in one run; folding each integral about
         # s/2 refines one mirror half, in 19 rounds for 10,074 panels;
-        # grading the panels at the cusps 0 and s takes 12 rounds for 4,258
+        # grading the panels at the cusps 0 and s takes 12 rounds for 4,258;
+        # marking also every panel above 4 times its integral's equal share
+        # of the tolerance takes 10 rounds for 4,330
         panels = []
         gk15 = quadrature._gk15
         monkeypatch.setattr(quadrature, "_gk15", lambda f, lo, *rest: panels.append(lo.size) or gk15(f, lo, *rest))
         k = KernelSpec(UnitDeviancePair(SymmetricStable(0.7, 1.0), Normal(1.0)), 1.0)
         gram_matrix(TranslateSystem(k, tuple(rational_enumeration(32)), Window()))
-        assert (len(panels), sum(panels)) == (12, 4_258)
+        assert (len(panels), sum(panels)) == (10, 4_330)
         assert len(panels) <= 0.4 * 204 and sum(panels) <= 1.15 * 18_912
         assert sum(panels) <= 0.55 * 19_408
         assert len(panels) <= 0.7 * 19 and sum(panels) <= 0.5 * 10_074
 
     @pytest.mark.parametrize("phi, psi, panels, digest", [
-        (Normal(1.0), Normal(1.0), [732, 294, 294, 296, 310, 542, 408, 66, 8, 4],
-         "4386ae991b463bacbeca3a0fb686657ce4092974754d18e6e37431312d654663"),
-        (Laplace(1.0), Laplace(1.0), [732, 294, 296, 304, 320, 326, 252, 62, 8],
-         "2309388107cf6354cd523245abd3b4a6b99511defb24b2eb16665f4b8ed5c5b5"),
-        (Cauchy(1.0), Normal(1.0), [732, 294, 294, 298, 310, 506, 180, 14],
+        (Normal(1.0), Normal(1.0), [732, 414, 344, 592, 586, 312],
+         "3f6931c261033e506a1cc2b32b8bee47498ae681cd4402cf324e59cfe1e1818c"),
+        (Laplace(1.0), Laplace(1.0), [732, 460, 382, 312, 298, 294, 98],
+         "56c7c21b5b6d08e43637b5c0f2d785e79aea6b64693928292a7041c69466938a"),
+        (Cauchy(1.0), Normal(1.0), [732, 364, 306, 594, 592, 48],
          "34d0e41cae1e5112168eac3731bd674b93d4006a5abe5444abf31d44370f8714"),
-        (SymmetricNIG(1.0, 1.0), SymmetricNIG(1.0, 1.0), [732, 294, 294, 302, 332, 380, 388, 102, 8],
-         "8f8eb1e7cdb32c7eeb6ee4554000fd3d3c97fe334048b37518af6cab81466133"),
+        (SymmetricNIG(1.0, 1.0), SymmetricNIG(1.0, 1.0), [732, 430, 584, 428, 330, 308],
+         "aadd198b890958783c725f22ac166a7879ba660599df5cb2f2d7ee8dd65d0b67"),
     ], ids=["normal", "laplace", "cauchy_normal", "nig"])
     def test_pairs_without_a_fractional_exponent_keep_every_panel_and_bit(self, monkeypatch, phi, psi, panels,
                                                                          digest):
-        # n = 32 on the default window: the panels of each round and the
-        # bytes of the matrix, as computed before panels were graded
-        rounds = []
+        # n = 32 on the default window: no round evaluates a graded panel,
+        # and the panels of each round and the bytes of the matrix are those
+        # of the marking rule alone
+        rounds, grades = [], []
         gk15 = quadrature._gk15
-        monkeypatch.setattr(quadrature, "_gk15", lambda f, lo, *rest: rounds.append(lo.size) or gk15(f, lo, *rest))
+
+        def counted(f, lo, hi, s, grade, named):
+            rounds.append(lo.size)
+            grades.append(grade)
+            return gk15(f, lo, hi, s, grade, named)
+
+        monkeypatch.setattr(quadrature, "_gk15", counted)
         k = KernelSpec(UnitDeviancePair(phi, psi), 1.0)
         gram = gram_matrix(TranslateSystem(k, tuple(rational_enumeration(32)), Window())).gram
+        assert grades == [None] * len(rounds)
         assert rounds == panels
         assert hashlib.sha256(gram.tobytes()).hexdigest() == digest
 
@@ -310,6 +321,23 @@ class TestOrthogonalityResidual:
             got = orthogonality_residual(f, k, [mu], tol=1e-10, window=W20)[0]
             oracle = midpoint_convolution(f.eval, k.eval, mu, -20.0, 20.0, n=4_000_000)
             assert got == pytest.approx(oracle, abs=1e-8)
+
+    def test_cosgauss_probe_takes_few_integrand_calls(self):
+        # the riesz command's probe, 21 mu on [-5, 5] in the default window:
+        # maximum marking alone took 11 integrand calls for 830 panels;
+        # marking by tolerance share as well takes 6 for 846
+        calls = []
+
+        class Recording(KernelSpec):
+            def eval(self, y):
+                calls.append(np.shape(y)[0])  # one row of 15 abscissae a panel
+                return super().eval(y)
+
+        rho = orthogonality_residual(CosineGaussian(), Recording(NN, 1.0), np.linspace(-5.0, 5.0, 21),
+                                     tol=RESIDUAL_TOL, window=Window())
+        assert np.all(rho > 0.0)
+        assert (len(calls), sum(calls)) == (6, 846)
+        assert len(calls) <= 6 and sum(calls) <= 1.03 * 830
 
     def test_grid_outside_window_rejected(self):
         with pytest.raises(ValueError):
