@@ -110,13 +110,17 @@ def parse_shorthand(registry: dict, kind: str, token: str) -> Spec:
 
 
 class CharFn(Spec, ABC):
-    """A real, even characteristic function with known moment behaviour."""
+    """A real, even characteristic function.
+
+    A family declares ``eval``, and declares ``origin_exponent`` too when
+    it is not 2; :meth:`has_finite_second_moment` follows from it.
+    """
 
     kind = "characteristic function"
-    # beta in 1 - phi(t) ~ c |t|^beta at the origin: where the kernel of a
-    # deviance with this phi has its corner, and how sharp it is.  The
-    # quadrature grades the panels at such a corner when beta is not an
-    # integer.  A family that declares none is integrated without grading.
+    # beta in 1 - phi(t) ~ c |t|^beta at the origin: the law has a finite
+    # variance exactly when beta = 2, and the kernel of a deviance with this
+    # phi has its corner there, as sharp as beta says.  The quadrature
+    # grades the panels at such a corner when beta is not an integer.
     origin_exponent = 2.0
 
     def __post_init__(self):
@@ -131,9 +135,10 @@ class CharFn(Spec, ABC):
         """Evaluate the characteristic function at ``t``: a numpy float
         scalar for scalar ``t``, an array of the shape of ``t`` otherwise."""
 
-    @abstractmethod
     def has_finite_second_moment(self) -> bool:
-        """True when the underlying law has finite first two moments."""
+        """True when the underlying law has finite first two moments, that
+        is when ``origin_exponent`` is 2."""
+        return self.origin_exponent == 2
 
 
 @dataclass(frozen=True)
@@ -142,13 +147,9 @@ class Normal(CharFn):
 
     scale: float = 1.0
     family = "normal"
-    origin_exponent = 2.0
 
     def eval(self, t):
         return np.exp(-0.5 * (self.scale * _clamp(t, self.scale)) ** 2)
-
-    def has_finite_second_moment(self):
-        return True
 
 
 @dataclass(frozen=True)
@@ -162,9 +163,6 @@ class Cauchy(CharFn):
     def eval(self, t):
         return np.exp(-self.scale * np.abs(_clamp(t, self.scale)))
 
-    def has_finite_second_moment(self):
-        return False
-
 
 @dataclass(frozen=True)
 class Laplace(CharFn):
@@ -172,13 +170,9 @@ class Laplace(CharFn):
 
     scale: float = 1.0
     family = "laplace"
-    origin_exponent = 2.0
 
     def eval(self, t):
         return 1.0 / (1.0 + (self.scale * _clamp(t, self.scale)) ** 2)
-
-    def has_finite_second_moment(self):
-        return True
 
 
 @dataclass(frozen=True)
@@ -206,9 +200,6 @@ class SymmetricStable(CharFn):
             raise InvalidSpecError(f"stable index alpha must lie in (0, 2], got {self.alpha}")
         super().__post_init__()
 
-    def has_finite_second_moment(self):
-        return self.alpha == 2.0
-
 
 @dataclass(frozen=True)
 class SymmetricNIG(CharFn):
@@ -222,7 +213,6 @@ class SymmetricNIG(CharFn):
     alpha: float = 1.0
     delta: float = 1.0
     family = "nig"
-    origin_exponent = 2.0
 
     def __post_init__(self):
         super().__post_init__()
@@ -235,21 +225,14 @@ class SymmetricNIG(CharFn):
         t2 = _clamp(t, math.sqrt(self.delta)) ** 2  # delta * t2 stays finite
         return np.exp(-self.delta * t2 / (self.alpha + np.sqrt(self.alpha ** 2 + t2)))
 
-    def has_finite_second_moment(self):
-        return True
 
-
-FAMILIES: dict[str, type] = {
-    "normal": Normal,
-    "cauchy": Cauchy,
-    "laplace": Laplace,
-    "stable": SymmetricStable,
-    "nig": SymmetricNIG,
-}
+FAMILIES: dict[str, type] = {cls.family: cls for cls in (Normal, Cauchy, Laplace, SymmetricStable, SymmetricNIG)}
 
 
 def register_family(cls: type) -> type:
-    """Extension point: add a :class:`CharFn` subclass to the catalog."""
+    """Extension point: add a :class:`CharFn` subclass to the catalog,
+    under its ``family`` name.  The subclass declares ``eval``, and
+    ``origin_exponent`` too when it is not 2."""
     if not (isinstance(cls, type) and issubclass(cls, CharFn)):
         raise TypeError(f"{cls!r} is not a CharFn subclass")
     if not cls.family:
@@ -264,5 +247,5 @@ def from_dict(d: dict) -> CharFn:
         family = d["family"]
         params = d["params"]
     except (TypeError, KeyError) as exc:
-        raise InvalidSpecError(f"characteristic function record needs 'family' and 'params': {d!r}") from exc
-    return build(FAMILIES, "characteristic function", family, params)
+        raise InvalidSpecError(f"{CharFn.kind} record needs 'family' and 'params': {d!r}") from exc
+    return build(FAMILIES, CharFn.kind, family, params)

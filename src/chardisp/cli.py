@@ -81,12 +81,12 @@ CSV_CHUNK_ROWS = 32768
 
 def parse_charfn(token: str) -> CharFn:
     """Parse FAMILY or FAMILY:P1,P2 shorthand, e.g. normal:1 or stable:1.5,1."""
-    return charfn.parse_shorthand(charfn.FAMILIES, "characteristic function", token)
+    return charfn.parse_shorthand(charfn.FAMILIES, CharFn.kind, token)
 
 
 def parse_perturbation(token: str) -> Perturbation:
     """Parse zero | cosgauss[:A,OMEGA,WIDTH] | oddgauss[:A,WIDTH] shorthand."""
-    return charfn.parse_shorthand(PERTURBATION_FAMILIES, "perturbation", token)
+    return charfn.parse_shorthand(PERTURBATION_FAMILIES, Perturbation.kind, token)
 
 
 @dataclass

@@ -251,12 +251,7 @@ class TabulatedEven(Perturbation):
         return tuple(-k for k in self.knots) + self.knots
 
 
-PERTURBATION_FAMILIES: dict[str, type] = {
-    "zero": Zero,
-    "cosgauss": CosineGaussian,
-    "oddgauss": OddGaussian,
-    "custom": TabulatedEven,
-}
+PERTURBATION_FAMILIES: dict[str, type] = {cls.family: cls for cls in (Zero, CosineGaussian, OddGaussian, TabulatedEven)}
 
 
 def perturbation_from_dict(d: dict) -> Perturbation:
@@ -264,8 +259,8 @@ def perturbation_from_dict(d: dict) -> Perturbation:
     try:
         family = d["family"]
     except (TypeError, KeyError):
-        raise InvalidSpecError(f"unknown perturbation record {d!r}") from None
-    return build(PERTURBATION_FAMILIES, "perturbation", family, d.get("params", {}))
+        raise InvalidSpecError(f"unknown {Perturbation.kind} record {d!r}") from None
+    return build(PERTURBATION_FAMILIES, Perturbation.kind, family, d.get("params", {}))
 
 
 # ---------------------------------------------------------------------------

@@ -46,11 +46,14 @@ integral's bound and largest error from per-integral reductions, marks
 panels by the rule above, evaluates the child panels ``PANEL_BLOCK`` at a
 time, each block in one integrand call on an ``(m, 15)`` array of
 abscissae with ``s`` broadcast per row, and puts each split panel's two
-children in its place.  Panel sums are row-wise and every reduction stays
-within one integral, so a shift's value, bound and panel count are
-bit-identical whether it is integrated alone or in a batch, and whatever
-the block: a plain row is computed by the same operations whether or not
-graded rows share its block.  Shifts are processed ``SHIFT_CHUNK`` at a
+children in its place.  A block of a run with cusps takes each row's
+nodes and weights from tables indexed by the panel's grade, row 0 the
+plain rule; a run without cusps broadcasts the plain rule.  Panel sums
+are row-wise and every reduction stays within one integral, so a shift's
+value, bound and panel count are bit-identical whether it is integrated
+alone or in a batch, and whatever the block: a plain row is computed by
+the same operations on the same values whether or not graded rows share
+its block.  Shifts are processed ``SHIFT_CHUNK`` at a
 time and a shift's panels are dropped as soon as it converges, so a run
 holds one block's temporaries plus about 100 B of state per live panel,
 whatever the number of shifts.  A converged integral's value, bound and panel count are
@@ -71,11 +74,11 @@ Python overhead.  Every numpy call made once per round or once per block
 therefore goes straight to a ufunc, a ufunc method or an ndarray method
 implemented in C (``v.repeat``, ``np.add.accumulate``,
 ``np.logical_or.reduce``, ``np.add.reduce``, ``.nonzero()``, ``.argsort``,
-assignment through a boolean index), not to numpy's Python-level wrappers
-and dispatchers (``np.repeat``, ``np.cumsum``, ``ndarray.any``,
-``ndarray.sum``, ``np.flatnonzero``, ``np.argsort``, ``np.where``), which
-compute the same bits and add 1-2 us a call.  Paths that only raise keep
-the wrappers.
+``.take``, assignment through a boolean index), not to numpy's
+Python-level wrappers and dispatchers (``np.repeat``, ``np.cumsum``,
+``ndarray.any``, ``ndarray.sum``, ``np.flatnonzero``, ``np.argsort``,
+``np.where``), which compute the same bits and add 1-2 us a call.  Paths
+that only raise keep the wrappers.
 For the same reason numpy's error state is entered once per run, around
 all its rounds, and not once per round or block.
 """
@@ -232,23 +235,22 @@ def _gk15(f, lo: np.ndarray, hi: np.ndarray, s: np.ndarray, grade: Optional[np.n
         rows = slice(start, start + PANEL_BLOCK)
         mid = (0.5 * lo[rows] + 0.5 * hi[rows])[:, None]
         half = 0.5 * (hi[rows] - lo[rows])
-        x = mid + half[:, None] * _NODES
-        # Graded rows gr are redone with their own nodes and weights, so a
-        # plain row's bits do not depend on whether graded rows share its
-        # block, and no block-sized table is built.
-        graded = grade is not None and np.logical_or.reduce(g := grade[rows])
-        if graded:
-            gr = g.nonzero()[0]
-            g = g[gr]
-            x[gr] = mid[gr] + half[gr, None] * _GRADED_NODES[g]
+        # A graded run takes each row's nodes and weights from the grade
+        # tables, whose row 0 is the plain rule; a run without cusps
+        # broadcasts that rule.  Either way a plain row is computed by the
+        # same operations on the same values, so its bits are the same.
+        if grade is None:
+            nodes, wk, wg = _NODES, _WEIGHTS_K, _WEIGHTS_G
+        else:
+            g = grade[rows]
+            nodes = _GRADED_NODES.take(g, axis=0)
+            wk, wg = _GRADED_WEIGHTS_K.take(g, axis=0), _GRADED_WEIGHTS_G.take(g, axis=0)
+        x = mid + half[:, None] * nodes
         fx = np.asarray(f(x, s[rows, None]), dtype=float)
         # Row-wise sums, not a matrix product, so that a row's value does not
         # depend on how many rows share the call.
-        kb = half * np.add.reduce(fx * _WEIGHTS_K, axis=1)
-        gb = half * np.add.reduce(fx[:, 1::2] * _WEIGHTS_G, axis=1)
-        if graded:
-            kb[gr] = half[gr] * np.add.reduce(fx[gr] * _GRADED_WEIGHTS_K[g], axis=1)
-            gb[gr] = half[gr] * np.add.reduce(fx[gr, 1::2] * _GRADED_WEIGHTS_G[g], axis=1)
+        kb = half * np.add.reduce(fx * wk, axis=1)
+        gb = half * np.add.reduce(fx[:, 1::2] * wg, axis=1)
         eb = np.abs(kb - gb)
         # The estimate is finite only if every sample and both sums are:
         # check it, and look for the culprit only on failure.

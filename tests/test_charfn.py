@@ -19,7 +19,8 @@ from chardisp.charfn import (
     from_dict,
     register_family,
 )
-from chardisp.normalizer import PERTURBATION_FAMILIES, TabulatedEven
+from chardisp.deviance import UnitDeviancePair
+from chardisp.normalizer import PERTURBATION_FAMILIES, KernelSpec, TabulatedEven
 
 CATALOG = [
     Normal(1.0),
@@ -142,6 +143,40 @@ def test_origin_exponent_table():
     assert Cauchy(1.0).origin_exponent == 1.0
     assert SymmetricStable(0.7, 1.0).origin_exponent == 0.7
     assert SymmetricStable(2.0, 1.0).origin_exponent == 2.0
+
+
+# the catalog holds stable alpha = 0.7, 1.5 and 2; alpha = 1 is added
+@pytest.mark.parametrize("spec", CATALOG + [SymmetricStable(1.0, 1.0)], ids=repr)
+def test_finite_variance_follows_the_origin_exponent(spec):
+    assert spec.has_finite_second_moment() == (spec.origin_exponent == 2)
+
+
+def test_a_family_declares_eval_and_an_exponent_other_than_two():
+    # eval alone makes a smooth family of finite variance, whose kernels
+    # are not graded; an origin exponent of 1.5 makes the variance infinite
+    # and grades the kernel at its corner
+    from dataclasses import dataclass
+
+    @dataclass(frozen=True)
+    class Smooth(CharFn):
+        scale: float = 1.0
+        family = "smooth_test"
+
+        def eval(self, t):
+            return np.exp(-0.5 * (self.scale * np.asarray(t, dtype=float)) ** 2)
+
+    @dataclass(frozen=True)
+    class Sharp(Smooth):
+        family = "sharp_test"
+        origin_exponent = 1.5
+
+        def eval(self, t):
+            return np.exp(-np.abs(self.scale * np.asarray(t, dtype=float)) ** 1.5)
+
+    smooth, sharp = Smooth(1.0), Sharp(1.0)
+    assert smooth.has_finite_second_moment() and not sharp.has_finite_second_moment()
+    assert not KernelSpec(UnitDeviancePair(smooth, Normal(1.0))).graded
+    assert KernelSpec(UnitDeviancePair(sharp, Normal(1.0))).graded
 
 
 @pytest.mark.parametrize("spec", CATALOG, ids=repr)

@@ -1,4 +1,5 @@
-"""Each narrative demo runs to completion against the package in src/."""
+"""Each narrative demo runs to completion against the package in src/,
+with every warning raised as an error."""
 import os
 import subprocess
 import sys
@@ -12,8 +13,9 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("script", DEMOS, ids=[p.name for p in DEMOS])
 def test_demo_runs(script):
+    # -W error, as the CLI smoke runs: a demo that warns fails
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(script)], cwd=ROOT, env=env,
+    proc = subprocess.run([sys.executable, "-W", "error", str(script)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

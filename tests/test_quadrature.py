@@ -422,6 +422,17 @@ def test_only_the_panels_that_reach_a_cusp_are_graded(cusp):
     assert np.array_equal(graded, reaches) and np.sum(graded) > 1
 
 
+@pytest.mark.parametrize("grade", [0, 1, 2])
+def test_each_grade_table_row_is_a_rule_on_the_reference_panel(grade):
+    # nodes strictly increasing inside (-1, 1), column 7 strictly inside,
+    # and both weight rows integrating 1 and (1 + x) / 2 exactly, to 4 ulps
+    x = quadrature._GRADED_NODES[grade]
+    assert -1.0 < x[0] and x[-1] < 1.0 and np.all(np.diff(x) > 0) and -1.0 < x[7] < 1.0
+    for w, nodes in [(quadrature._GRADED_WEIGHTS_K[grade], x), (quadrature._GRADED_WEIGHTS_G[grade], x[1::2])]:
+        assert abs(math.fsum(w) - 2.0) <= 4 * np.spacing(2.0)
+        assert abs(math.fsum(w * (0.5 + 0.5 * nodes)) - 1.0) <= 4 * np.spacing(1.0)
+
+
 def test_a_panel_between_two_cusps_is_cut_at_its_midpoint():
     # (x (1 - x))^0.3 with both ends marked: [0, 1] starts as [0, 1/2]
     # graded at 0 and [1/2, 1] graded at 1, and converges to the Beta value
