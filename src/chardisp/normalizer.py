@@ -129,12 +129,10 @@ class Perturbation(Spec, ABC):
     """Square-integrable perturbation added to the constant normalizer.
 
     Even members (symmetric about zero) form the class from which
-    non-constant normalizing functions are drawn; odd members are kept in
-    the catalog as controls and flagged as outside that class.
+    non-constant normalizing functions are drawn; :class:`OddGaussian`
+    is kept in the catalog as an odd control.
     """
 
-    # True when f(y) = f(-y) for all y.
-    even = True
     kind = "perturbation"
 
     def __post_init__(self):
@@ -154,12 +152,16 @@ class Perturbation(Spec, ABC):
         """True when f(y) = 0 for every y."""
         return False
 
-    def critical_points(self) -> tuple[float, ...]:
-        """Abscissae where an extreme may sit off any uniform grid: the
-        stationary points of a smooth perturbation and the corners of a
-        piecewise-linear table.  The positivity check and the sampling
-        envelope evaluate them beside their grid, and
-        :func:`window_convolve` cuts its integrals there."""
+    def critical_points(self, lo: float, hi: float) -> tuple[float, ...]:
+        """Abscissae that, with lo and hi, hold every extreme of f over the
+        window [lo, hi] other than 0: its minimum when that is negative and
+        its maximum when that is positive.  Each family declares them,
+        stationary points of a smooth perturbation or corners of a
+        piecewise-linear table; points outside the window are ignored.  The
+        positivity check and the sampling envelope evaluate them beside a
+        grid that holds lo and hi, so the smallest value scanned is the
+        minimum of a(y) over the window, and :func:`window_convolve` cuts
+        its integrals there."""
         return ()
 
 
@@ -194,18 +196,52 @@ class CosineGaussian(Perturbation):
     def is_zero(self):
         return self.amplitude == 0
 
-    def critical_points(self):
-        return (0.0,)  # where cos + 1 and the envelope both peak
+    def critical_points(self, lo, hi):
+        """0, where cos + 1 and the envelope both peak, when the window holds
+        it or the frequency is 0.  Otherwise f = 2 A cos^2(omega y / 2)
+        exp(-y^2 / (2 s^2)), whose factor cos^2 repeats with period
+        2 pi / omega while the envelope falls away from 0, so the extreme
+        of f farthest from 0 over the window lies within one period of the
+        window's edge nearest 0: at that edge or at a root of
+        omega tan(omega y / 2) = -y / s^2.  That period meets at most two
+        tangent branches ((2k - 1) pi / omega, (2k + 1) pi / omega), each
+        with one root, which is found by bisection on the sign of
+        g(y) = s^2 omega sin(omega y / 2) + y cos(omega y / 2), the
+        factor of f' that holds the root (written so that s^2 may
+        underflow): the bracket is oriented by the signs of g at its ends
+        and halved until its midpoint equals an end."""
+        w, s = abs(self.frequency), self.width
+        if w == 0.0 or lo <= 0.0 <= hi:
+            return (0.0,)
+
+        def g(y):
+            t = 0.5 * w * y
+            return w * s * s * math.sin(t) + y * math.cos(t)
+
+        period = 2.0 * math.pi / w
+        first = (min(abs(lo), abs(hi)) / period + 0.5) // 1.0  # the branch that holds the edge nearest 0
+        points = [0.0]
+        for k in (first, first + 1.0):
+            a, b = (k - 0.5) * period, (k + 0.5) * period
+            if not (k > 0.0 and math.isfinite(w * b)):  # branch 0's root is 0; sin and cos need finite arguments
+                continue
+            if g(a) > 0.0:
+                a, b = b, a  # g <= 0 at the end a
+            m = 0.5 * a + 0.5 * b
+            while m != a and m != b:
+                a, b = (a, m) if g(m) > 0.0 else (m, b)
+                m = 0.5 * a + 0.5 * b
+            points.append(m if lo > 0.0 else -m)
+        return tuple(points)
 
 
 @dataclass(frozen=True)
 class OddGaussian(Perturbation):
-    """f(y) = A y exp(-y^2 / (2 s^2)); odd, hence outside the even class."""
+    """f(y) = A y exp(-y^2 / (2 s^2)); odd, the catalog's control outside the even class."""
 
     amplitude: float = 1.0
     width: float = 1.0
     family = "oddgauss"
-    even = False
 
     def eval(self, y):
         yy = np.asarray(y, dtype=float)
@@ -215,7 +251,7 @@ class OddGaussian(Perturbation):
     def is_zero(self):
         return self.amplitude == 0
 
-    def critical_points(self):
+    def critical_points(self, lo, hi):
         return (-self.width, self.width)  # the minimum and the maximum
 
 
@@ -247,7 +283,7 @@ class TabulatedEven(Perturbation):
     def is_zero(self):
         return not any(self.values)
 
-    def critical_points(self):
+    def critical_points(self, lo, hi):
         return tuple(-k for k in self.knots) + self.knots
 
 
@@ -267,20 +303,6 @@ def perturbation_from_dict(d: dict) -> Perturbation:
 # Normalizing functions
 # ---------------------------------------------------------------------------
 
-def _zoom_min(f, y: float, h: float, w: Window) -> tuple[float, float]:
-    """The abscissa and value of the smallest f found near y: each of three
-    rounds evaluates f at 129 equispaced abscissae over [y - h, y + h]
-    within the window, then moves y to the smallest and h to their spacing,
-    so the spacing narrows 64-fold a round (from a scan spacing of 0.01 to
-    4e-8)."""
-    for _ in range(3):
-        ts = np.linspace(max(y - h, w.lo), min(y + h, w.hi), 129)
-        vals = f(ts)
-        j = int(np.argmin(vals))
-        y, h = ts[j], ts[1] - ts[0]
-    return float(y), float(vals[j])
-
-
 @dataclass(frozen=True)
 class NormalizerSpec:
     """Normalizing function on a window: a constant, optionally perturbed.
@@ -289,17 +311,13 @@ class NormalizerSpec:
     :class:`Zero` instance is a perturbed spec that happens to add nothing.
 
     A spec is scanned once, when it is built: a(y) must be finite and
-    positive at every one of its :meth:`scan_points`, which do not depend
-    on the window's ``n_grid``; otherwise the abscissa
+    positive at every one of its :meth:`scan_points`, which hold the
+    window's ends and every abscissa where a perturbation's extremes can
+    sit (see :meth:`Perturbation.critical_points`), so the smallest scanned
+    value is the minimum of a(y) over the window and the scan decides
+    positivity exactly, between grid points too.  Otherwise the abscissa
     of the first value that is not finite (an overflow, or NaN), or else of
-    the smallest value, is raised in :class:`PositivityError`.  When all are
-    positive, a non-constant a(y) is zoomed in on over the two scan
-    intervals beside its smallest scanned value, and a zoomed value <= 0 is
-    raised at its own abscissa.  Only that one minimum is searched: a dip
-    below zero between scan points elsewhere is not caught.  For instance,
-    normal x normal at lambda 1 on [1, 30] with
-    ``cosgauss:-0.01738574289704768,17,100`` is accepted although a(y)
-    is about -3.5e-6 at y = 1.108797.
+    the smallest value, is raised in :class:`PositivityError`.
     Its integrals against a kernel (at most 1) must stay finite too: a
     ValueError is raised when the largest scanned value times max(2, window
     width) overflows, since a Gauss-Kronrod panel sums weights up to 2 and
@@ -319,10 +337,6 @@ class NormalizerSpec:
             i = int(np.argmin(np.where(np.isfinite(vals), vals, -np.inf)))  # the first value not finite, else the smallest
             if not (np.isfinite(vals[i]) and vals[i] > 0.0):
                 raise PositivityError(float(ys[i]), float(vals[i]))
-            if not self.is_constant():
-                y, low = _zoom_min(self.value, ys[i], ys[1] - ys[0], self.window)
-                if low <= 0.0:
-                    raise PositivityError(y, low)
         top = int(np.argmax(vals))
         factor = max(2.0, self.window.width)
         if not math.isfinite(float(vals[top]) * factor):
@@ -344,8 +358,10 @@ class NormalizerSpec:
         return self.perturbation is None or self.perturbation.is_zero()
 
     def critical_points(self) -> tuple[float, ...]:
-        """The perturbation's critical points, where a(y) may have corners."""
-        return () if self.perturbation is None else self.perturbation.critical_points()
+        """The perturbation's critical points over the window (see
+        :meth:`Perturbation.critical_points`), where a(y) may have corners."""
+        w = self.window
+        return () if self.perturbation is None else self.perturbation.critical_points(w.lo, w.hi)
 
     def scan_points(self) -> np.ndarray:
         """Where the extremes of a(y) are looked for, by the positivity

@@ -13,13 +13,9 @@ Piessens et al. 1983, bisects only the largest), and also every one whose
 estimate is at least 1 / ``MARK_FRACTION`` times the integral's equal
 share tol / count of the tolerance, count being its live panels.  So the
 panels that cannot stay within the tolerance are bisected together, not
-one round at a time: the riesz command's 21 orthogonality integrals for
-normal x normal take 6 rounds for 846 panels where maximum marking alone
-took 11 for 830, and the stable 0.7 x normal Gram at n = 32 takes 10
-rounds for 4,330 panels, not 12 for 4,258.  Panels too narrow to split
-keep their error in the bound.  If the panel budget runs out first,
-:class:`QuadratureError` is raised, so a returned value is always
-converged.
+one round at a time.  Panels too narrow to split keep their error in the
+bound.  If the panel budget runs out first, :class:`QuadratureError` is
+raised, so a returned value is always converged.
 
 A cut may also be marked as a cusp: a point c where the integrand has a
 term |x - c|^beta with beta not an integer, such as the corner of a

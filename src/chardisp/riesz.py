@@ -18,12 +18,8 @@ coordinate over the window.  That makes the diagonal exactly equal to the
 squared kernel norm, at the price of working with the window attached to
 the relative coordinate rather than to a fixed absolute frame.  Each entry
 is one integral folded about the midpoint of its integrand's symmetry
-(see :func:`gram_matrix`), which halves the panels the quadrature refines;
-the entries moved when the fold was introduced, each by at most the sum
-of its old and new error bounds, and those of a kernel with a fractional
-exponent moved again, within the same sum, when the panels at its kinks
-were graded.  The largest bound of a matrix is reported as
-``max_entry_error_bound``.
+(see :func:`gram_matrix`), which halves the panels the quadrature refines.
+The largest bound of a matrix is reported as ``max_entry_error_bound``.
 """
 from __future__ import annotations
 
@@ -172,4 +168,4 @@ def orthogonality_residual(
     mu_grid = np.atleast_1d(np.asarray(mu_grid, dtype=float))
     if not window.contains(mu_grid):
         raise ValueError("mu grid must lie inside the window")
-    return window_convolve(f.eval, k, mu_grid, window, tol, f.critical_points())
+    return window_convolve(f.eval, k, mu_grid, window, tol, f.critical_points(window.lo, window.hi))

@@ -50,6 +50,28 @@ def cumulative_cdf(density, a: float, b: float, n: int = 200_001):
     return xs, cdf / cdf[-1]
 
 
+def dense_minimum(f, a: float, b: float, n: int = 20_001, rounds: int = 8) -> float:
+    """Smallest value of the vectorized f found on [a, b]: f on n equispaced
+    points, then around every local minimum of those (and the smallest),
+    ``rounds`` rounds that each evaluate f at 65 equispaced points over the
+    two intervals beside the smallest value found there so far and narrow
+    the intervals to the spacing of those points, 32-fold a round."""
+    ys = np.linspace(a, b, n)
+    vals = np.asarray(f(ys), dtype=float)
+    inner = vals[1:-1]
+    dips = (inner <= vals[:-2]) & (inner <= vals[2:]) & ((inner < vals[:-2]) | (inner < vals[2:]))
+    centre = ys[np.union1d(np.flatnonzero(dips) + 1, [np.argmin(vals)])]
+    h = np.full(centre.shape, ys[1] - ys[0])
+    best = float(vals.min())
+    for _ in range(rounds):
+        t = np.clip(centre[:, None] + h[:, None] * np.linspace(-1.0, 1.0, 65), a, b)
+        v = np.asarray(f(t), dtype=float)
+        j = np.argmin(v, axis=1)
+        centre, h = t[np.arange(t.shape[0]), j], h / 32.0
+        best = min(best, float(v.min()))
+    return best
+
+
 def ks_statistic(samples: np.ndarray, grid: np.ndarray, cdf: np.ndarray) -> float:
     """Two-sided Kolmogorov-Smirnov distance of samples to a tabulated CDF."""
     xs = np.sort(np.asarray(samples, dtype=float))

@@ -893,6 +893,20 @@ class TestPositivityAtAnyGrid:
         assert " at y=1.98510" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("sub", ["density", "sample"])
+    def test_minimum_off_the_origin_rejected(self, capsys, tmp_path, sub):
+        # [1, 30] leaves out 0; a's deepest ripple, found by cosgauss's own
+        # critical points, dips to -3.5e-6 near y = 1.108797
+        out = tmp_path / "out.csv"
+        code = run([sub, "--phi", "normal:1", "--psi", "normal:1", "--window", "1", "30", "--mu", "10",
+                    "--perturb", "cosgauss:-0.01738574289704768,17,100", "--out", str(out)])
+        assert code == 1
+        out_text, err = capsys.readouterr()
+        assert out_text == ""
+        m = re.fullmatch(r"error: normalizing function is not positive: value (\S+) at y=(\S+)\n", err)
+        assert m and -3.5e-6 < float(m[1]) < -3.4e-6 and abs(float(m[2]) - 1.108797) < 1e-6
+        assert not out.exists()
+
 
 class TestFiguresDefaultOut:
     def test_writes_under_figures(self, tmp_path, monkeypatch, capsys):

@@ -70,7 +70,7 @@ OFF_GRID_MU = 0.0048828125
 class HiddenKnots(TabulatedEven):
     """A table whose knots are not declared critical."""
 
-    def critical_points(self):
+    def critical_points(self, lo, hi):
         return ()
 
 

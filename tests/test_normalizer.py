@@ -3,6 +3,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chardisp import quadrature
 from chardisp.charfn import Cauchy, InvalidSpecError, Laplace, Normal, SymmetricNIG, SymmetricStable
@@ -31,7 +33,7 @@ from chardisp.quadrature import (
     integrate_shifts,
 )
 
-from oracles import fft_deconvolve_reference, midpoint_convolution, midpoint_integral, numpy_wrapper_frames
+from oracles import dense_minimum, fft_deconvolve_reference, midpoint_convolution, midpoint_integral, numpy_wrapper_frames
 
 NN = UnitDeviancePair(Normal(1.0), Normal(1.0))
 LL = UnitDeviancePair(Laplace(1.0), Laplace(1.0))
@@ -304,7 +306,7 @@ class TestPerturbations:
         ys = np.linspace(-10.0, 10.0, 401)
         expect = (np.cos(3.0 * ys) + 1.0) * np.exp(-(ys**2) / 10.0)
         assert np.allclose(f.eval(ys), expect, rtol=0, atol=1e-15)
-        assert f.even
+        assert np.array_equal(f.eval(-ys), f.eval(ys))
         assert f.eval(0.0) == pytest.approx(2.0, abs=1e-15)
 
     def test_accepted_when_positive(self):
@@ -328,7 +330,7 @@ class TestPerturbations:
         # (spacing 0.0098); the table's knots must be checked too
         base = trivial_normalizer(KernelSpec(LL, 1.0), W20)
         dip = TabulatedEven((0.003, 0.004, 0.005, 1.0), (0.0, -1.0, 0.0, 0.0))
-        assert dip.critical_points() == (-0.003, -0.004, -0.005, -1.0, 0.003, 0.004, 0.005, 1.0)
+        assert dip.critical_points(W20.lo, W20.hi) == (-0.003, -0.004, -0.005, -1.0, 0.003, 0.004, 0.005, 1.0)
         with pytest.raises(PositivityError) as exc:
             perturbed_normalizer(base, dip)
         assert abs(exc.value.y) == 0.004
@@ -342,7 +344,7 @@ class TestPerturbations:
         # a dip far narrower than the scan's spacing (about 0.01) is found at
         # the perturbation's critical points, off the grid
         base = trivial_normalizer(KernelSpec(LL, 1.0), window)
-        assert y in f.critical_points()
+        assert y in f.critical_points(window.lo, window.hi)
         with pytest.raises(PositivityError) as exc:
             perturbed_normalizer(base, f)
         assert exc.value.y == y
@@ -415,12 +417,10 @@ class TestPerturbations:
 
     def test_odd_gaussian_flagged(self):
         f = OddGaussian(amplitude=0.01, width=2.0)
-        assert not f.even
         assert f.eval(1.3) == -f.eval(-1.3)
 
     def test_tabulated_even(self):
         f = TabulatedEven(knots=(0.0, 1.0, 2.0), values=(1.0, 0.5, 0.0))
-        assert f.even
         assert f.eval(-0.5) == f.eval(0.5) == pytest.approx(0.75)
         assert f.eval(5.0) == 0.0
         with pytest.raises(InvalidSpecError, match="strictly increasing"):
@@ -465,9 +465,8 @@ class TestNormalizerSpec:
         assert NormalizerSpec(0.05, Window(), CosineGaussian(-0.02)).value(0.0) == pytest.approx(0.01)
 
     def test_minimum_between_scan_points_rejected(self):
-        # [1, 30] leaves out the one declared critical point, 0: a's minimum
-        # near y = 1.9851 dips to -3.5e-9, while the nearest scan point,
-        # 0.001 away, reads +7.6e-8
+        # [1, 30] leaves out 0: a's minimum near y = 1.9851 dips to -3.5e-9,
+        # while the nearest grid point, 0.001 away, reads +7.6e-8
         a_tilde, f = 0.03476587181576067, CosineGaussian(-0.029226193424446992, 3.0, 2.0)
         window = Window(1.0, 30.0)
         ys = window.grid(4)
@@ -479,6 +478,30 @@ class TestNormalizerSpec:
         assert exc.value.value == a_tilde + f.eval(exc.value.y)
         # the same trough raised a little stays accepted
         assert NormalizerSpec(a_tilde + 1e-8, window, f).perturbation == f
+
+    @settings(max_examples=200, deadline=None)
+    @given(f=st.one_of(
+        st.just(Zero()),
+        st.builds(CosineGaussian, st.floats(-0.6, -1e-3), st.floats(-40.0, 40.0), st.floats(0.2, 100.0)),
+        st.builds(OddGaussian, st.floats(-1.0, 1.0), st.floats(0.01, 3.0)),
+        st.lists(st.floats(0.0, 30.0), min_size=2, max_size=8, unique=True).flatmap(
+            lambda k: st.builds(TabulatedEven, st.just(tuple(sorted(k))),
+                                st.lists(st.floats(-1.5, 1.5), min_size=len(k), max_size=len(k)))),
+    ), lo=st.floats(-30.0, 30.0), width=st.floats(0.5, 40.0))
+    def test_scan_finds_the_minimum(self, f, lo, width):
+        # every family declares where its extremes sit, so the smallest
+        # scanned value is the minimum of a over the window to rounding,
+        # on windows with 0 and without it
+        window = Window(lo, lo + width)
+        reference = dense_minimum(lambda y: 1.0 + f.eval(y), window.lo, window.hi)
+        try:
+            spec = NormalizerSpec(1.0, window, f)
+        except PositivityError as exc:
+            smallest = exc.value
+        else:
+            smallest = float(np.min(spec.value(spec.scan_points())))
+            assert reference > 0.0
+        assert smallest <= reference + 4 * np.spacing(1.0)
 
 
 class TestConvolutionResidual:

@@ -444,6 +444,18 @@ def test_a_panel_between_two_cusps_is_cut_at_its_midpoint():
     assert len(first) == 2 and first[0, 7] == 0.5 / 16 and first[1, 7] == 1.0 - 0.5 / 16
 
 
+def test_a_panel_between_cusps_one_ulp_apart_is_graded_at_its_lower_end():
+    # the panel [0.5, nextafter(0.5)] has no midpoint strictly inside, so it
+    # keeps one grade; the integral agrees with the one cusp it stands for
+    f = lambda x: np.abs(x - 0.5) ** 0.7
+    tol = 1e-10
+    twin = integrate(f, 0.0, 1.0, tol=tol, cusps=(0.5, np.nextafter(0.5, 1.0)))
+    one = integrate(f, 0.0, 1.0, tol=tol, cusps=(0.5,))
+    assert twin.error_bound <= tol + 32 * np.spacing(1.0)
+    assert abs(twin.value - one.value) <= tol
+    assert abs(twin.value - 2.0 * 0.5 ** 1.7 / 1.7) <= tol
+
+
 def test_cusps_outside_the_limits_are_ignored_and_inside_are_cuts():
     f = lambda x: np.abs(x) ** 0.7
     assert integrate(f, 0.5, 2.0, cusps=(0.0, 3.0)) == integrate(f, 0.5, 2.0)

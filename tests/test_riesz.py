@@ -349,6 +349,6 @@ class TestOrthogonalityResidual:
         k = KernelSpec(NN, 1.0)
         f = TabulatedEven((0.0, 1.3, 2.7), (0.1, -0.05, 0.0))
         (reference,), _, _ = integrate_shifts(lambda y, s: f.eval(y) * k.eval(s - y), W20.lo, W20.hi, [1.1],
-                                              tol=1e-14, breakpoints=lambda s: (s, 0.0, *f.critical_points()))
+                                              tol=1e-14, breakpoints=lambda s: (s, 0.0, *f.critical_points(W20.lo, W20.hi)))
         rho = orthogonality_residual(f, k, [1.1], tol=1e-8, window=W20)
         assert abs(rho[0] - reference) <= 1e-8
