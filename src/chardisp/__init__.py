@@ -17,14 +17,12 @@ from .charfn import (
     SymmetricNIG,
     SymmetricStable,
     from_dict,
-    register_family,
 )
 from .deviance import (
     AxiomReport,
     RegularityReport,
     UnitDeviancePair,
     check_unit_deviance,
-    regularity_probe,
 )
 from .model import (
     Classification,
@@ -108,8 +106,6 @@ __all__ = [
     "orthogonality_residual",
     "perturbed_normalizer",
     "rational_enumeration",
-    "register_family",
-    "regularity_probe",
     "sample",
     "trivial_normalizer",
 ]

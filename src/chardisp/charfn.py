@@ -3,8 +3,9 @@
 These are the building blocks for the unit deviances in
 :mod:`chardisp.deviance`.  Every member evaluates to a real number, equals
 1 at the origin, is even, and is strictly below 1 in modulus away from the
-origin.  The catalog holds five families; new ones can be added through
-:func:`register_family`.  Every spec checks its parameters when it is
+origin.  The catalog is closed: it holds five families, and each one's
+declared ``origin_exponent`` is checked by the tests against a
+high-precision measurement.  Every spec checks its parameters when it is
 built.  :class:`Spec`, :func:`build` and :func:`parse_shorthand` serve the
 perturbation catalog as well.
 """
@@ -113,7 +114,9 @@ class CharFn(Spec, ABC):
     """A real, even characteristic function.
 
     A family declares ``eval``, and declares ``origin_exponent`` too when
-    it is not 2; :meth:`has_finite_second_moment` follows from it.
+    it is not 2.  The declaration is a contract: the quadrature's grading,
+    :meth:`has_finite_second_moment` and the deviance's regularity report
+    all read it, and none of them measures it.
     """
 
     kind = "characteristic function"
@@ -227,18 +230,6 @@ class SymmetricNIG(CharFn):
 
 
 FAMILIES: dict[str, type] = {cls.family: cls for cls in (Normal, Cauchy, Laplace, SymmetricStable, SymmetricNIG)}
-
-
-def register_family(cls: type) -> type:
-    """Extension point: add a :class:`CharFn` subclass to the catalog,
-    under its ``family`` name.  The subclass declares ``eval``, and
-    ``origin_exponent`` too when it is not 2."""
-    if not (isinstance(cls, type) and issubclass(cls, CharFn)):
-        raise TypeError(f"{cls!r} is not a CharFn subclass")
-    if not cls.family:
-        raise ValueError("family name must be a non-empty string")
-    FAMILIES[cls.family] = cls
-    return cls
 
 
 def from_dict(d: dict) -> CharFn:

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .charfn import ArrayLike
-from .deviance import RegularityReport, regularity_probe
+from .deviance import RegularityReport
 from .normalizer import RESIDUAL_TOL, KernelSpec, NormalizerSpec, convolution_residual
 
 ENVELOPE_SAFETY = 1.01
@@ -293,6 +293,6 @@ def diagnostics(
         normalization_residuals={float(mu): float(r) for mu, r in zip(mu_grid, residuals)},
         classification=classify(m),
         edm_excluded=True,
-        regularity=regularity_probe(m.kernel.pair, mu=0.0),
+        regularity=m.kernel.pair.regularity(),
         truncation_drift=float(residuals.max() - residuals.min()),
     )

@@ -128,9 +128,10 @@ def kernel_integral(k: KernelSpec, w: Window, tol: float = DEFAULT_TOL) -> float
 class Perturbation(Spec, ABC):
     """Square-integrable perturbation added to the constant normalizer.
 
-    Even members (symmetric about zero) form the class from which
-    non-constant normalizing functions are drawn; :class:`OddGaussian`
-    is kept in the catalog as an odd control.
+    Parity does not mark the solutions: at a zero of the kernel's
+    transform, a cosine of any phase solves the normalization equation as
+    well as the even one does, so its odd part solves it too.  The catalog
+    holds even members and one odd one, :class:`OddGaussian`.
     """
 
     kind = "perturbation"
@@ -189,9 +190,8 @@ class CosineGaussian(Perturbation):
 
     def eval(self, y):
         yy = np.asarray(y, dtype=float)
-        return self.amplitude * (np.cos(self.frequency * yy) + 1.0) * np.exp(
-            -yy ** 2 / (2.0 * self.width ** 2)
-        )
+        # amplitude last, as in OddGaussian: amplitude * 2 may overflow where the value does not
+        return (np.cos(self.frequency * yy) + 1.0) * np.exp(-yy ** 2 / (2.0 * self.width ** 2)) * self.amplitude
 
     def is_zero(self):
         return self.amplitude == 0
@@ -237,7 +237,7 @@ class CosineGaussian(Perturbation):
 
 @dataclass(frozen=True)
 class OddGaussian(Perturbation):
-    """f(y) = A y exp(-y^2 / (2 s^2)); odd, the catalog's control outside the even class."""
+    """f(y) = A y exp(-y^2 / (2 s^2)); odd."""
 
     amplitude: float = 1.0
     width: float = 1.0

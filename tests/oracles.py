@@ -4,7 +4,8 @@ Nothing here touches the package's adaptive quadrature or FFT paths; these
 are deliberately dumb reference computations (midpoint Riemann sums,
 cumulative trapezoids, direct Jacobi-style eigensolves via mpmath, the
 rational enumeration in exact fractions, the three-transform discrete
-deconvolution) so the two routes can disagree when the library is wrong.
+deconvolution, the catalog's closed forms in 50-digit mpmath) so the two
+routes can disagree when the library is wrong.
 It also counts the frames a call enters in numpy's Python-level wrappers,
 for the tests that keep them out of the quadrature's hot paths.
 """
@@ -89,6 +90,62 @@ def eigvalsh_mpmath(matrix: np.ndarray, dps: int = 30) -> np.ndarray:
         m = mp.matrix(matrix.tolist())
         eigs, _ = mp.eigsy(m)
         return np.array(sorted(float(e) for e in eigs))
+
+
+def phi_mpmath(spec, t):
+    """The closed form of a catalog characteristic function at ``t``, in
+    mpmath at the working precision, from the spec's family and parameters
+    alone (none of the package's ``eval``)."""
+    import mpmath as mp
+
+    p = {k: mp.mpf(v) for k, v in spec.params().items()}
+    t = mp.mpf(t)
+    if spec.family == "normal":
+        return mp.exp(-(p["scale"] * t) ** 2 / 2)
+    if spec.family == "cauchy":
+        return mp.exp(-p["scale"] * abs(t))
+    if spec.family == "laplace":
+        return 1 / (1 + (p["scale"] * t) ** 2)
+    if spec.family == "stable":
+        return mp.exp(-abs(p["scale"] * t) ** p["alpha"])
+    if spec.family == "nig":
+        return mp.exp(p["delta"] * (p["alpha"] - mp.sqrt(p["alpha"] ** 2 + t ** 2)))
+    raise KeyError(f"no closed form for family {spec.family!r}")
+
+
+def origin_exponent_mpmath(spec, gap: float = 1e-12, dps: int = 50) -> float:
+    """beta in 1 - phi(t) ~ c |t|^beta, measured in ``dps``-digit mpmath:
+    h is bisected in log h until 1 - phi(h) is about ``gap``, and beta is
+    log10((1 - phi(h)) / (1 - phi(h / 10))).  The gap is far above the
+    working precision's rounding and far below 1, where the next term of
+    1 - phi moves the ratio by about ``gap``, whatever the scale."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        lo, hi = mp.mpf(-60), mp.mpf(20)  # log10 h; 1 - phi is increasing on h > 0
+        for _ in range(100):
+            mid = (lo + hi) / 2
+            if 1 - phi_mpmath(spec, mp.power(10, mid)) < gap:
+                lo = mid
+            else:
+                hi = mid
+        h = mp.power(10, hi)
+        return float(mp.log10((1 - phi_mpmath(spec, h)) / (1 - phi_mpmath(spec, h / 10))))
+
+
+def deviance_second_derivative_mpmath(pair, h: float = 1e-15, dps: int = 50) -> float:
+    """d''(0) for d(t) = (1 - phi(t)) |psi(t)|, a central second difference
+    of the closed forms at step h in ``dps``-digit mpmath: its truncation
+    error is O(h^2) and its rounding 10^-dps / h^2, both far below a float's
+    resolution."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        def d(t):
+            return (1 - phi_mpmath(pair.phi, t)) * abs(phi_mpmath(pair.psi, t))
+
+        h = mp.mpf(h)
+        return float((d(h) - 2 * d(0) + d(-h)) / h ** 2)
 
 
 def rational_enumeration_reference(n: int) -> list[float]:

@@ -11,7 +11,7 @@ import pytest
 
 from chardisp import cli
 from chardisp.charfn import Cauchy, Laplace, Normal, SymmetricNIG, SymmetricStable
-from chardisp.deviance import UnitDeviancePair, check_unit_deviance, regularity_probe
+from chardisp.deviance import UnitDeviancePair, check_unit_deviance
 from chardisp.model import DispersionModel, normalization_check, sample
 from chardisp.normalizer import (
     CosineGaussian,
@@ -30,7 +30,7 @@ from chardisp.riesz import (
     rational_enumeration,
 )
 
-from oracles import cumulative_cdf, ks_statistic, midpoint_convolution
+from oracles import cumulative_cdf, deviance_second_derivative_mpmath, ks_statistic, midpoint_convolution
 
 NN = UnitDeviancePair(Normal(1.0), Normal(1.0))
 LL = UnitDeviancePair(Laplace(1.0), Laplace(1.0))
@@ -125,11 +125,9 @@ def test_c5_translation_substitution_invariance():
 
 def test_c6_regularity_discrimination():
     with criterion("C6", "regularity: normal pair smooth, cauchy/normal kinked"):
-        rep = regularity_probe(NN, mu=0.0, h=1e-4)
-        assert rep.second_derivative_at_diagonal == pytest.approx(1.0, abs=1e-3)
-        assert not rep.kink_detected
-        rep = regularity_probe(PAIRS["cauchy/normal"], mu=0.0, h=1e-4)
-        assert rep.kink_detected
+        assert deviance_second_derivative_mpmath(NN) == pytest.approx(1.0, abs=1e-12)
+        assert NN.regularity().kink_detected is False
+        assert PAIRS["cauchy/normal"].regularity().kink_detected is True
 
 
 def test_c7_riesz_probes():

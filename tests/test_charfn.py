@@ -17,10 +17,11 @@ from chardisp.charfn import (
     SymmetricNIG,
     SymmetricStable,
     from_dict,
-    register_family,
 )
 from chardisp.deviance import UnitDeviancePair
 from chardisp.normalizer import PERTURBATION_FAMILIES, KernelSpec, TabulatedEven
+
+from oracles import origin_exponent_mpmath
 
 CATALOG = [
     Normal(1.0),
@@ -189,6 +190,30 @@ def test_origin_exponent_is_the_slope_of_one_minus_phi(spec):
     assert slope == pytest.approx(spec.origin_exponent, abs=0.01)
 
 
+# phi(c t) for each family at scale c; nig's alpha is given at c = 1
+SCALED_FAMILIES = {
+    "normal": Normal,
+    "cauchy": Cauchy,
+    "laplace": Laplace,
+    **{f"nig:{a:g}": (lambda c, a=a: SymmetricNIG(a / c, c)) for a in (1.0, 1000.0)},
+    **{f"stable:{a:g}": (lambda c, a=a: SymmetricStable(a, c)) for a in (0.7, 1.5, 1.8, 1.9, 1.99)},
+}
+
+
+def test_every_family_has_its_exponent_measured():
+    # the catalog is closed: each family's declaration is checked below
+    assert {make(1.0).family for make in SCALED_FAMILIES.values()} == set(charfn.FAMILIES)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 3000.0, 1e5])
+@pytest.mark.parametrize("name", SCALED_FAMILIES)
+def test_origin_exponent_matches_the_mpmath_measurement(name, scale):
+    # the declaration that grading, the second-moment rule and the
+    # regularity report read, against 1 - phi's closed form in 50 digits
+    spec = SCALED_FAMILIES[name](scale)
+    assert origin_exponent_mpmath(spec) == pytest.approx(spec.origin_exponent, abs=1e-4)
+
+
 def test_serialization_round_trip():
     for spec in CATALOG:
         d = spec.to_dict()
@@ -227,47 +252,6 @@ def test_build_rejects_non_number_parameters(registry, kind, family, params, nam
 def test_build_accepts_table_fields():
     f = charfn.build(PERTURBATION_FAMILIES, "perturbation", "custom", {"knots": [0, 1], "values": [1, 0]})
     assert f == TabulatedEven((0, 1), (1, 0))
-
-
-def test_register_family_extension_point():
-    from dataclasses import dataclass
-
-    @dataclass(frozen=True)
-    class Triangular(CharFn):
-        # cf of the symmetric triangular-density family on [-1/w, 1/w]
-        w: float = 1.0
-        family = "triangular_test"
-
-        def eval(self, t):
-            tt = np.asarray(t, dtype=float)
-            x = self.w * tt
-            out = np.where(x == 0.0, 1.0, np.sin(x / 2) ** 2 / (x / 2) ** 2 * 2 / 2)
-            return float(out) if np.ndim(t) == 0 else out
-
-        def __post_init__(self):
-            if not self.w > 0:
-                raise InvalidSpecError(f"triangular w must be positive, got {self.w}")
-
-        def has_finite_second_moment(self):
-            return True
-
-    try:
-        register_family(Triangular)
-        assert from_dict({"family": "triangular_test", "params": {"w": 2.0}}) == Triangular(2.0)
-        with pytest.raises(InvalidSpecError, match="triangular w must be positive"):
-            from_dict({"family": "triangular_test", "params": {"w": -1.0}})
-    finally:
-        charfn.FAMILIES.pop("triangular_test", None)
-    with pytest.raises(TypeError):
-        register_family(int)
-
-    class Unnamed(CharFn):
-        family = ""
-
-    families = dict(charfn.FAMILIES)
-    with pytest.raises(ValueError, match="non-empty"):
-        register_family(Unnamed)
-    assert charfn.FAMILIES == families
 
 
 @given(

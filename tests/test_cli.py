@@ -11,7 +11,6 @@ import tempfile
 import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +25,11 @@ from chardisp.normalizer import CosineGaussian, OddGaussian, Zero
 
 def run(args, capsys=None):
     return cli.run(args)
+
+
+def _reject_constant(name):
+    """``parse_constant`` for strict JSON: NaN and Infinity are not JSON."""
+    raise ValueError(f"{name} is not JSON")
 
 
 class TestParsers:
@@ -47,29 +51,14 @@ class TestParsers:
         with pytest.raises(InvalidSpecError):
             cli.parse_perturbation("bump:1")
 
-    def test_registered_family_in_shorthand(self):
-        @dataclass(frozen=True)
-        class ScaledLaplace(Laplace):
-            # parameters follow the dataclass field order: scale, then shift
-            shift: float = 0.0
-            family = "scaled_laplace_test"
-
-            def __post_init__(self):
-                # any finite shift; the scale keeps the positivity rule
-                charfn.Spec.__post_init__(self)
-                if not (np.isfinite(self.scale) and self.scale > 0 and np.isfinite(self.shift)):
-                    raise InvalidSpecError(f"bad scaled_laplace_test parameters {self.params()!r}")
-
-        try:
-            charfn.register_family(ScaledLaplace)
-            assert cli.parse_charfn("scaled_laplace_test:2,0.5") == ScaledLaplace(2.0, 0.5)
-            assert cli.parse_charfn("scaled_laplace_test") == ScaledLaplace()
-            with pytest.raises(InvalidSpecError, match="too many"):
-                cli.parse_charfn("scaled_laplace_test:1,2,3")
-        finally:
-            charfn.FAMILIES.pop("scaled_laplace_test", None)
-        with pytest.raises(InvalidSpecError, match="unknown characteristic function family"):
-            cli.parse_charfn("scaled_laplace_test:2")
+    @pytest.mark.parametrize("parse, token", [
+        (cli.parse_charfn, "normal:1,2"),
+        (cli.parse_charfn, "stable:1.5,1,2"),
+        (cli.parse_perturbation, "cosgauss:1,2,3,4"),
+    ])
+    def test_too_many_parameters(self, parse, token):
+        with pytest.raises(InvalidSpecError, match="too many parameters"):
+            parse(token)
 
 
 class TestDensity:
@@ -531,8 +520,18 @@ class TestVerify:
         assert digests == {
             "deconvolution.csv": "4d65bbc9b1cc15ca5d51d84996ee9fe7e3e58192f37942c7f4a2819744c3430a",
             "residuals.csv": "764e09aa689bd898e3ce0492061d36afcfe5b5c25891aa1879be37e195a867cf",
-            "verify.json": "b8486a6762205475ca38d03a336294d907ea1f61623a851923d8442f58d11202",
+            "verify.json": "08a93245115c24e6e2d731ef444c477e736b95590f314d44bfc3d1b81e6f896a",
         }
+
+    @pytest.mark.parametrize("scale", ["3000", "1e-3"])
+    def test_regularity_at_any_scale(self, tmp_path, scale):
+        # phi's declared exponent holds at every scale: no kink at 3000 and a
+        # finite exponent at 1e-3, so the document is strict JSON
+        out = tmp_path / "verify"
+        assert run(["verify", "--phi", f"normal:{scale}", "--psi", "normal:1", "--grid", "64",
+                    "--out", str(out)]) == 0
+        doc = json.loads((out / "verify.json").read_text(), parse_constant=_reject_constant)
+        assert doc["diagnostics"]["regularity"] == {"is_regular": True, "kink_detected": False, "local_exponent": 2.0}
 
     @pytest.mark.parametrize("n", [17, 1000])
     def test_any_grid(self, tmp_path, n):
@@ -865,6 +864,19 @@ class TestPerturbationOverflow:
         assert out == ""
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+
+    @pytest.mark.parametrize("sub", ["density", "verify"])
+    def test_cosgauss_overflow_named_where_the_value_overflows(self, capsys, tmp_path, sub):
+        # the amplitude is applied last, so the abscissa named is one where
+        # the value itself exceeds the float range, near the peak at 0
+        code = run([sub, "--phi", "normal:1", "--psi", "normal:1",
+                    "--perturb", "cosgauss:1e308,3,2", "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        y = float(re.fullmatch(r"error: normalizing function is not finite: value inf at y=(\S+)\n", err)[1])
+        assert abs(y) < 0.21
+        assert (math.cos(3.0 * y) + 1.0) * math.exp(-y * y / 8.0) > sys.float_info.max / 1e308
 
 
 class TestPositivityAtAnyGrid:

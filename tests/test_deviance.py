@@ -6,12 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chardisp.charfn import T_CAP, Cauchy, InvalidSpecError, Laplace, Normal, SymmetricNIG, SymmetricStable
-from chardisp.deviance import (
-    UnitDeviancePair,
-    check_unit_deviance,
-    regularity_probe,
-)
+from chardisp.deviance import RegularityReport, UnitDeviancePair, check_unit_deviance
 from chardisp.normalizer import KernelSpec
+
+from oracles import deviance_second_derivative_mpmath
 
 NN = UnitDeviancePair(Normal(1.0), Normal(1.0))
 CN = UnitDeviancePair(Cauchy(1.0), Normal(1.0))
@@ -111,26 +109,16 @@ def test_axiom_report_serializes():
 
 
 def test_regularity_normal_pair():
-    rep = regularity_probe(NN, mu=0.0, h=1e-4)
-    assert rep.second_derivative_at_diagonal == pytest.approx(1.0, abs=1e-3)
-    assert not rep.kink_detected
-    assert rep.is_regular
+    assert NN.regularity() == RegularityReport(is_regular=True, kink_detected=False, local_exponent=2.0)
 
 
 def test_regularity_cauchy_normal_kink():
-    rep = regularity_probe(CN, mu=0.0, h=1e-4)
-    assert rep.kink_detected
-    assert not rep.is_regular
-    # slopes approach +-1: the |t| corner of the Cauchy factor
-    assert rep.right_slope == pytest.approx(1.0, abs=1e-3)
-    assert rep.left_slope == pytest.approx(-1.0, abs=1e-3)
+    # the |t| corner of the Cauchy factor
+    assert CN.regularity() == RegularityReport(is_regular=False, kink_detected=True, local_exponent=1.0)
 
 
 def test_regularity_laplace_pair():
-    rep = regularity_probe(LL, mu=0.0, h=1e-4)
-    assert rep.is_regular
-    assert not rep.kink_detected
-    assert rep.second_derivative_at_diagonal > 0.0
+    assert LL.regularity() == RegularityReport(is_regular=True, kink_detected=False, local_exponent=2.0)
 
 
 @pytest.mark.parametrize(
@@ -145,46 +133,45 @@ def test_regularity_laplace_pair():
         (SymmetricStable(1.8, 1.0), Normal(1.0), 1.8),
         (SymmetricStable(1.9, 1.0), Normal(1.0), 1.9),
         (SymmetricStable(1.99, 1.0), Normal(1.0), 1.99),
+        (Normal(3000.0), Normal(1.0), 2.0),
+        (Normal(1e5), Normal(1.0), 2.0),
+        (Laplace(1e5), Laplace(1.0), 2.0),
+        (SymmetricStable(0.7, 1e-2), Normal(1.0), 0.7),
+        (SymmetricStable(1.99, 1e3), Normal(1.0), 1.99),
     ],
 )
 def test_kink_detected_by_local_exponent(phi, psi, exponent):
-    # d grows like |t|^alpha off the diagonal: alpha = 2 is smooth, any
-    # smaller alpha is a kink, however close to 2
-    rep = regularity_probe(UnitDeviancePair(phi, psi), mu=0.0, h=1e-4)
-    assert rep.local_exponent == pytest.approx(exponent, abs=1e-3)
+    # d grows like |t|^beta off the diagonal, with phi's beta since
+    # |psi(0)| = 1: beta = 2 is smooth, any smaller beta is a kink, however
+    # close to 2, and at any scale
+    rep = UnitDeviancePair(phi, psi).regularity()
+    assert rep.local_exponent == exponent
     assert rep.kink_detected is (exponent < 2.0)
 
 
 @pytest.mark.parametrize("scale", [1e-3, 1e-7])
 def test_local_exponent_unresolved_at_rounding_level(scale):
-    # 1 - phi(h/10) is within a few rounding units of zero (exactly zero at
-    # 1e-7), so the slope ratio cannot tell a kink from a smooth pair
-    rep = regularity_probe(UnitDeviancePair(Normal(scale), Normal(1.0)), mu=0.0, h=1e-4)
-    assert math.isnan(rep.local_exponent)
+    # 1 - phi(1e-5) is within a few rounding units of zero (exactly zero at
+    # 1e-7), so no finite difference in floats resolves the exponent there;
+    # the declared one holds at every scale
+    rep = UnitDeviancePair(Normal(scale), Normal(1.0)).regularity()
+    assert rep.local_exponent == 2.0
     assert rep.kink_detected is False
 
 
 @pytest.mark.parametrize("alpha", [1.0, 333.0, 1000.0])
 def test_nig_smooth_for_large_alpha(alpha):
-    # 1 - phi(t) for nig is about delta t^2 / (2 alpha); computed as
-    # alpha - sqrt(alpha^2 + t^2) it drowns in rounding once alpha is large
-    rep = regularity_probe(UnitDeviancePair(SymmetricNIG(alpha, 1.0), Normal(1.0)), mu=0.0, h=1e-4)
-    assert rep.local_exponent == pytest.approx(2.0, abs=1e-3)
+    rep = UnitDeviancePair(SymmetricNIG(alpha, 1.0), Normal(1.0)).regularity()
+    assert rep.local_exponent == 2.0
     assert rep.kink_detected is False
 
 
-def test_regularity_probe_rejects_bad_step():
-    with pytest.raises(ValueError):
-        regularity_probe(NN, h=0.5)
-    with pytest.raises(ValueError):
-        regularity_probe(NN, h=0.0)
-
-
 def test_second_derivative_positive_for_regular_pairs():
+    # a regular pair is smooth at the diagonal with a positive curvature there
     for pair in PAIRS:
         if pair.is_regular():
-            rep = regularity_probe(pair, mu=0.5, h=1e-3)
-            assert rep.second_derivative_at_diagonal > 0.0
+            assert pair.regularity().local_exponent == 2.0
+            assert deviance_second_derivative_mpmath(pair) > 0.0
 
 
 @settings(max_examples=200)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from chardisp.charfn import Cauchy, Laplace, Normal, SymmetricNIG, SymmetricStable
-from chardisp.deviance import UnitDeviancePair, regularity_probe
+from chardisp.deviance import UnitDeviancePair
 from chardisp.model import DispersionModel
 from chardisp.normalizer import (
     CosineGaussian,
@@ -80,4 +80,4 @@ def test_array_in_same_shape_out_equal_to_scalar_calls(name):
 
 def test_kink_flag_is_a_python_bool():
     for pair in (CN, UnitDeviancePair(Normal(1.0), Normal(1.0))):
-        assert type(regularity_probe(pair).kink_detected) is bool
+        assert type(pair.regularity().kink_detected) is bool

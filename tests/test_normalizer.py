@@ -56,6 +56,17 @@ class CountingKernel(KernelSpec):
         return super().eval(y)
 
 
+@dataclass(frozen=True)
+class AmplitudeFirst(CosineGaussian):
+    """CosineGaussian with its amplitude applied first, so that a huge
+    amplitude overflows A (cos + 1) to inf where the envelope underflows to
+    0, and inf * 0 is NaN."""
+
+    def eval(self, y):
+        yy = np.asarray(y, dtype=float)
+        return self.amplitude * (np.cos(self.frequency * yy) + 1.0) * np.exp(-yy ** 2 / (2.0 * self.width ** 2))
+
+
 class TestWindow:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -351,12 +362,12 @@ class TestPerturbations:
         assert exc.value.value == base.a_tilde + f.eval(y)
 
     @pytest.mark.parametrize(
-        "f", [CosineGaussian(amplitude=1e308, width=0.1), CosineGaussian(amplitude=1e308, frequency=0.0, width=0.1)]
+        "f", [AmplitudeFirst(amplitude=1e308, width=0.1), AmplitudeFirst(amplitude=1e308, frequency=0.0, width=0.1)]
     )
     def test_rejected_on_nan(self, f):
         # NaN fails every comparison, so "not > 0" must be the test, not "<= 0".
-        # Parameters must be finite, but a huge amplitude still overflows to
-        # inf where the envelope underflows to 0, and inf * 0 is NaN.
+        # Parameters must be finite, but a perturbation may still evaluate to
+        # NaN: here inf * 0 where the envelope underflows.
         base = trivial_normalizer(KernelSpec(LL, 1.0), W20)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(PositivityError) as exc:
