@@ -45,7 +45,6 @@ print("truncation drift grows as mu approaches the window edge.")
 rep = fft_deconvolve_check(k, window)
 print(f"\nFFT deconvolution: dc={rep.dc_value:.12f}  quadrature={norm.a_tilde:.12f}")
 print(f"  relative gap: {abs(rep.dc_value / norm.a_tilde - 1.0):.2e}")
-print(f"  non-constancy of the solution vector: {rep.nonconstancy:.2e}")
 print(f"  guarded spectrum bins: {rep.n_guarded}")
 
 # --- perturbed normalizer: residual = orthogonality defect ------------------

@@ -37,8 +37,9 @@ print("\nframe bounds of nested translate systems (laplace kernel, lam = 1):")
 print(f"  {'n':>2}  {'lower':>12}  {'upper':>12}  {'lower/|K|^2':>12}  {'upper/|K|^2':>12}")
 for n in (1, 2, 4, 8):
     rep = gram_matrix(TranslateSystem(k, tuple(points[:n]), window), tol=1e-10)
-    lo, hi = rep.min_eigenvalue, rep.max_eigenvalue
-    print(f"  {n:>2}  {lo:12.6f}  {hi:12.6f}  {lo / rep.k_norm_sq:12.6f}  {hi / rep.k_norm_sq:12.6f}")
+    ratios = rep.frame_bounds()
+    print(f"  {n:>2}  {rep.min_eigenvalue:12.6f}  {rep.max_eigenvalue:12.6f}  "
+          f"{ratios['lower_over_k_norm_sq']:12.6f}  {ratios['upper_over_k_norm_sq']:12.6f}")
 
 rep8 = gram_matrix(TranslateSystem(k, tuple(points), window), tol=1e-10)
 print(f"\n|K|^2 on the window: {rep8.k_norm_sq:.6f}")

@@ -13,9 +13,9 @@ the subcommands and every flag, and flags may come before or after the
 subcommand.  A value that starts with ``-`` and a digit is a number, so
 negative exponents such as ``--mu -1e-3`` are accepted.
 
-Numeric output is reproducible byte for byte.  A JSON document is
-exactly what ``json.dumps(doc, indent=2)`` prints, so a JSON number is
-Python's shortest round-tripping repr (``"h": 0.0001``); ``_json``
+Numeric output is reproducible byte for byte.  A JSON document is strict
+JSON, exactly what ``json.dumps(doc, indent=2)`` prints, so a JSON number
+is Python's shortest round-tripping repr (``"h": 0.0001``); ``_json``
 renders it with a small encoder of its own that prints each distinct
 float once per document, through a memo that lives for that one call,
 and joins each list of nonzero floats in one call.  Every CSV cell
@@ -239,24 +239,10 @@ def _csv_chunks(header: str, columns: list) -> Iterator[bytes]:
 
 
 def _float_text(x: float) -> str:
-    return "NaN" if x != x else "Infinity" if x == math.inf else "-Infinity" if x == -math.inf else float.__repr__(x)
-
-
-def _word(o) -> Optional[str]:
-    return "null" if o is None else "true" if o is True else "false" if o is False else None
-
-
-def _key_text(key) -> str:
-    """A dict key as ``json`` coerces it to a string."""
-    if isinstance(key, str):
-        return key
-    if isinstance(key, float):
-        return _float_text(key)
-    if (word := _word(key)) is not None:
-        return word
-    if isinstance(key, int):
-        return int.__repr__(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+    if not math.isfinite(x):  # NaN and the infinities are not JSON: json's own ValueError
+        json.dumps(x, indent=2, allow_nan=False)
+        raise AssertionError(f"json.dumps(allow_nan=False) wrote {x!r}")
+    return float.__repr__(x)
 
 
 class _FloatMemo(dict):
@@ -268,18 +254,19 @@ class _FloatMemo(dict):
 
 
 def _json(doc: dict) -> list[bytes]:
-    """The document as indented JSON, ending in a newline, in one chunk:
-    byte for byte what ``json.dumps(doc, indent=2) + "\\n"`` gives, from
-    the same type checks in the same order.  Each distinct float is
-    printed once per document (a zero each time, since -0.0 == 0.0), and
-    a list of nonzero plain floats is one join over those texts."""
+    """The document as indented strict JSON, ending in a newline, in one
+    chunk: byte for byte what ``json.dumps(doc, indent=2, allow_nan=False)
+    + "\\n"`` gives, from the same checks in the same order, but a key must
+    be a str.  Each distinct float is printed once per document (a zero
+    each time, since -0.0 == 0.0), and a list of nonzero plain floats is
+    one join over those texts."""
     memo, out = _FloatMemo(), []
 
     def put(o, indent: str) -> None:
         if isinstance(o, str):
             out.append(_encode_str(o))
-        elif (word := _word(o)) is not None:
-            out.append(word)
+        elif o is None or o is True or o is False:
+            out.append("null" if o is None else "true" if o else "false")
         elif isinstance(o, int):
             out.append(int.__repr__(o))
         elif isinstance(o, float):
@@ -291,7 +278,9 @@ def _json(doc: dict) -> list[bytes]:
         elif isinstance(o, dict):
             inner, sep = indent + "  ", "{"
             for key, value in o.items():
-                out.extend((sep, inner, _encode_str(_key_text(key)), ": "))
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {key.__class__.__name__}")
+                out.extend((sep, inner, _encode_str(key), ": "))
                 put(value, inner)
                 sep = ","
             out.extend((indent, "}"))
@@ -383,12 +372,7 @@ def _cmd_riesz(cfg: RunConfig) -> dict:
     doc = {
         "points": points,
         "gram_report": report.to_dict(),
-        "frame_bounds": {
-            "lower": report.min_eigenvalue,
-            "upper": report.max_eigenvalue,
-            "lower_over_k_norm_sq": report.min_eigenvalue / report.k_norm_sq,
-            "upper_over_k_norm_sq": report.max_eigenvalue / report.k_norm_sq,
-        },
+        "frame_bounds": report.frame_bounds(),
         "perturbation": f.to_dict(),
     }
     return {

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import numbers
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -166,6 +166,16 @@ class Perturbation(Spec, ABC):
         return ()
 
 
+def _gaussian(yy: np.ndarray, width: float) -> np.ndarray:
+    """exp(-y^2 / (2 s^2)) at each y, without a warning at any float width
+    s > 0: 0 or 1 where one of y^2 and 2 s^2 saturates to 0 or inf, and 1
+    where both do alike (the 0/0 at y = 0 of a width whose 2 s^2 is 0)."""
+    with np.errstate(all="ignore"):
+        # np.float64's ** 2 rounds as a Python float's does, but it does not raise
+        e = -yy ** 2 / (2.0 * np.float64(width) ** 2)
+    return np.exp(np.fmin(e, 0.0))  # fmin takes 0.0 for a NaN
+
+
 @dataclass(frozen=True)
 class Zero(Perturbation):
     """The trivial perturbation, identically zero."""
@@ -191,7 +201,7 @@ class CosineGaussian(Perturbation):
     def eval(self, y):
         yy = np.asarray(y, dtype=float)
         # amplitude last, as in OddGaussian: amplitude * 2 may overflow where the value does not
-        return (np.cos(self.frequency * yy) + 1.0) * np.exp(-yy ** 2 / (2.0 * self.width ** 2)) * self.amplitude
+        return (np.cos(self.frequency * yy) + 1.0) * _gaussian(yy, self.width) * self.amplitude
 
     def is_zero(self):
         return self.amplitude == 0
@@ -246,7 +256,7 @@ class OddGaussian(Perturbation):
     def eval(self, y):
         yy = np.asarray(y, dtype=float)
         # amplitude last: amplitude * y may overflow where the value does not
-        return yy * np.exp(-yy ** 2 / (2.0 * self.width ** 2)) * self.amplitude
+        return yy * _gaussian(yy, self.width) * self.amplitude
 
     def is_zero(self):
         return self.amplitude == 0
@@ -491,26 +501,14 @@ class DeconvolutionReport:
     points.  ``n_guarded`` counts kernel transform bins too close to zero
     to divide by; the right-hand side is zero there, so the solution is
     unaffected.
-
-    ``nonconstancy`` (max - min of the solution) is exactly 0 because the
-    solution is one number repeated, with no rounding between entries.  It
-    stays in ``to_dict`` only so that ``verify.json`` keeps its bytes;
-    dropping it is an output change, recorded with the FOUND on
-    ``deconvolution.csv`` in CHANGES.md.
     """
 
     dc_value: float
     n_guarded: int
     n_grid: int
-    nonconstancy = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "dc_value": self.dc_value,
-            "nonconstancy": self.nonconstancy,
-            "n_guarded": self.n_guarded,
-            "n_grid": self.n_grid,
-        }
+        return asdict(self)
 
 
 def fft_deconvolve_check(k: KernelSpec, w: Window) -> DeconvolutionReport:

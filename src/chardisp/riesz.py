@@ -89,9 +89,9 @@ class GramReport:
     """Gram matrix of a translate system with its eigenvalue range.
 
     ``min_eigenvalue`` and ``max_eigenvalue`` are the best Riesz (frame)
-    constants of the finite system.  Divide them by ``k_norm_sq`` to compare
-    against the claimed tight constant (both ratios equal 1 only for an
-    exactly orthogonal system).  ``tight_claim_gap`` is the largest
+    constants of the finite system, and :meth:`frame_bounds` their ratios
+    to ``k_norm_sq``, the claimed tight constant (both ratios equal 1 only
+    for an exactly orthogonal system).  ``tight_claim_gap`` is the largest
     off-diagonal magnitude: the distance of the finite system from an
     exactly orthogonal (tight) one.  ``max_entry_error_bound`` is the
     largest quadrature error bound (summed estimate plus rounding floor) of
@@ -107,6 +107,13 @@ class GramReport:
 
     def to_dict(self) -> dict:
         return {**asdict(self), "gram": self.gram.tolist()}
+
+    def frame_bounds(self) -> dict:
+        """The frame bounds over the squared kernel norm, as ``riesz.json`` holds them."""
+        return {
+            "lower_over_k_norm_sq": self.min_eigenvalue / self.k_norm_sq,
+            "upper_over_k_norm_sq": self.max_eigenvalue / self.k_norm_sq,
+        }
 
 
 def gram_matrix(sys: TranslateSystem, tol: float = DEFAULT_TOL) -> GramReport:
@@ -128,11 +135,16 @@ def gram_matrix(sys: TranslateSystem, tol: float = DEFAULT_TOL) -> GramReport:
     the factor of a point inside it, so only one mirror half of I (and only
     its kink) is refined.  For a stable phi with alpha other than 1 and 2,
     the panels that end at the kinks 0 and s are graded.
+
+    A kernel whose squared norm (the diagonal) is 0, as when K underflows
+    at every node, raises ValueError: the frame bounds are ratios to it.
     """
     k = sys.kernel
     pts = np.asarray(sys.points)
     n = pts.size
     gram, bounds = window_autoconvolve(k, np.abs(np.subtract.outer(pts, pts)), sys.window, tol)
+    if not gram[0, 0] > 0.0:
+        raise ValueError(f"squared kernel norm over the window is {float(gram[0, 0])!r}; no frame bound is measured")
 
     eigs = np.linalg.eigvalsh(gram)
     off_gap = 0.0

@@ -169,7 +169,7 @@ def fft_deconvolve_reference(kernel, lo: float, hi: float, n: int):
     set to zero in the quotient.
 
     ``kernel`` is the elementwise kernel K.  Returns (solution, dc_value,
-    nonconstancy, n_guarded).
+    n_guarded).
     """
     dy = (hi - lo) / n
     j = np.arange(n)
@@ -178,7 +178,7 @@ def fft_deconvolve_reference(kernel, lo: float, hi: float, n: int):
     guard = np.abs(khat) < 1e-12 * np.abs(khat[0])
     ahat = np.where(guard, 0.0, bhat / np.where(guard, 1.0, dy * khat))
     a = np.fft.ifft(ahat).real
-    return a, float(ahat[0].real / n), float(a.max() - a.min()), int(guard.sum())
+    return a, float(ahat[0].real / n), int(guard.sum())
 
 
 def numpy_wrapper_frames(call, files=NUMPY_WRAPPER_FILES, callers=None) -> int:

@@ -107,7 +107,6 @@ def test_c4_center_normalization_and_fft():
             rep = fft_deconvolve_check(k, w)
             a_quad = trivial_normalizer(k, w, tol=1e-10).a_tilde
             assert abs(rep.dc_value / a_quad - 1.0) <= 1e-6
-            assert rep.nonconstancy <= 1e-10 * rep.dc_value
         assert time.perf_counter() - t0 < 10.0
 
 

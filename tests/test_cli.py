@@ -32,6 +32,13 @@ def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
+def _key_paths(doc, prefix=()):
+    """The path of keys to every value that is not a dict."""
+    if not isinstance(doc, dict):
+        return {".".join(prefix)}
+    return set().union(*(_key_paths(v, prefix + (k,)) for k, v in doc.items()))
+
+
 class TestParsers:
     def test_charfn_shorthand(self):
         assert cli.parse_charfn("normal:1") == Normal(1.0)
@@ -243,8 +250,9 @@ class TestSmallTableRoute:
 
 
 def reference_json(doc):
-    """The oracle _json must match byte for byte."""
-    return [(json.dumps(doc, indent=2) + "\n").encode("ascii")]
+    """The oracle _json must match byte for byte: strict JSON, NaN and the
+    infinities refused."""
+    return [(json.dumps(doc, indent=2, allow_nan=False) + "\n").encode("ascii")]
 
 
 class Level(enum.IntEnum):
@@ -267,14 +275,20 @@ _JSON_DOCS = st.recursive(
 class TestJson:
     @given(doc=_JSON_DOCS)
     def test_any_document_matches_json_dumps(self, doc):
-        assert cli._json(doc) == reference_json(doc)
+        try:
+            expected = reference_json(doc)
+        except ValueError as exc:  # a NaN or an infinity: the same error
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                cli._json(doc)
+        else:
+            assert cli._json(doc) == expected
 
     @pytest.mark.parametrize("doc", [
         [0.0, -0.0, 1.5, 0.0, 1.5, -0.0, -2.5, -2.5],
         {"a": [[0.25, 0.25, 0.5], [0.5, -0.0]], "b": -0.0, "c": 0.0, "d": [0.25]},
         [np.float64(0.1), 0.1, np.float64(-0.0), np.float64(3.0), 3.0],
         {"level": Level.HIGH, "levels": [Level.HIGH, 1]},
-        {1: "int", 2.5: "float", -0.0: "zero", math.inf: "inf", True: "bool", None: "none", "s": "str"},
+        {"1": "int", "2.5": "float", "-0.0": "zero", "Infinity": "inf", "true": "bool", "null": "none", "s": "str"},
         {"": [], "e": {}, "t": (), "n": [[], {}, ()]},
         ["\"quoted\"", "tab\tand\x01", "caf\u00e9 \u2603 \U0001f600"],
         [10 ** 100, -(2 ** 64), True, False, None],
@@ -284,13 +298,29 @@ class TestJson:
         assert cli._json(doc) == reference_json(doc)
 
     @pytest.mark.parametrize("doc", [
-        {"n": np.int64(3)}, [1.0, {1, 2}], {"k": [np.bool_(True)]}, {(1, 2): 3}, {np.int64(1): 2},
+        {"n": np.int64(3)}, [1.0, {1, 2}], {"k": [np.bool_(True)]}, {"k": (1, np.float32(2.0))}, [[b"bytes"]],
     ])
     def test_unserializable_values_raise_as_json_dumps_does(self, doc):
         with pytest.raises(TypeError) as expected:
             json.dumps(doc, indent=2)
         with pytest.raises(TypeError, match=re.escape(str(expected.value))):
             cli._json(doc)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, np.float64(math.nan), np.float64(-math.inf)])
+    @pytest.mark.parametrize("place", [lambda x: x, lambda x: [1.5, x], lambda x: {"a": [[x, 0.0]]}],
+                             ids=["bare", "float_list", "nested"])
+    def test_non_finite_floats_raise_as_strict_json_dumps_does(self, x, place):
+        doc = place(x)
+        with pytest.raises(ValueError) as expected:
+            json.dumps(doc, indent=2, allow_nan=False)
+        with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+            cli._json(doc)
+
+    @pytest.mark.parametrize("key", [1, 2.5, -0.0, math.inf, True, None, (1, 2), np.int64(1)])
+    def test_keys_must_be_str(self, key):
+        # json would coerce the first six to strings; the encoder refuses every one
+        with pytest.raises(TypeError, match=f"^keys must be str, not {type(key).__name__}$"):
+            cli._json({"s": 1.0, "outer": {key: "value"}})
 
     def test_floats_are_printed_once_per_distinct_value(self, monkeypatch):
         printed = []
@@ -503,7 +533,6 @@ class TestVerify:
         assert doc["axioms"]["passed"] is True
         assert doc["diagnostics"]["classification"] == "PDM"
         assert doc["diagnostics"]["regularity"]["is_regular"] is True
-        assert doc["fft_deconvolution"]["nonconstancy"] <= 1e-10 * doc["fft_deconvolution"]["dc_value"]
         lines = (out / "residuals.csv").read_text().splitlines()
         assert lines[0] == "mu,residual"
         assert len(lines) == 22
@@ -520,7 +549,30 @@ class TestVerify:
         assert digests == {
             "deconvolution.csv": "4d65bbc9b1cc15ca5d51d84996ee9fe7e3e58192f37942c7f4a2819744c3430a",
             "residuals.csv": "764e09aa689bd898e3ce0492061d36afcfe5b5c25891aa1879be37e195a867cf",
-            "verify.json": "08a93245115c24e6e2d731ef444c477e736b95590f314d44bfc3d1b81e6f896a",
+            "verify.json": "8e80632e0e8a2e8aa04250b9e4f2e46f43d09e1241243de53f3ddd7143127345",
+        }
+
+    def test_document_keys(self, tmp_path):
+        # every key of verify.json; a new one is a deliberate output change
+        out = tmp_path / "verify"
+        assert run(["verify", "--phi", "laplace:1", "--psi", "laplace:1", "--perturb", "cosgauss",
+                    "--grid", "64", "--out", str(out)]) == 0
+        doc = json.loads((out / "verify.json").read_text(), parse_constant=_reject_constant)
+        residuals = doc["diagnostics"].pop("normalization_residuals")
+        assert list(residuals) == [str(float(mu)) for mu in range(-10, 11)]
+        model = {"kernel.pair.phi.family", "kernel.pair.phi.params.scale", "kernel.pair.psi.family",
+                 "kernel.pair.psi.params.scale", "kernel.lam", "normalizer.kind", "normalizer.a_tilde",
+                 "normalizer.window.lo", "normalizer.window.hi", "normalizer.window.n_grid",
+                 "normalizer.perturbation.family", "normalizer.perturbation.params.amplitude",
+                 "normalizer.perturbation.params.frequency", "normalizer.perturbation.params.width",
+                 "position_domain"}
+        assert _key_paths(doc) == {f"model.{key}" for key in model} | {
+            "axioms.passed", "axioms.max_abs_diagonal", "axioms.min_off_diagonal", "axioms.n_diagonal",
+            "axioms.n_off_diagonal", "axioms.diagonal_tol", "axioms.violations",
+            "diagnostics.classification", "diagnostics.edm_excluded", "diagnostics.edm_exclusion_note",
+            "diagnostics.regularity.is_regular", "diagnostics.regularity.kink_detected",
+            "diagnostics.regularity.local_exponent", "diagnostics.truncation_drift",
+            "fft_deconvolution.dc_value", "fft_deconvolution.n_guarded", "fft_deconvolution.n_grid",
         }
 
     @pytest.mark.parametrize("scale", ["3000", "1e-3"])
@@ -573,8 +625,7 @@ class TestRiesz:
         gram = np.array(doc["gram_report"]["gram"])
         assert gram.shape == (4, 4)
         assert 0.0 < doc["gram_report"]["max_entry_error_bound"] <= 1e-9 + 1e-12
-        assert doc["frame_bounds"]["lower"] <= doc["frame_bounds"]["upper"]
-        assert 0 < doc["frame_bounds"]["lower_over_k_norm_sq"] < 1
+        assert 0 < doc["frame_bounds"]["lower_over_k_norm_sq"] < 1 < doc["frame_bounds"]["upper_over_k_norm_sq"]
         lines = (out / "orthogonality.csv").read_text().splitlines()
         assert lines[0] == "mu,residual"
 
@@ -585,8 +636,32 @@ class TestRiesz:
         digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
         assert digests == {
             "orthogonality.csv": "7b8bca21fd2147ba55e7c47effa543270dae2b47b01293a1b827917ae237a690",
-            "riesz.json": "e4e7a8755602ce0d237bd4d2828a58124a9e2860a62052b7a53740f415845fee",
+            "riesz.json": "24fbd4505ce00a640e4a6e206d90252a7c15668b53f2d31cd1234cc2bb23c602",
         }
+
+    def test_document_keys(self, tmp_path):
+        # every key of riesz.json; a new one is a deliberate output change
+        out = tmp_path / "riesz"
+        assert run(["riesz", "--phi", "laplace:1", "--psi", "laplace:1", "--n", "4", "--out", str(out)]) == 0
+        doc = json.loads((out / "riesz.json").read_text(), parse_constant=_reject_constant)
+        assert _key_paths(doc) == {
+            "points",
+            "gram_report.gram", "gram_report.min_eigenvalue", "gram_report.max_eigenvalue",
+            "gram_report.k_norm_sq", "gram_report.tight_claim_gap", "gram_report.max_entry_error_bound",
+            "frame_bounds.lower_over_k_norm_sq", "frame_bounds.upper_over_k_norm_sq",
+            "perturbation.family", "perturbation.params.amplitude", "perturbation.params.frequency",
+            "perturbation.params.width",
+        }
+
+    @pytest.mark.parametrize("phi", ["normal:1", "nig:1,1"])
+    def test_vanishing_kernel_is_one_error_line(self, capsys, tmp_path, phi):
+        # at lambda = 1e100, K underflows at every node: its squared norm is 0
+        out = tmp_path / "riesz"
+        assert run(["riesz", "--phi", phi, "--psi", "normal:1", "--lambda", "1e100", "--n", "2",
+                    "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", "error: squared kernel norm over the window is 0.0; "
+                                           "no frame bound is measured\n")
+        assert not out.exists()
 
 
 class TestSample:
@@ -877,6 +952,27 @@ class TestPerturbationOverflow:
         y = float(re.fullmatch(r"error: normalizing function is not finite: value inf at y=(\S+)\n", err)[1])
         assert abs(y) < 0.21
         assert (math.cos(3.0 * y) + 1.0) * math.exp(-y * y / 8.0) > sys.float_info.max / 1e308
+
+
+class TestPerturbationWidthExtremes:
+    # each extreme width against an ordinary one at which the Gaussian
+    # envelope already rounds to the same limit on the grid: 1 for a wide
+    # envelope; 1 at y = 0 and 0 elsewhere for a narrow one
+    @pytest.mark.parametrize("token, ordinary", [
+        ("cosgauss:1,3,1e155", "cosgauss:1,3,1e150"),  # 2 s^2 overflows
+        ("oddgauss:1,1e-170", "oddgauss:1,1e-150"),  # 2 s^2 underflows to 0
+        ("cosgauss:1,3,1e-154", "cosgauss:1,3,1e-150"),  # 2 s^2 is subnormal
+    ], ids=["wide", "narrow", "subnormal"])
+    def test_limit_values_without_warnings(self, tmp_path, token, ordinary):
+        curves = []
+        for i, perturb in enumerate((token, ordinary)):
+            path = tmp_path / f"{i}.csv"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert run(["density", "--phi", "normal:1", "--psi", "normal:1", "--grid", "16",
+                            "--perturb", perturb, "--out", str(path)]) == 0
+            curves.append(path.read_bytes())
+        assert curves[0] == curves[1]
 
 
 class TestPositivityAtAnyGrid:

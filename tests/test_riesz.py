@@ -272,6 +272,21 @@ def test_folded_gram_entries_agree_with_the_unfolded_integrals(kernel, lo, width
 
 
 class TestFrameBounds:
+    @pytest.mark.parametrize("pair, n", [(LL, 1), (NN, 2), (LL, 8)], ids=["laplace-1", "normal-2", "laplace-8"])
+    def test_ratios_are_the_eigenvalues_over_k_norm_sq(self, pair, n):
+        rep = gram_matrix(TranslateSystem(KernelSpec(pair, 1.0), tuple(rational_enumeration(n)), W20), tol=1e-10)
+        bounds = rep.frame_bounds()
+        assert list(bounds) == ["lower_over_k_norm_sq", "upper_over_k_norm_sq"]
+        assert [x.hex() for x in bounds.values()] == [
+            (rep.min_eigenvalue / rep.k_norm_sq).hex(), (rep.max_eigenvalue / rep.k_norm_sq).hex()]
+
+    @pytest.mark.parametrize("phi", [Normal(1.0), SymmetricNIG(1.0, 1.0)], ids=["normal", "nig"])
+    def test_vanishing_kernel_raises_naming_the_norm(self, phi):
+        # at lambda = 1e100, K underflows at every node: no ratio is defined
+        k = KernelSpec(UnitDeviancePair(phi, Normal(1.0)), 1e100)
+        with pytest.raises(ValueError, match=r"^squared kernel norm over the window is 0\.0; no frame bound"):
+            gram_matrix(TranslateSystem(k, (0.0, 1.0), W20))
+
     def test_single_translate_tight(self):
         rep = gram_matrix(TranslateSystem(KernelSpec(LL, 1.0), (0.0,), W20), tol=1e-10)
         lo, hi = rep.min_eigenvalue, rep.max_eigenvalue
