@@ -30,6 +30,12 @@ T_CAP = 1e8
 SCALED_CAP = 1e150
 
 
+def abs_range(lo: ArrayLike, hi: ArrayLike) -> tuple[np.ndarray, np.ndarray]:
+    """The least and the largest |t| over each interval [lo, hi] of arrays
+    lo <= hi: 0 where the interval holds 0.  Exact, as negation is."""
+    return np.maximum(np.maximum(lo, -hi), 0.0), np.maximum(-lo, hi)
+
+
 class InvalidSpecError(ValueError):
     """Raised when a spec is built with parameters outside its family's domain."""
 
@@ -125,6 +131,10 @@ class CharFn(Spec, ABC):
     # phi has its corner there, as sharp as beta says.  The quadrature
     # grades the panels at such a corner when beta is not an integer.
     origin_exponent = 2.0
+    # True declares phi non-increasing in |t|, up to rounding: the kernel's
+    # bounds over an interval then come from its ends (see
+    # UnitDeviancePair.bounds).  Undeclared, they are those of d in [0, 2].
+    non_increasing = False
 
     def __post_init__(self):
         """By default, every parameter must be positive and finite."""
@@ -150,6 +160,7 @@ class Normal(CharFn):
 
     scale: float = 1.0
     family = "normal"
+    non_increasing = True
 
     def eval(self, t):
         return np.exp(-0.5 * (self.scale * _clamp(t, self.scale)) ** 2)
@@ -161,6 +172,7 @@ class Cauchy(CharFn):
 
     scale: float = 1.0
     family = "cauchy"
+    non_increasing = True
     origin_exponent = 1.0
 
     def eval(self, t):
@@ -173,6 +185,7 @@ class Laplace(CharFn):
 
     scale: float = 1.0
     family = "laplace"
+    non_increasing = True
 
     def eval(self, t):
         return 1.0 / (1.0 + (self.scale * _clamp(t, self.scale)) ** 2)
@@ -189,6 +202,7 @@ class SymmetricStable(CharFn):
     alpha: float = 1.5
     scale: float = 1.0
     family = "stable"
+    non_increasing = True
 
     @property
     def origin_exponent(self) -> float:
@@ -216,6 +230,7 @@ class SymmetricNIG(CharFn):
     alpha: float = 1.0
     delta: float = 1.0
     family = "nig"
+    non_increasing = True
 
     def __post_init__(self):
         super().__post_init__()

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .charfn import ArrayLike, CharFn
+from .charfn import ArrayLike, CharFn, abs_range
 
 DIAGONAL_TOL = 1e-14
 MAX_WITNESSES = 10
@@ -60,6 +60,18 @@ class UnitDeviancePair:
         scalar ``t`` and an array of the shape of ``t`` otherwise.
         """
         return (1.0 - self.phi.eval(t)) * np.abs(self.psi.eval(t))
+
+    def bounds(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Bounds of :meth:`at` over the displacements of each interval
+        [lo, hi]: when both members declare ``non_increasing``, 1 - phi rises
+        and |psi| falls in |t|, so d lies between (1 - phi) |psi| with phi at
+        the least |t| and psi at the largest, and the converse; else [0, 2]."""
+        if not (self.phi.non_increasing and self.psi.non_increasing):
+            return np.zeros_like(lo), np.full_like(lo, 2.0)
+        near, far = abs_range(lo, hi)
+        phi, psi = self.phi.eval(np.stack([near, far])), np.abs(self.psi.eval(np.stack([far, near])))
+        d_lo, d_hi = (1.0 - phi) * psi
+        return d_lo, d_hi
 
     def deviance(self, y: ArrayLike, mu: ArrayLike) -> ArrayLike:
         return self.at(np.asarray(y, dtype=float) - np.asarray(mu, dtype=float))

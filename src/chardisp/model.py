@@ -31,7 +31,8 @@ ENVELOPE_SAFETY = 1.01
 # its 4096 intervals in each, whatever the window grid.
 ENVELOPE_CELLS = 256
 # Largest proposal batch in sample(): fixes which uniforms each proposal
-# reads; bounds the proposals checked after the n-th acceptance.
+# reads; bounds the proposals decided after the n-th acceptance (each by
+# the density bounds or, where they leave it open, by the density).
 MAX_PROPOSAL_BATCH = 2 ** 21
 # Proposals per block of sample()'s one pass over a batch; bounds its working memory.
 SAMPLE_BLOCK = 65536
@@ -55,13 +56,15 @@ class DomainError(ValueError):
 class EnvelopeError(RuntimeError):
     """Rejection sampling saw a density value above its envelope."""
 
-    def __init__(self, y: float, density: float, envelope: float):
+    def __init__(self, y: float, density: float, envelope: float, cell: tuple[float, float]):
         self.y = y
         self.density = density
         self.envelope = envelope
+        self.cell = cell
         super().__init__(
-            f"density {density!r} at y={y!r} exceeds the rejection envelope "
-            f"{envelope!r}; the envelope grid is too coarse"
+            f"density {density!r} at y={y!r} exceeds the rejection envelope {envelope!r} "
+            f"of the cell [{cell[0]!r}, {cell[1]!r}], whose density bound was not certified "
+            f"below its height"
         )
 
 
@@ -126,7 +129,10 @@ def normalization_check(m: DispersionModel, mu: float, tol: float = RESIDUAL_TOL
 
 def classify(m: DispersionModel) -> Classification:
     """PDM when the normalizing function is constant in y, else a candidate
-    non-standard model.  Independent of the index parameter."""
+    non-standard model.  The tag is structural: a non-constant a(y) is a
+    candidate whether or not it solves the integral equation, which is not
+    checked (a cosine normalizer solves it at a zero of the kernel's
+    transform, so at one lam only)."""
     if m.normalizer.is_constant():
         return Classification.PDM
     return Classification.NSDM_CANDIDATE
@@ -144,6 +150,10 @@ def _step_envelope(m: DispersionModel, mu: float):
     window's ``n_grid``, and the critical points), and mu, where the
     kernel peaks.  Returns the cell edges, the cell heights and the
     trapezoid mass of the density on the scan points.
+
+    The heights are not the density bounds of :func:`_density_bounds`,
+    which would move every draw: those bounds only decide proposals, and
+    certify the cells whose height they stay below.
     """
     w = m.window
     edges = np.linspace(w.lo, w.hi, ENVELOPE_CELLS + 1)
@@ -154,6 +164,28 @@ def _step_envelope(m: DispersionModel, mu: float):
     env = ENVELOPE_SAFETY * np.array([ps[i:j + 1].max() for i, j in zip(first, last)])
     mass = float(np.sum(0.5 * (ps[1:] + ps[:-1]) * np.diff(ys)))
     return edges, env, mass
+
+
+def _density_bounds(m: DispersionModel, mu: float, edges: np.ndarray, env: np.ndarray):
+    """Bounds L <= density <= U on the 16 equal sub-intervals of each
+    envelope cell (the scan's count), flat, for every y that :func:`sample`
+    can propose there.  Sub-interval j of cell c ends at
+    ``edges[c] + width * (j / 16)``, clamped to the window: the proposal's
+    own expression, monotone in p, so a proposal with floor(16 p) = j lies
+    between its ends.  L and U are the products of the normalizer's and
+    the kernel's ``bounds``, which hold the computed factors (see
+    ``normalizer._SLACK``), and rounding of the product is monotone.  A
+    cell whose largest U exceeds its height, or is NaN, is not certified:
+    its L is -inf and its U inf.
+    """
+    ends = np.minimum(edges[:-1, None] + (edges[1] - edges[0]) * (np.arange(17) / 16), m.window.hi)
+    lo, hi = ends[:, :-1].ravel(), ends[:, 1:].ravel()
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN bounds decide nothing
+        (a_lo, a_hi), (k_lo, k_hi) = m.normalizer.bounds(lo, hi), m.kernel.bounds(lo - mu, hi - mu)
+        low, high = (a_lo * k_lo).reshape(-1, 16), (a_hi * k_hi).reshape(-1, 16)
+    uncertified = ~(high.max(axis=1) <= env)
+    low[uncertified], high[uncertified] = -np.inf, np.inf
+    return low.ravel(), high.ravel()
 
 
 def _guide_table(cdf: np.ndarray):
@@ -199,20 +231,30 @@ def sample(m: DispersionModel, mu: float, n: int, seed: int) -> np.ndarray:
 
     A proposal picks one of the envelope's cells (see :func:`_step_envelope`)
     in proportion to its envelope mass, then a point uniformly inside it,
-    and is accepted when u * height <= density for a uniform u.  A density
-    above its own cell's height aborts with :class:`EnvelopeError` naming
-    the first such proposal.  A batch holds 1.1 times the proposals the
-    missing draws need at the expected acceptance (the density's mass over
-    the envelope's), at least 1024 and at most ``MAX_PROPOSAL_BATCH``.
+    and is accepted when u * height <= density for a uniform u.  The
+    density is evaluated only where a squeeze (Marsaglia 1977; Devroye
+    1986, ch. II) leaves that open: a proposal in sub-interval
+    cell * 16 + floor(16 p) of :func:`_density_bounds`, p its placement
+    uniform, is accepted when u * height <= L and rejected when
+    u * height > U, as its density would decide, since L <= density <= U
+    holds for the computed density: the bounds carry a rounding margin,
+    2^-36 per factor and 2^-36 (1 + lam) in K's exponent, derived at
+    ``normalizer._SLACK``.  In a cell that is not certified every proposal
+    is evaluated, and a density above the cell's height aborts with
+    :class:`EnvelopeError` naming the first such proposal.  A batch holds
+    1.1 times the proposals the missing draws need at the expected
+    acceptance (the density's mass over the envelope's), at least 1024 and
+    at most ``MAX_PROPOSAL_BATCH``.
 
     A batch of B proposals reads the uniforms of ``default_rng(seed)`` in
     three runs, each from its own generator (:func:`_stream_at`): [d, d+B)
     pick the cells, [d+B, d+2B) place the points and [d+2B, d+3B) accept
     them, where d counts the uniforms of earlier batches.  So each block of
-    ``SAMPLE_BLOCK`` proposals is picked, placed, checked and accepted in
-    one pass, the draws do not depend on the block size, and beside the n
-    draws (8 bytes each) only one block's temporaries are alive.  Every
-    proposal of a batch is checked.  Deterministic for a fixed seed.
+    ``SAMPLE_BLOCK`` proposals is picked, placed, decided and kept in one
+    pass, the draws do not depend on the block size, and beside the n
+    draws (8 bytes each) only one block's temporaries are alive.  The draws
+    and the first EnvelopeError are those of evaluating every proposal.
+    Deterministic for a fixed seed.
     """
     if n < 0:
         raise ValueError(f"sample size must be >= 0, got {n}")
@@ -228,6 +270,7 @@ def sample(m: DispersionModel, mu: float, n: int, seed: int) -> np.ndarray:
     cdf /= cdf[-1]  # ends at exactly 1, as _guide_table requires
     scaled, guide = _guide_table(cdf)
 
+    low, high = _density_bounds(m, mu, edges, env)
     out = np.empty(n)
     got = drawn = 0
     while got < n:
@@ -237,15 +280,22 @@ def sample(m: DispersionModel, mu: float, n: int, seed: int) -> np.ndarray:
         for start in range(0, batch, SAMPLE_BLOCK):
             size = min(SAMPLE_BLOCK, batch - start)
             cell = _pick_cells(scaled, guide, cells.random(size))
+            p = positions.random(size)
             # rounding may carry a point of the last cell an ulp past the window
-            y = np.minimum(edges[cell] + width * positions.random(size), m.window.hi)
-            height = env[cell]
-            ps = m.density(y, mu)
-            too_high = ps > height
+            y = np.minimum(edges.take(cell) + width * p, m.window.hi)
+            uh = accepts.random(size) * env.take(cell)
+            sub = (p * 16).astype(np.intp)  # floor(16 p), as 16 p is exact
+            sub += cell * 16
+            accept = uh <= low.take(sub)
+            check = np.flatnonzero((uh <= high.take(sub)) > accept)  # neither accepted nor rejected
+            ps = m.density(y.take(check), mu)
+            too_high = ps > env.take(cell.take(check))
             if too_high.any():
-                i = int(np.argmax(too_high))
-                raise EnvelopeError(float(y[i]), float(ps[i]), float(height[i]))
-            acc = y[accepts.random(size) * height <= ps]
+                j = int(np.argmax(too_high))
+                i, c = check[j], cell[check[j]]
+                raise EnvelopeError(float(y[i]), float(ps[j]), float(env[c]), (float(edges[c]), float(edges[c + 1])))
+            accept[check] = uh.take(check) <= ps
+            acc = y[accept]
             take = min(n - got, acc.size)
             out[got:got + take] = acc[:take]
             got += take

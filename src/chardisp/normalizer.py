@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .charfn import ArrayLike, InvalidSpecError, Spec, build, is_number
+from .charfn import ArrayLike, InvalidSpecError, Spec, abs_range, build, is_number
 from .deviance import UnitDeviancePair
 from .quadrature import DEFAULT_TOL, integrate_shifts
 
@@ -32,6 +32,16 @@ DEFAULT_WINDOW = (-20.0, 20.0)
 POSITIVITY_OVERSAMPLE = 4
 # Default absolute tolerance of the normalization residual integrals.
 RESIDUAL_TOL = 1e-8
+# Rounding slack of the ``bounds`` methods, 2^16 eps.  They bound each
+# factor of a value by its values at an interval's ends or its exact
+# extremes; at a float between the ends, rounding moves it further: exp(-x)
+# by up to (3 x + 1) eps <= 2240 eps relative (x carries 3 eps, and is at
+# most 745 above the subnormals), a cosine or np.interp by a few eps of its
+# scale, lam d by about 40 lam eps.  Each factor's bounds are widened by
+# the slack (K's exponent by the slack times 1 + lam), 29 times the largest
+# of these, and the rounding of the products and sums that combine the
+# factors is monotone, so it keeps their order.
+_SLACK = 2.0 ** -36
 
 
 class PositivityError(ValueError):
@@ -102,6 +112,16 @@ class KernelSpec:
     def eval(self, y: ArrayLike) -> ArrayLike:
         return np.exp(-self.lam * self.pair.at(y))
 
+    def bounds(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Bounds that hold :meth:`eval` at every float of each interval
+        [lo, hi], from :meth:`UnitDeviancePair.bounds`.  The exponent is
+        widened by the slack times 1 + lam, and the bounds by two subnormal
+        steps, which exp's rounding can cross below 2^-1034."""
+        d_lo, d_hi = self.pair.bounds(lo, hi)
+        slack = _SLACK * (1.0 + self.lam)
+        return (np.maximum(np.exp(-self.lam * d_hi - slack) - 2.0 ** -1073, 0.0),
+                np.exp(slack - self.lam * d_lo) + 2.0 ** -1073)
+
     @property
     def graded(self) -> bool:
         """True when phi's exponent beta at the origin is not an integer:
@@ -153,6 +173,12 @@ class Perturbation(Spec, ABC):
         """True when f(y) = 0 for every y."""
         return False
 
+    def bounds(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Bounds that hold :meth:`eval` at every float of each interval
+        [lo, hi], rounding included; (-inf, inf) unless the family declares
+        them."""
+        return np.full_like(lo, -np.inf), np.full_like(lo, np.inf)
+
     def critical_points(self, lo: float, hi: float) -> tuple[float, ...]:
         """Abscissae that, with lo and hi, hold every extreme of f over the
         window [lo, hi] other than 0: its minimum when that is negative and
@@ -176,6 +202,18 @@ def _gaussian(yy: np.ndarray, width: float) -> np.ndarray:
     return np.exp(np.fmin(e, 0.0))  # fmin takes 0.0 for a NaN
 
 
+def _times_gaussian(x_lo, x_hi, lo, hi, width: float, amplitude: float):
+    """Bounds of x g(y) A, in the order of the families' eval, over each
+    interval [lo, hi] where x lies in [x_lo, x_hi] and g is
+    :func:`_gaussian`: g lies between its values at the largest and the
+    least |y|, each widened by the slack, and the rounded product between
+    those of the four corners, as rounding is monotone in each factor."""
+    near, far = abs_range(lo, hi)
+    g_lo, g_hi = np.maximum(_gaussian(far, width) - _SLACK, 0.0), _gaussian(near, width) + _SLACK
+    v = np.stack([x_lo * g_lo, x_lo * g_hi, x_hi * g_lo, x_hi * g_hi]) * amplitude
+    return v.min(axis=0), v.max(axis=0)
+
+
 @dataclass(frozen=True)
 class Zero(Perturbation):
     """The trivial perturbation, identically zero."""
@@ -187,6 +225,9 @@ class Zero(Perturbation):
 
     def is_zero(self):
         return True
+
+    def bounds(self, lo, hi):
+        return np.zeros_like(lo), np.zeros_like(lo)
 
 
 @dataclass(frozen=True)
@@ -205,6 +246,20 @@ class CosineGaussian(Perturbation):
 
     def is_zero(self):
         return self.amplitude == 0
+
+    def bounds(self, lo, hi):
+        """cos(omega y) + 1 for omega y in [a, b]: 2 where sin turns from
+        <= 0 to >= 0 (a peak of the cosine), 0 where it turns back (a
+        trough), both where b - a is half a period or more, else between
+        its values at a and b; widened by the slack and times the Gaussian
+        (see :func:`_times_gaussian`)."""
+        a, b = self.frequency * lo, self.frequency * hi
+        a, b = np.minimum(a, b), np.maximum(a, b)  # a negative frequency reverses them
+        (sa, sb), (ca, cb) = np.sin([a, b]), np.cos([a, b]) + 1.0
+        span = b - a >= np.pi
+        c_hi = np.where(span | (sa <= 0.0) & (sb >= 0.0), 2.0, np.maximum(ca, cb))
+        c_lo = np.where(span | (sa >= 0.0) & (sb <= 0.0), 0.0, np.minimum(ca, cb))
+        return _times_gaussian(c_lo - _SLACK, c_hi + _SLACK, lo, hi, self.width, self.amplitude)
 
     def critical_points(self, lo, hi):
         """0, where cos + 1 and the envelope both peak, when the window holds
@@ -261,6 +316,10 @@ class OddGaussian(Perturbation):
     def is_zero(self):
         return self.amplitude == 0
 
+    def bounds(self, lo, hi):
+        """y between the interval's ends, times the Gaussian (see :func:`_times_gaussian`)."""
+        return _times_gaussian(lo, hi, lo, hi, self.width, self.amplitude)
+
     def critical_points(self, lo, hi):
         return (-self.width, self.width)  # the minimum and the maximum
 
@@ -292,6 +351,21 @@ class TabulatedEven(Perturbation):
 
     def is_zero(self):
         return not any(self.values)
+
+    def bounds(self, lo, hi):
+        """Between the values at the ends, at each knot within the |y| of
+        the interval and 0 where it reaches past the last knot: every
+        extreme of the interpolant.  Widened by the slack times the largest
+        |value|, which np.interp's rounding stays within, plus the least
+        normal number."""
+        near, far = abs_range(lo, hi)
+        ends = self.eval(np.stack([lo, hi]))
+        f_lo, f_hi = ends.min(axis=0), ends.max(axis=0)
+        for inside, v in zip([far > self.knots[-1], *((near <= k) & (k <= far) for k in self.knots)],
+                             (0.0, *self.values)):
+            f_lo, f_hi = np.where(inside, np.minimum(f_lo, v), f_lo), np.where(inside, np.maximum(f_hi, v), f_hi)
+        pad = _SLACK * max(map(abs, self.values)) + 2.0 ** -1022
+        return f_lo - pad, f_hi + pad
 
     def critical_points(self, lo, hi):
         return tuple(-k for k in self.knots) + self.knots
@@ -363,6 +437,15 @@ class NormalizerSpec:
         if self.perturbation is None:
             return np.full(np.shape(y), self.a_tilde)[()]
         return self.a_tilde + self.perturbation.eval(y)
+
+    def bounds(self, lo: np.ndarray, hi: np.ndarray):
+        """Bounds that hold :meth:`value` at every float of each interval
+        [lo, hi]: a_tilde plus the perturbation's (see
+        :meth:`Perturbation.bounds`), as rounding of the sum is monotone."""
+        if self.perturbation is None:
+            return self.a_tilde, self.a_tilde
+        f_lo, f_hi = self.perturbation.bounds(lo, hi)
+        return self.a_tilde + f_lo, self.a_tilde + f_hi
 
     def is_constant(self) -> bool:
         return self.perturbation is None or self.perturbation.is_zero()

@@ -21,7 +21,7 @@ from chardisp.charfn import (
 from chardisp.deviance import UnitDeviancePair
 from chardisp.normalizer import PERTURBATION_FAMILIES, KernelSpec, TabulatedEven
 
-from oracles import origin_exponent_mpmath
+from oracles import origin_exponent_mpmath, phi_mpmath
 
 CATALOG = [
     Normal(1.0),
@@ -212,6 +212,22 @@ def test_origin_exponent_matches_the_mpmath_measurement(name, scale):
     # regularity report read, against 1 - phi's closed form in 50 digits
     spec = SCALED_FAMILIES[name](scale)
     assert origin_exponent_mpmath(spec) == pytest.approx(spec.origin_exponent, abs=1e-4)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 3000.0, 1e5])
+@pytest.mark.parametrize("name", SCALED_FAMILIES)
+def test_declared_non_increasing_in_abs_t(name, scale):
+    # the declaration the kernel's bounds read, against phi's closed form
+    # in 50 digits from 0 out to where |phi| is far below a float's range
+    import mpmath as mp
+
+    spec = SCALED_FAMILIES[name](scale)
+    assert spec.non_increasing
+    with mp.workdps(50):
+        values = [phi_mpmath(spec, 0)] + [phi_mpmath(spec, mp.mpf(10) ** (k / mp.mpf(8)) / scale)
+                                          for k in range(-96, 97)]
+    assert all(b <= a for a, b in zip(values, values[1:]))
+    assert values[-1] < values[0]
 
 
 def test_serialization_round_trip():

@@ -4,6 +4,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from chardisp import model
 
@@ -27,6 +29,8 @@ from chardisp.model import (
 from chardisp.normalizer import (
     CosineGaussian,
     KernelSpec,
+    OddGaussian,
+    PositivityError,
     TabulatedEven,
     Window,
     Zero,
@@ -312,20 +316,37 @@ class TestSample:
             assert np.array_equal(other_env, env)
             assert other_mass == mass
 
-    def test_proposals_per_draw_for_a_perturbed_model(self):
+    def test_proposals_per_draw_for_a_perturbed_model(self, monkeypatch):
         # the step envelope follows the cosine-gaussian's ripples; a flat
-        # envelope under its peak needs about 13.7 proposals per draw
-        k = CountingKernel(LL, 1.0)
-        m = fig2d_model(k)
+        # envelope under its peak needs about 13.7 proposals per draw.  Each
+        # block's proposals pick their cells in one call.
+        picked = []
+
+        def pick(scaled, guide, u):
+            picked.append(u.size)
+            return _pick_cells(scaled, guide, u)
+
+        monkeypatch.setattr(model, "_pick_cells", pick)
+        n = 100_000
+        draws = sample(fig2d_model(), 0.0, n, seed=42)
+        assert draws.size == n
+        assert sum(picked) / n <= 1.3
+
+    @pytest.mark.parametrize("pair, perturb, most", [(NN, False, 0.002), (LL, True, 0.04)],
+                             ids=["normal", "laplace_cosgauss"])
+    def test_the_squeeze_leaves_few_densities_to_evaluate(self, pair, perturb, most):
+        # the density bounds decide all but a few proposals: kernel abscissae
+        # per draw beside the envelope's, which are above 1 when every
+        # proposal is evaluated
+        k = CountingKernel(pair, 1.0)
+        m = fig2d_model(k) if perturb else DispersionModel(k, trivial_normalizer(k, W20, 1e-10))
         n = 100_000
         k.tally.abscissae = 0
         _step_envelope(m, 0.0)
         envelope_points = k.tally.abscissae
         k.tally.abscissae = 0
-        draws = sample(m, 0.0, n, seed=42)
-        proposals = k.tally.abscissae - envelope_points
-        assert draws.size == n
-        assert proposals / n <= 1.3
+        assert sample(m, 0.0, n, seed=3).size == n
+        assert (k.tally.abscissae - envelope_points) / n <= most
 
     def test_ks_of_a_perturbed_model(self):
         m = fig2d_model()
@@ -347,6 +368,14 @@ class TestSample:
             sample(spike_model(), 0.0, 500, seed=0)
         assert exc.value.density > exc.value.envelope
         assert 0.05 < abs(exc.value.y) < 0.35
+
+    def test_envelope_failure_names_the_uncertified_cell(self):
+        with pytest.raises(EnvelopeError) as exc:
+            sample(spike_model(), 0.0, 500, seed=0)
+        lo, hi = exc.value.cell
+        assert lo <= exc.value.y <= hi and hi - lo == pytest.approx(40.0 / ENVELOPE_CELLS)
+        assert (f"of the cell [{lo!r}, {hi!r}], whose density bound was not certified below its height"
+                in str(exc.value))
 
     def test_envelope_failure_in_a_later_block_names_the_first_proposal(self, monkeypatch):
         m = spike_model()
@@ -370,6 +399,60 @@ class TestSample:
         for m in (trivial_model(), fig2d_model()):
             draws = sample(m, 0.0, 100_000, seed=7)
             assert np.array_equal(draws, whole_batch_sample(m, 0.0, 100_000, seed=7))
+
+    @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(data=st.data())
+    def test_the_squeeze_decides_as_the_density_does(self, data):
+        # bit for bit the reference that evaluates every proposal, or the
+        # same EnvelopeError; over catalog pairs, lam in [1e-2, 1e6], mu in
+        # the position domain, a window with and one without 0, and each
+        # perturbation family with amplitudes of either sign
+        scales = st.floats(min_value=0.3, max_value=3.0)
+        member = st.one_of(st.builds(Normal, scales), st.builds(Cauchy, scales), st.builds(Laplace, scales),
+                           st.builds(SymmetricStable, st.floats(min_value=0.1, max_value=2.0), scales),
+                           st.builds(SymmetricNIG, scales, scales))
+        lam = 10.0 ** data.draw(st.floats(min_value=-2.0, max_value=6.0))
+        k = KernelSpec(UnitDeviancePair(data.draw(member), data.draw(member)), lam)
+        window = data.draw(st.sampled_from([W20, Window(1.0, 30.0, 1024)]))
+        # a kernel peak far narrower than the scan's spacing is sampled just
+        # as exactly, but its envelope mass is far above the density's, so
+        # it needs millions of proposals per draw: leave those out
+        assume(k.eval(window.width / 40_000) > 1e-3)
+        try:
+            base = trivial_normalizer(k, window, 1e-10)
+        except ValueError:  # a kernel too sharp for every quadrature node
+            assume(False)
+        a = base.a_tilde
+        ratio = st.one_of(st.floats(min_value=-0.45, max_value=-0.05), st.floats(min_value=0.05, max_value=2.0))
+        f = data.draw(st.one_of(
+            st.builds(lambda r, w, s: CosineGaussian(r * a, w, s), ratio,
+                      st.one_of(st.floats(min_value=-40.0, max_value=-0.5), st.floats(min_value=0.5, max_value=40.0)),
+                      st.floats(min_value=0.5, max_value=100.0)),
+            st.builds(lambda r, s: OddGaussian(r * a / s, s), ratio, st.floats(min_value=0.5, max_value=20.0)),
+            st.builds(lambda r: TabulatedEven((0.0, 2.0, 5.0, 9.0), tuple(a * x for x in r)),
+                      st.lists(ratio, min_size=4, max_size=4)),
+            st.none(), st.just(Zero()),
+        ))
+        try:
+            m = DispersionModel(k, base if f is None else perturbed_normalizer(base, f))
+        except PositivityError:
+            assume(False)
+        lo, hi = m.position_domain
+        mu = lo + (hi - lo) * data.draw(st.floats(min_value=0.0, max_value=1.0))
+        seed = data.draw(st.integers(min_value=0, max_value=2 ** 32))
+        reference = whole_batch_sample(m, mu, 3000, seed)
+        if isinstance(reference, tuple):
+            with pytest.raises(EnvelopeError) as exc:
+                sample(m, mu, 3000, seed)
+            assert (exc.value.y, exc.value.density, exc.value.envelope) == reference[1:]
+        else:
+            assert np.array_equal(sample(m, mu, 3000, seed), reference)
+
+    def test_an_index_parameter_beyond_the_slack_warns_nothing(self):
+        # above lam ~ 4.8e13 the kernel's upper bound exp(slack (1 + lam))
+        # overflows: the cells it bounds are evaluated, without a warning
+        m = trivial_model(lam=1e14)
+        assert np.array_equal(sample(m, 0.0, 1000, seed=0), whole_batch_sample(m, 0.0, 1000, seed=0))
 
     @pytest.mark.parametrize("make", [trivial_model, fig2d_model], ids=["normal", "laplace_cosgauss"])
     def test_working_memory_is_bounded(self, make):

@@ -496,6 +496,112 @@ class TestPerturbations:
             assert perturbation_from_dict(f.to_dict()) == f
 
 
+def dense(lo, hi, n=2001):
+    """lo, hi, their neighbours inside [lo, hi] and n floats between them."""
+    return np.concatenate([np.clip(np.linspace(lo, hi, n), lo, hi), np.nextafter([lo, hi], [hi, lo])])
+
+
+def assert_bounds_hold(bounded, lo, hi):
+    """``bounded.bounds`` over [lo, hi] holds ``bounded.eval`` at every point of a dense grid."""
+    b_lo, b_hi = bounded.bounds(np.array([lo]), np.array([hi]))
+    v = bounded.eval(dense(lo, hi))
+    assert b_lo.shape == b_hi.shape == (1,)
+    assert b_lo[0] <= v.min() and v.max() <= b_hi[0], (b_lo, v.min(), v.max(), b_hi)
+
+
+# an interval [lo, lo + length]: a point, short, and up to many periods or widths long
+INTERVALS = st.tuples(
+    st.floats(min_value=-60.0, max_value=60.0),
+    st.one_of(st.just(0.0), st.floats(min_value=1e-12, max_value=1.0), st.floats(min_value=1.0, max_value=40.0)),
+).map(lambda t: (t[0], t[0] + t[1]))
+# perturbation widths over the floats, with the saturating ones of the _gaussian tests
+WIDTHS = st.one_of(st.floats(min_value=1e-150, max_value=1e150),
+                   st.sampled_from([5e-324, 1e-170, 1e-154, 1e155, sys.float_info.max]))
+AMPLITUDES = st.floats(min_value=-1e3, max_value=1e3)
+SCALES = st.floats(min_value=1e-3, max_value=1e5)
+CATALOG_MEMBERS = st.one_of(
+    st.builds(Normal, SCALES), st.builds(Cauchy, SCALES), st.builds(Laplace, SCALES),
+    st.builds(SymmetricStable, st.floats(min_value=1e-3, max_value=2.0), SCALES),
+    st.builds(SymmetricNIG, SCALES, SCALES),
+)
+
+
+@dataclass(frozen=True)
+class Ripple(Normal):
+    """A real even characteristic function that is not monotone in |t|
+    (a Gaussian times cos t) and does not declare itself non-increasing."""
+
+    family = "ripple_test"
+    non_increasing = False
+
+    def eval(self, t):
+        return np.cos(t) * super().eval(t)
+
+
+class TestBounds:
+    @settings(max_examples=300, deadline=None)
+    @given(amplitude=AMPLITUDES, frequency=st.one_of(st.just(0.0), st.floats(min_value=-1e3, max_value=1e3)),
+           width=WIDTHS, interval=INTERVALS)
+    def test_cosgauss(self, amplitude, frequency, width, interval):
+        assert_bounds_hold(CosineGaussian(amplitude, frequency, width), *interval)
+
+    @pytest.mark.parametrize("amplitude", [1.0, -1.0])
+    @pytest.mark.parametrize("periods", [0.5, 0.75, 3.0])
+    def test_cosgauss_over_half_a_period_or_more(self, amplitude, periods):
+        # the cosine factor's bound is then [0, 2], even with no peak or
+        # trough at the interval's ends
+        f = CosineGaussian(amplitude, 17.0, 1e155)  # a flat Gaussian
+        lo = 0.3
+        hi = lo + periods * 2.0 * math.pi / 17.0
+        f_lo, f_hi = f.bounds(np.array([lo]), np.array([hi]))
+        assert f_lo[0] == pytest.approx(min(0.0, 2.0 * amplitude), abs=1e-9)
+        assert f_hi[0] == pytest.approx(max(0.0, 2.0 * amplitude), abs=1e-9)
+        assert_bounds_hold(f, lo, hi)
+
+    @settings(max_examples=300, deadline=None)
+    @given(amplitude=AMPLITUDES, width=WIDTHS, interval=INTERVALS)
+    def test_oddgauss(self, amplitude, width, interval):
+        assert_bounds_hold(OddGaussian(amplitude, width), *interval)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), interval=INTERVALS)
+    def test_custom(self, data, interval):
+        knots = sorted(data.draw(st.lists(st.floats(min_value=0.0, max_value=50.0), min_size=2, max_size=6,
+                                          unique=True)))
+        values = data.draw(st.lists(st.floats(min_value=-100.0, max_value=100.0), min_size=len(knots),
+                                    max_size=len(knots)))
+        assert_bounds_hold(TabulatedEven(tuple(knots), tuple(values)), *interval)
+
+    @pytest.mark.parametrize("lo, hi", [(1.5, 2.5), (-2.5, -1.5), (-3.0, 0.5), (2.0, 2.5)])
+    def test_custom_drop_past_the_last_knot(self, lo, hi):
+        # np.interp(..., right=0.0) drops to 0 past the last knot: an extreme
+        # that neither the ends nor the knots' values hold
+        f = TabulatedEven((0.0, 1.0, 2.0), (5.0, 5.0, 5.0))
+        f_lo, f_hi = f.bounds(np.array([lo]), np.array([hi]))
+        assert f_lo[0] <= 0.0 and f_hi[0] >= 5.0
+        assert_bounds_hold(f, lo, hi)
+
+    @given(interval=INTERVALS)
+    def test_zero(self, interval):
+        assert_bounds_hold(Zero(), *interval)
+        assert [b.tolist() for b in Zero().bounds(np.array([interval[0]]), np.array([interval[1]]))] == [[0.0], [0.0]]
+
+    @settings(max_examples=300, deadline=None)
+    @given(phi=CATALOG_MEMBERS, psi=CATALOG_MEMBERS,
+           lam=st.one_of(st.just(0.0), st.floats(min_value=1e-2, max_value=1e6)), interval=INTERVALS)
+    def test_kernel_of_catalog_members(self, phi, psi, lam, interval):
+        assert phi.non_increasing and psi.non_increasing
+        assert_bounds_hold(KernelSpec(UnitDeviancePair(phi, psi), lam), *interval)
+
+    @settings(max_examples=100, deadline=None)
+    @given(member=CATALOG_MEMBERS, lam=st.floats(min_value=1e-2, max_value=1e6), interval=INTERVALS)
+    def test_kernel_of_an_undeclared_member(self, member, lam, interval):
+        # d in [0, 2] whichever member is undeclared
+        for pair in (UnitDeviancePair(Ripple(1.0), member), UnitDeviancePair(member, Ripple(1.0))):
+            assert [b.tolist() for b in pair.bounds(np.array([0.0]), np.array([1.0]))] == [[0.0], [2.0]]
+            assert_bounds_hold(KernelSpec(pair, lam), *interval)
+
+
 class TestNormalizerSpec:
     def test_positive_constant_required(self):
         with pytest.raises(ValueError):
