@@ -11,7 +11,9 @@ figures   the four showcase model curves plus normal and t3 reference curves
 All five take the same flags, from one parser: ``chardisp --help`` lists
 the subcommands and every flag, and flags may come before or after the
 subcommand.  A value that starts with ``-`` and a digit is a number, so
-negative exponents such as ``--mu -1e-3`` are accepted.
+negative exponents such as ``--mu -1e-3`` are accepted.  The process keeps
+one parser, built on the first :func:`run`; a successful run leaves no
+reference cycles, so all it makes is freed by reference counting.
 
 Numeric output is reproducible byte for byte.  A JSON document is strict
 JSON, exactly what ``json.dumps(doc, indent=2)`` prints, so a JSON number
@@ -37,6 +39,7 @@ request too large for memory (``--n`` or ``--grid``), 2 numerical failure
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import numbers
@@ -260,43 +263,44 @@ def _json(doc: dict) -> list[bytes]:
     be a str.  Each distinct float is printed once per document (a zero
     each time, since -0.0 == 0.0), and a list of nonzero plain floats is
     one join over those texts."""
-    memo, out = _FloatMemo(), []
-
-    def put(o, indent: str) -> None:
-        if isinstance(o, str):
-            out.append(_encode_str(o))
-        elif o is None or o is True or o is False:
-            out.append("null" if o is None else "true" if o else "false")
-        elif isinstance(o, int):
-            out.append(int.__repr__(o))
-        elif isinstance(o, float):
-            out.append(memo[o] if o else float.__repr__(o))
-        elif not isinstance(o, (list, tuple, dict)):
-            raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
-        elif not o:
-            out.append("{}" if isinstance(o, dict) else "[]")
-        elif isinstance(o, dict):
-            inner, sep = indent + "  ", "{"
-            for key, value in o.items():
-                if not isinstance(key, str):
-                    raise TypeError(f"keys must be str, not {key.__class__.__name__}")
-                out.extend((sep, inner, _encode_str(key), ": "))
-                put(value, inner)
-                sep = ","
-            out.extend((indent, "}"))
-        else:
-            inner, sep = indent + "  ", "["
-            if set(map(type, o)) == {float} and 0.0 not in o:
-                out.extend((sep, inner, ("," + inner).join(map(memo.__getitem__, o))))
-            else:
-                for item in o:
-                    out.extend((sep, inner))
-                    put(item, inner)
-                    sep = ","
-            out.extend((indent, "]"))
-
-    put(doc, "\n")
+    out = []
+    _put(doc, "\n", out, _FloatMemo())
     return [("".join(out) + "\n").encode("ascii")]
+
+
+def _put(o, indent: str, out: list, memo: _FloatMemo) -> None:
+    """Append the JSON text of ``o``, at ``indent``, to ``out``."""
+    if isinstance(o, str):
+        out.append(_encode_str(o))
+    elif o is None or o is True or o is False:
+        out.append("null" if o is None else "true" if o else "false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        out.append(memo[o] if o else float.__repr__(o))
+    elif not isinstance(o, (list, tuple, dict)):
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+    elif not o:
+        out.append("{}" if isinstance(o, dict) else "[]")
+    elif isinstance(o, dict):
+        inner, sep = indent + "  ", "{"
+        for key, value in o.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {key.__class__.__name__}")
+            out.extend((sep, inner, _encode_str(key), ": "))
+            _put(value, inner, out, memo)
+            sep = ","
+        out.extend((indent, "}"))
+    else:
+        inner, sep = indent + "  ", "["
+        if set(map(type, o)) == {float} and 0.0 not in o:
+            out.extend((sep, inner, ("," + inner).join(map(memo.__getitem__, o))))
+        else:
+            for item in o:
+                out.extend((sep, inner))
+                _put(item, inner, out, memo)
+                sep = ","
+        out.extend((indent, "]"))
 
 
 def _symmetric_grid(w: Window, n: int) -> np.ndarray:
@@ -451,11 +455,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The parser every run uses, built on first use: parsing leaves no state in it.
+_parser = functools.cache(build_parser)
+
+
 def run(argv: list[str]) -> int:
     """Entry point used by tests: returns the exit code instead of exiting."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse signals --help with 0 and bad usage with 2; bad usage is a
         # validation error here.

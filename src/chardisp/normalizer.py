@@ -503,8 +503,9 @@ def window_convolve(g, k: KernelSpec, shifts, window: Window, tol: float, corner
     together by :func:`quadrature.integrate_shifts`, each distinct one
     once, cut at s and 0 and at ``corners`` (where ``g`` may have one, such
     as the knots of a table), with K(s - y)'s corner s graded as a cusp
-    when the kernel has one (see :attr:`KernelSpec.graded`); an unconverged
-    integral raises :class:`QuadratureError` naming its shift.
+    when the kernel has one (see :attr:`KernelSpec.graded`); the cuts and
+    cusps are given for the array of distinct shifts at once.  An
+    unconverged integral raises :class:`QuadratureError` naming its shift.
     """
     return integrate_shifts(lambda y, s: g(y) * k.eval(s - y), window.lo, window.hi, shifts, tol=tol,
                             breakpoints=lambda s: (s, 0.0, *corners),
@@ -522,7 +523,8 @@ def window_autoconvolve(k: KernelSpec, shifts, window: Window, tol: float) -> tu
     integral is that of h times a factor: 2 on I right of s/2, 0 on I left
     of it, and 1 outside I (everywhere when I is empty, that is when s/2
     lies outside the window).  Each integral is cut at the kinks 0 and s of
-    h, at s/2 and at the two edges of I, so every panel lies in one region,
+    h, at s/2 and at the two edges of I (``np.maximum`` and ``np.minimum``
+    of the array of distinct shifts), so every panel lies in one region,
     and a panel's factor is decided from one point strictly inside it,
     never from each abscissa: one rounded onto an edge keeps its panel's
     factor.  That point is column 7 of the panel's row of abscissae (see
@@ -548,7 +550,7 @@ def window_autoconvolve(k: KernelSpec, shifts, window: Window, tol: float) -> tu
         return k.eval(y) * k.eval(s - y) * (1.0 + np.sign(d) * (np.abs(d) < np.minimum(hi - half, half - lo)))
 
     return integrate_shifts(folded, lo, hi, shifts, tol=tol,
-                            breakpoints=lambda s: (s, 0.0, 0.5 * s, max(lo, s - hi), min(hi, s - lo)),
+                            breakpoints=lambda s: (s, 0.0, 0.5 * s, np.maximum(lo, s - hi), np.minimum(hi, s - lo)),
                             cusps=(lambda s: (s, 0.0)) if k.graded else None)[:2]
 
 

@@ -35,8 +35,11 @@ midpoint of a plain panel, c +- h/16 of a graded one.
 shifts ``s`` of any shape, each distinct shift once, and returns the
 values, error bounds and panel counts as arrays of that shape.  It is
 the one home of that bookkeeping: the window integrals of
-:mod:`chardisp.normalizer` are each one call of it.  The live panels of
-all unconverged integrals sit in flat
+:mod:`chardisp.normalizer` are each one call of it.  Its
+``breakpoints(s)`` and ``cusps(s)`` receive the distinct shifts as a 1-D
+array and return a tuple of arrays or scalars broadcast against it, from
+which whole-array operations build every integral's starting panels.  The
+live panels of all unconverged integrals sit in flat
 arrays, grouped by integral and ordered by position.  A round takes each
 integral's bound and largest error from per-integral reductions, marks
 panels by the rule above, evaluates the child panels ``PANEL_BLOCK`` at a
@@ -260,26 +263,20 @@ def _gk15(f, lo: np.ndarray, hi: np.ndarray, s: np.ndarray, grade: Optional[np.n
     return k, err
 
 
-def _rounds(f, a: float, b: float, shifts: np.ndarray, edges: list, grades: Optional[list], tol: float,
-            max_panels: int, named: bool, out: list) -> None:
-    """Adaptive refinement of one chunk of integrals, integral i starting
-    from the panels between ``edges[i]``, of grades ``grades[i]`` (see
-    :func:`_gk15`; None when no panel is graded), advanced together in
+def _rounds(f, a: float, b: float, shifts: np.ndarray, count: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+            grade: Optional[np.ndarray], tol: float, max_panels: int, named: bool, out: list) -> None:
+    """Adaptive refinement of one chunk of integrals from their starting
+    panels (see :func:`_panels`): integral i of ``f(x, shifts[i])`` starts
+    from the next ``count[i]`` panels [lo, hi], of grades ``grade`` (see
+    :func:`_gk15`; None when no panel is graded).  All advance together in
     rounds that mark by the rule of the module docstring.  Integral i's
     value, error bound and panel count are written to index i of the three
     ``out`` arrays as it converges."""
     value, error_bound, n_panels = out
-    count, lo, hi = [], [], []
-    for e in edges:
-        count.append(len(e) - 1)
-        lo += e[:-1]
-        hi += e[1:]
     # Live panels, grouped by integral and ordered by lo within a group:
     # group j is the count[j] panels of integral ids[j], s holds each
     # panel's shift and grade, unless None, its grade.
-    ids, count = np.arange(len(edges)), np.array(count)
-    lo, hi, s = np.array(lo, dtype=float), np.array(hi, dtype=float), shifts.repeat(count)
-    grade = None if grades is None else np.array([g for gs in grades for g in gs], dtype=np.intp)
+    ids, s = np.arange(count.size), shifts.repeat(count)
     val, err = _gk15(f, lo, hi, s, grade, named)
     while True:
         start = np.add.accumulate(count) - count
@@ -338,42 +335,58 @@ def _rounds(f, a: float, b: float, shifts: np.ndarray, edges: list, grades: Opti
         val[kids], err[kids] = _gk15(f, lo[kids], hi[kids], s[kids], None if grade is None else grade[kids], named)
 
 
-def _grade(e: list, cusps: Iterable[float]) -> list:
-    """Cut the sorted edges ``e`` of an integral also at its ``cusps``, and
-    between two adjacent cusps at their midpoint, in place; return the
-    grades of the panels between them (see :func:`_gk15`).  Cusps outside
-    the limits ``e[0]`` and ``e[-1]`` are ignored."""
-    a, b = e[0], e[-1]
-    k = {float(p) for p in cusps if a <= p <= b}
-    if not k.issubset(e):
-        e[1:-1] = sorted(k.union(e[1:-1]).difference((a, b)))
-    grade = [0] * (len(e) - 1)
-    for c in k:
-        i = e.index(c)
-        if i < len(grade):
-            grade[i] += 1
-        if i:
-            grade[i - 1] += 2
-    if 3 in grade:  # a panel between two cusps
-        for i in reversed([i for i, g in enumerate(grade) if g == 3]):
-            mid = 0.5 * e[i] + 0.5 * e[i + 1]
-            if e[i] < mid < e[i + 1]:
-                e.insert(i + 1, mid)
-                grade[i:i + 1] = [1, 2]
-            else:  # one ulp wide: graded at its lower end only
-                grade[i] = 1
-    return grade
+def _panels(a: float, b: float, shifts: np.ndarray, breakpoints, cusps) -> tuple:
+    """The starting panels of the integrals over [a, b] at the distinct
+    1-D ``shifts`` (see :func:`integrate_shifts`; ``cusps`` None: none):
+    (count, lo, hi, grade), integral i's panels the next ``count[i]`` of
+    the flat arrays, ``grade`` None without cusps (see :func:`_gk15`).  A
+    panel graded at both ends is cut at its midpoint into grades 1 and 2,
+    or, one ulp wide, is graded 1."""
+    cuts = tuple(breakpoints(shifts))
+    marks = () if cusps is None else tuple(cusps(shifts))
+    # Row i: a, the points of integral i, b, sorted, with each point outside
+    # [a, b] moved to the nearer limit and NaN to a; a panel runs from each
+    # edge to the next different one.
+    edges = np.empty((shifts.size, len(cuts) + len(marks) + 2))
+    edges[:, 0], edges[:, -1] = a, b
+    for j, v in enumerate(cuts + marks, 1):
+        edges[:, j] = v
+    at = edges[:, 1 + len(cuts):-1].copy()  # the cusps, before they are sorted in
+    points = edges[:, 1:-1]
+    np.fmin(np.fmax(points, a, out=points), b, out=points)
+    points.sort(axis=1)
+    left, right = edges[:, :-1], edges[:, 1:]
+    step = left != right
+    count = np.add.reduce(step, axis=1)
+    lo, hi = left[step], right[step]
+    if cusps is None:
+        return count, lo, hi, None
+    # An edge is a cusp if it equals one: one outside [a, b] or NaN equals none.
+    cusp = np.logical_or.reduce(edges[:, :, None] == at[:, None, :], axis=2)
+    grade = (cusp[:, :-1] + 2 * cusp[:, 1:])[step]
+    both = grade == 3
+    if np.logical_or.reduce(both):
+        mid = 0.5 * lo + 0.5 * hi
+        split = both & (lo < mid) & (mid < hi)
+        grade[both] = 1  # then 1 and 2 for the halves of a split one
+        count = count + np.add.reduceat(split, np.add.accumulate(count) - count)
+        rep = 1 + split
+        lo, hi, grade = lo.repeat(rep), hi.repeat(rep), grade.repeat(rep)
+        first = split.repeat(rep).nonzero()[0][::2]
+        hi[first] = lo[first + 1] = mid[split]
+        grade[first + 1] = 2
+    return count, lo, hi, grade
 
 
-def _adapt(f, a: float, b: float, shifts: np.ndarray, cuts: list, cusps: Optional[list], tol: float,
-           max_panels: int, named: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Integral i of ``f(x, shifts[i])``, cut at ``cuts[i]`` and at
-    ``cusps[i]``, whose panels are graded (see :func:`_grade`), for every
-    i, in chunks of ``SHIFT_CHUNK``: returns the arrays (values, error
-    bounds, panel counts), entry i for integral i.  ``cusps`` None grades
-    no panel.  ``named`` puts the shift in errors.  A chunk holds
-    ``PANEL_BLOCK`` panels' temporaries plus about 100 B per live panel, at
-    most ``SHIFT_CHUNK x max_panels`` of them.
+def _adapt(f, a: float, b: float, shifts: np.ndarray, breakpoints, cusps, tol: float, max_panels: int,
+           named: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Integral i of ``f(x, shifts[i])`` for every i, cut and graded by
+    :func:`_panels` from ``breakpoints`` and ``cusps`` (None grades no
+    panel), in chunks of ``SHIFT_CHUNK`` shifts: returns the arrays
+    (values, error bounds, panel counts), entry i for integral i.
+    ``named`` puts the shift in errors.  A chunk holds ``PANEL_BLOCK``
+    panels' temporaries plus about 100 B per live panel, at most
+    ``SHIFT_CHUNK x max_panels`` of them.
     Chunks run in order, so a failure names the first shift, in order, of
     those that fail in the earliest failing round of the first chunk with
     a failure.  Inputs that cannot be integrated are refused before any
@@ -382,7 +395,7 @@ def _adapt(f, a: float, b: float, shifts: np.ndarray, cuts: list, cusps: Optiona
     force more than ``max_panels`` panels (naming the first such shift).
 
     numpy's overflow and invalid-value warnings are silenced once for the
-    whole run, integrand calls included: a sample or a panel sum that is
+    whole run, all callbacks included: a sample or a panel sum that is
     not finite is raised as :class:`NonFiniteIntegrandError`, and a bound
     that overflows keeps refining, so the warnings would say nothing more.
     """
@@ -395,20 +408,22 @@ def _adapt(f, a: float, b: float, shifts: np.ndarray, cuts: list, cusps: Optiona
         raise ValueError(f"integration limits out of order: [{a}, {b}]")
     if not math.isfinite(b - a):
         raise ValueError(f"integration width overflows a float: [{a}, {b}]")
-    out = np.zeros(len(cuts)), np.zeros(len(cuts)), np.zeros(len(cuts), dtype=int)
-    if a == b:
+    out = np.zeros(shifts.size), np.zeros(shifts.size), np.zeros(shifts.size, dtype=int)
+    if a == b or not shifts.size:
         return out
-    edges = [[a, *sorted({float(p) for p in c if a < p < b}), b] for c in cuts]
-    grades = None if cusps is None else [_grade(e, k) for e, k in zip(edges, cusps)]
-    for s, e in zip(shifts.tolist(), edges):
-        if len(e) - 1 > max_panels:
-            where = f" at shift {s!r}" if named else ""
-            raise ValueError(f"breakpoints force {len(e) - 1} panels{where}, more than max_panels={max_panels}")
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, len(cuts), SHIFT_CHUNK):
-            chunk = slice(start, start + SHIFT_CHUNK)
-            _rounds(f, a, b, shifts[chunk], edges[chunk], None if grades is None else grades[chunk], tol,
-                    max_panels, named, [v[chunk] for v in out])
+        count, lo, hi, grade = _panels(a, b, shifts, breakpoints, cusps)
+        over = (count > max_panels).nonzero()[0]
+        if over.size:
+            i = int(over[0])
+            where = f" at shift {float(shifts[i])!r}" if named else ""
+            raise ValueError(f"breakpoints force {count[i]} panels{where}, more than max_panels={max_panels}")
+        ends = [0, *np.add.accumulate(count).tolist()]
+        for start in range(0, shifts.size, SHIFT_CHUNK):
+            chunk, stop = slice(start, start + SHIFT_CHUNK), min(start + SHIFT_CHUNK, shifts.size)
+            rows = slice(ends[start], ends[stop])
+            _rounds(f, a, b, shifts[chunk], count[chunk], lo[rows], hi[rows], None if grade is None else grade[rows],
+                    tol, max_panels, named, [v[chunk] for v in out])
     return out
 
 
@@ -462,9 +477,9 @@ def integrate(
         are graded (see the module docstring).  Values outside ``[a, b]``
         are ignored.
     """
-    cusps = tuple(cusps)
-    value, bound, panels = _adapt(lambda x, s: f(x), a, b, np.zeros(1), [tuple(breakpoints)],
-                                  [cusps] if cusps else None, tol, max_panels, False)
+    breakpoints, cusps = tuple(breakpoints), tuple(cusps)
+    value, bound, panels = _adapt(lambda x, s: f(x), a, b, np.zeros(1), lambda s: breakpoints,
+                                  (lambda s: cusps) if cusps else None, tol, max_panels, False)
     return QuadResult(float(value[0]), float(bound[0]), int(panels[0]))
 
 
@@ -474,9 +489,9 @@ def integrate_shifts(
     b: float,
     shifts,
     tol: float = DEFAULT_TOL,
-    breakpoints: Callable[[float], Iterable[float]] = lambda s: (),
+    breakpoints: Callable[[np.ndarray], tuple] = lambda s: (),
     max_panels: int = MAX_PANELS,
-    cusps: Optional[Callable[[float], Iterable[float]]] = None,
+    cusps: Optional[Callable[[np.ndarray], tuple]] = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Integrate ``f(x, s)`` over ``[a, b]`` for every shift ``s``.
 
@@ -490,12 +505,15 @@ def integrate_shifts(
     (column 7) strictly inside it: at its midpoint for a plain panel, at
     c +- h/16 for a panel of width h graded at its cusp c.  So ``f`` may
     act elementwise or decide a factor per row from the panel it holds.
-    ``breakpoints(s)`` returns the cuts of the integral at shift ``s``; no
-    other cut is made, so a corner of ``f`` that moves with ``s`` must be
-    named there.  ``cusps(s)``, if given, returns the points where the
-    integrand at shift ``s`` has a term |x - c|^beta of non-integer beta;
-    they are cuts too, and the panels that end there are graded (see the
-    module docstring).  All integrals refine together in rounds; in each,
+    ``breakpoints(s)`` and ``cusps(s)`` are called once, with ``s`` the
+    distinct shifts as a sorted 1-D array, and return a tuple of arrays or
+    scalars broadcast against it (``lambda s: (s, 0.0)`` cuts at each shift
+    and at 0).  ``breakpoints`` gives the cuts; no other cut is made, so a
+    corner of ``f`` that moves with ``s`` must be named there.  ``cusps``,
+    if given, gives the points where the integrand has a term |x - c|^beta
+    of non-integer beta: cuts too, whose panels are graded (see the module
+    docstring).  Cuts outside (a, b), cusps outside [a, b] and NaN are
+    ignored.  All integrals refine together in rounds; in each,
     every unconverged integral bisects each splittable panel whose estimate
     is at least ``MARK_FRACTION`` times its own largest one, or at least
     1 / ``MARK_FRACTION`` times tol / count, count being its own live
@@ -503,7 +521,7 @@ def integrate_shifts(
     refines as :func:`integrate` would refine it alone, with the same cuts,
     ``tol`` and ``max_panels``: each result is bit-identical to that
     one-shift integral.  numpy's overflow and invalid-value warnings are
-    silenced while the integrals run.
+    silenced while ``breakpoints``, ``cusps`` and the integrals run.
 
     A NaN shift raises ValueError, naming its flat index, before any
     evaluation.  An integral that exhausts its budget, or whose integrand
@@ -518,7 +536,5 @@ def integrate_shifts(
     if nan.size:
         raise ValueError(f"shifts[{int(nan[0])}] is NaN")
     distinct, which = np.unique(shifts, return_inverse=True)
-    cuts = [breakpoints(s) for s in distinct.tolist()]
-    marks = None if cusps is None else [cusps(s) for s in distinct.tolist()]
     which = which.reshape(shifts.shape)
-    return tuple(v[which] for v in _adapt(f, a, b, distinct, cuts, marks, tol, max_panels, True))
+    return tuple(v[which] for v in _adapt(f, a, b, distinct, breakpoints, cusps, tol, max_panels, True))

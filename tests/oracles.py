@@ -5,7 +5,9 @@ are deliberately dumb reference computations (midpoint Riemann sums,
 cumulative trapezoids, direct Jacobi-style eigensolves via mpmath, the
 rational enumeration in exact fractions, the three-transform discrete
 deconvolution, the catalog's closed forms in 50-digit mpmath) so the two
-routes can disagree when the library is wrong.
+routes can disagree when the library is wrong.  The quadrature's starting
+panels are built here shift by shift in plain Python lists, the way the
+package built them before it built them as numpy arrays.
 It also counts the frames a call enters in numpy's Python-level wrappers,
 for the tests that keep them out of the quadrature's hot paths.
 """
@@ -179,6 +181,41 @@ def fft_deconvolve_reference(kernel, lo: float, hi: float, n: int):
     ahat = np.where(guard, 0.0, bhat / np.where(guard, 1.0, dy * khat))
     a = np.fft.ifft(ahat).real
     return a, float(ahat[0].real / n), int(guard.sum())
+
+
+def shift_panels_reference(a: float, b: float, shifts: np.ndarray, breakpoints, cusps):
+    """``quadrature._panels`` shift by shift: ``breakpoints(s)`` and, unless
+    None, ``cusps(s)`` are called with each shift ``s`` as a Python float.
+    Integral i is cut at its points inside (a, b) and at its cusps in
+    [a, b]; a panel is graded 1 at a cusp at its lower end, 2 at its upper
+    end, and one at both is cut at its midpoint into a 1 and a 2, or, one
+    ulp wide, is graded 1.  Returns the flat (count, lo, hi, grade)."""
+    edges, grades = [], []
+    for s in shifts.tolist():
+        e = [a, *sorted({float(p) for p in breakpoints(s) if a < p < b}), b]
+        if cusps is not None:
+            k = {float(p) for p in cusps(s) if a <= p <= b}
+            e[1:-1] = sorted(k.union(e[1:-1]).difference((a, b)))
+            grade = [0] * (len(e) - 1)
+            for c in k:
+                i = e.index(c)
+                if i < len(grade):
+                    grade[i] += 1
+                if i:
+                    grade[i - 1] += 2
+            for i in reversed([i for i, g in enumerate(grade) if g == 3]):
+                mid = 0.5 * e[i] + 0.5 * e[i + 1]
+                if e[i] < mid < e[i + 1]:
+                    e.insert(i + 1, mid)
+                    grade[i:i + 1] = [1, 2]
+                else:
+                    grade[i] = 1
+            grades += grade
+        edges.append(e)
+    count = np.array([len(e) - 1 for e in edges])
+    lo = np.array([x for e in edges for x in e[:-1]], dtype=float)
+    hi = np.array([x for e in edges for x in e[1:]], dtype=float)
+    return count, lo, hi, None if cusps is None else np.array(grades, dtype=np.intp)
 
 
 def numpy_wrapper_frames(call, files=NUMPY_WRAPPER_FILES, callers=None) -> int:

@@ -1,4 +1,5 @@
 import enum
+import gc
 import hashlib
 import io
 import json
@@ -1055,3 +1056,68 @@ class TestModuleEntry:
         assert proc.stdout == ""
         assert proc.stderr.startswith(prefix) and proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
         assert "Traceback" not in proc.stderr
+
+
+class TestParserReuse:
+    # One parser serves every run of a process: each run, in this order,
+    # gives what a fresh `python -m chardisp.cli` gives, whatever ran before
+    BASE = ["density", "--phi", "normal:1", "--psi", "normal:1", "--grid", "16"]
+    RUNS = [
+        (["--help"], 0, None),
+        (["density", "--phl", "normal:1"], 1, None),
+        ([*BASE, "--mu", "-1e-3"], 0, "mu.csv"),
+        (BASE, 0, None),
+    ]
+
+    def test_each_run_matches_a_fresh_process(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # the help's width, here and in the process
+        for argv, code, name in self.RUNS:
+            outs = {}
+            for where in ("run", "process"):
+                args = argv if name is None else [*argv, "--out", str(tmp_path / where / name)]
+                if where == "run":
+                    stdout, stderr = io.StringIO(), io.StringIO()
+                    with redirect_stdout(stdout), redirect_stderr(stderr):
+                        rc = cli.run(args)
+                    result = rc, stdout.getvalue(), stderr.getvalue()
+                else:
+                    proc = TestModuleEntry.module(*args)
+                    result = proc.returncode, proc.stdout, proc.stderr
+                file = None if name is None else (tmp_path / where / name).read_bytes()
+                outs[where] = (*result, file)
+            assert outs["run"] == outs["process"], argv
+            assert outs["run"][0] == code
+
+    def test_build_parser_gives_a_new_parser_that_parses_as_runs_do(self):
+        argv = [*self.BASE, "--mu", "-1e-3"]
+        assert cli.build_parser() is not cli.build_parser()
+        assert cli.build_parser().parse_args(argv) == cli._parser().parse_args(argv)
+
+
+class TestNoReferenceCycles:
+    # A successful run frees everything it made by reference counting, so
+    # peak memory does not wait on the cyclic collector.  Building the
+    # parser is left out: argparse makes a help formatter per argument, a
+    # cycle, once per process.
+    ARGS = {
+        "density": ["density", "--phi", "normal:1", "--psi", "normal:1", "--grid", "64"],
+        "verify": ["verify", "--phi", "normal:1", "--psi", "normal:1"],
+        "verify_cosgauss": ["verify", "--phi", "laplace:1", "--psi", "laplace:1", "--perturb", "cosgauss"],
+        "riesz": ["riesz", "--n", "4", "--phi", "normal:1", "--psi", "normal:1"],
+        "riesz_graded": ["riesz", "--n", "4", "--phi", "stable:0.7,1", "--psi", "normal:1"],
+        "sample": ["sample", "--phi", "normal:1", "--psi", "normal:1", "--n", "100"],
+        "figures": ["figures", "--grid", "64"],
+    }
+
+    @pytest.mark.parametrize("name", list(ARGS))
+    def test_a_run_leaves_no_cyclic_garbage(self, tmp_path, name):
+        cli._parser()
+        gc.collect()
+        gc.disable()
+        try:
+            code = cli.run([*self.ARGS[name], "--out", str(tmp_path / "out")])
+            garbage = gc.collect()
+        finally:
+            gc.enable()
+        assert code == 0
+        assert garbage == 0

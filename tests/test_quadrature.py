@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from chardisp.quadrature import (
     integrate_shifts,
 )
 
-from oracles import midpoint_integral, numpy_wrapper_frames
+from oracles import midpoint_integral, numpy_wrapper_frames, shift_panels_reference
 
 
 def test_exact_on_polynomials():
@@ -470,6 +471,87 @@ def test_plain_integrals_keep_their_bits_beside_graded_ones(monkeypatch):
     shifts = np.linspace(-1.0, 1.0, 9)
     alone = [integrate(lambda x: f(x, s), -3.0, 3.0, breakpoints=(s,), cusps=(s,) if s > 0 else ()) for s in shifts]
     monkeypatch.setattr(quadrature, "PANEL_BLOCK", 8)
-    batch = integrate_shifts(f, -3.0, 3.0, shifts, breakpoints=lambda s: (s,), cusps=lambda s: (s,) if s > 0 else ())
+    # cusps are given in array form: a NaN marks no cusp at that shift
+    batch = integrate_shifts(f, -3.0, 3.0, shifts, breakpoints=lambda s: (s,),
+                             cusps=lambda s: (np.where(s > 0, s, np.nan),))
     for res, one in zip(zip(*batch), alone):
         assert res == (one.value, one.error_bound, one.n_panels)
+
+
+# A cut or cusp term of the array-form callbacks: a constant, or the shift
+# plus an offset, one ulp above that, or the shift where it exceeds the
+# offset and NaN elsewhere.  Each also takes a Python float, as the
+# reference calls it.
+_TERMS = {
+    "const": lambda c: lambda s: c,
+    "shift": lambda c: lambda s: s + c,
+    "ulp": lambda c: lambda s: np.nextafter(s + c, np.inf),
+    "nan": lambda c: lambda s: np.where(s > c, s, np.nan),
+}
+
+
+def _callback(terms):
+    if terms is None:
+        return None
+    fns = [_TERMS[kind](c) for kind, c in terms]
+    return lambda s: tuple(fn(s) for fn in fns)
+
+
+@st.composite
+def _setups(draw):
+    a = draw(st.sampled_from([-1.0, -0.0, 0.0]) | st.floats(-3.0, 1.0))
+    b = draw(st.sampled_from([a + 1.0, a + 3.0]) | st.floats(a + 0.25, a + 4.0))
+    special = [a, b, 0.0, -0.0, np.nextafter(a, -np.inf), np.nextafter(b, np.inf), a - 1.0, b + 1.0,
+               math.nan, math.inf, -math.inf]
+    point = st.sampled_from(special) | st.floats(a - 1.0, b + 1.0)
+    offset = st.sampled_from([0.0, -0.0, 0.25, -0.25, b - a, a - b]) | st.floats(-1.0, 1.0)
+    term = st.tuples(st.just("const"), point) | st.tuples(st.sampled_from(["shift", "ulp", "nan"]), offset)
+    shifts = draw(st.lists(st.sampled_from([a, b, 0.0, -0.0]) | st.floats(a - 1.0, b + 1.0), min_size=1,
+                           max_size=12))
+    cuts = draw(st.lists(term, max_size=5))
+    cusps = draw(st.none() | st.lists(term, max_size=4))
+    return a, b, shifts, cuts, cusps, draw(st.sampled_from([1, 2, quadrature.SHIFT_CHUNK]))
+
+
+def _assert_matches_the_reference(a, b, shifts, breakpoints, cusps, chunk=quadrature.SHIFT_CHUNK):
+    """The array setup gives the reference's panels, and integrate_shifts,
+    in chunks of ``chunk`` shifts, the bits of the refinement run from
+    them."""
+    f = lambda x, s: np.abs(x - s) ** 0.6 + np.cos(3.0 * x)
+    tol = 1e-8
+    distinct, which = np.unique(shifts, return_inverse=True)
+    reference = shift_panels_reference(a, b, distinct, breakpoints, cusps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        panels = quadrature._panels(a, b, distinct, breakpoints, cusps)
+        expected = [np.zeros(distinct.size), np.zeros(distinct.size), np.zeros(distinct.size, dtype=int)]
+        quadrature._rounds(f, a, b, distinct, *reference, tol, quadrature.MAX_PANELS, True, expected)
+    for got, want in zip(panels, reference):
+        assert (got is None) == (want is None)
+        if want is not None:  # -0.0 and 0.0 are one edge
+            assert got.dtype.kind == want.dtype.kind and np.array_equal(got, want)
+    with mock.patch.object(quadrature, "SHIFT_CHUNK", chunk):
+        result = integrate_shifts(f, a, b, shifts, tol=tol, breakpoints=breakpoints, cusps=cusps)
+    for got, want in zip(result, expected):
+        assert got.tobytes() == want[which].tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(setup=_setups())
+@example(setup=(-1.0, 2.0, [0.0, -0.0, 0.5, 0.5], [("shift", 0.0), ("const", 0.0)], [("shift", 0.0)], 1))
+@example(setup=(-1.0, 2.0, [-1.0, 2.0, 0.5], [("const", -1.0), ("const", 2.0), ("const", 2.0), ("const", 3.0)],
+                [("const", -1.0), ("const", 2.0)], 2))
+@example(setup=(0.0, 1.0, [0.5, 0.25], [], [("shift", 0.0), ("ulp", 0.0), ("shift", 0.25), ("shift", 0.5)], 1))
+@example(setup=(0.0, 1.0, [0.0, 1.0, 0.5], [("shift", 0.0)], [("shift", 0.0), ("const", 0.0), ("const", 1.0)], 512))
+@example(setup=(-2.0, 2.0, [-1.0, 1.0], [("const", math.nan)], [("nan", 0.0), ("const", math.inf)], 1))
+def test_the_array_setup_is_the_per_shift_reference(setup):
+    # duplicate shifts and +-0.0; cuts outside (a, b), at a or b and on one
+    # another; cusps on cuts, adjacent (cut at their midpoint) and one ulp
+    # apart (graded at the lower end), NaN and outside [a, b] (ignored); and
+    # chunks of one and two shifts
+    a, b, shifts, cuts, cusps, chunk = setup
+    _assert_matches_the_reference(a, b, shifts, _callback(cuts), _callback(cusps), chunk)
+
+
+def test_more_distinct_shifts_than_a_chunk_match_the_reference():
+    shifts = np.linspace(-1.5, 1.5, quadrature.SHIFT_CHUNK + 89)
+    _assert_matches_the_reference(-1.0, 1.0, shifts, lambda s: (s, 0.0), lambda s: (s, s + 0.25))
