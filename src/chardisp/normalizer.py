@@ -36,8 +36,8 @@ RESIDUAL_TOL = 1e-8
 # factor of a value by its values at an interval's ends or its exact
 # extremes; at a float between the ends, rounding moves it further: exp(-x)
 # by up to (3 x + 1) eps <= 2240 eps relative (x carries 3 eps, and is at
-# most 745 above the subnormals), a cosine or np.interp by a few eps of its
-# scale, lam d by about 40 lam eps.  Each factor's bounds are widened by
+# most 745 above the subnormals), a cosine or a linear interpolant by a few
+# eps of its scale, lam d by about 40 lam eps.  Each factor's bounds are widened by
 # the slack (K's exponent by the slack times 1 + lam), 29 times the largest
 # of these, and the rounding of the products and sums that combine the
 # factors is monotone, so it keeps their order.
@@ -347,7 +347,16 @@ class TabulatedEven(Perturbation):
             raise InvalidSpecError("knots and values must have equal length")
 
     def eval(self, y):
-        return np.interp(np.abs(y), self.knots, self.values, right=0.0)
+        """(1 - t) v_j + t v_j+1 at t = (|y| - k_j) / (k_j+1 - k_j) in [0, 1]:
+        no slope is formed, so knots closer than the values' difference
+        divided by the largest float (where np.interp's slope overflows to
+        inf) still interpolate between their values."""
+        x = np.abs(np.asarray(y, dtype=float))
+        k, v = np.asarray(self.knots), np.asarray(self.values)
+        xc = np.clip(x, k[0], k[-1])
+        j = np.minimum(np.searchsorted(k, xc, side="right") - 1, k.size - 2)
+        t = (xc - k[j]) / (k[j + 1] - k[j])
+        return np.where(x > k[-1], 0.0, (1.0 - t) * v[j] + t * v[j + 1])[()]
 
     def is_zero(self):
         return not any(self.values)
@@ -356,8 +365,8 @@ class TabulatedEven(Perturbation):
         """Between the values at the ends, at each knot within the |y| of
         the interval and 0 where it reaches past the last knot: every
         extreme of the interpolant.  Widened by the slack times the largest
-        |value|, which np.interp's rounding stays within, plus the least
-        normal number."""
+        |value|, which the interpolant's rounding stays within, plus the
+        least normal number."""
         near, far = abs_range(lo, hi)
         ends = self.eval(np.stack([lo, hi]))
         f_lo, f_hi = ends.min(axis=0), ends.max(axis=0)

@@ -572,6 +572,13 @@ class TestBounds:
                                     max_size=len(knots)))
         assert_bounds_hold(TabulatedEven(tuple(knots), tuple(values)), *interval)
 
+    def test_custom_knots_closer_than_a_finite_slope(self):
+        # 1 / (least normal number) overflows: the slope between these knots
+        # is not a float, yet every value between them lies in [0, 1]
+        f = TabulatedEven((0.0, 2.0 ** -1022), (0.0, 1.0))
+        assert np.all(np.isfinite(f.eval(dense(0.0, 2.0 ** -1022))))
+        assert_bounds_hold(f, 0.0, 1.0)
+
     @pytest.mark.parametrize("lo, hi", [(1.5, 2.5), (-2.5, -1.5), (-3.0, 0.5), (2.0, 2.5)])
     def test_custom_drop_past_the_last_knot(self, lo, hi):
         # np.interp(..., right=0.0) drops to 0 past the last knot: an extreme
