@@ -2,13 +2,13 @@
 
 Rejection sampling proposes from a step envelope: the window is cut into
 256 equal cells, a cell is picked in proportion to its height times its
-width, and a point is drawn uniformly inside it.  Each cell's height sits
-just above the largest density seen at the scan points in and around it,
-so the envelope follows the density's shape and most proposals are
-accepted.  The density itself is rarely evaluated: bounds of it on 16
-sub-intervals of each cell, from the monotone characteristic functions
-and the perturbation's own bounds, accept or reject all but a few
-proposals, exactly as the density would.  The draws are checked against
+width, and a point is drawn uniformly inside it.  The density is bounded
+on 16 sub-intervals of each cell, from the monotone characteristic
+functions and the perturbation's own bounds, and each cell is as high as
+its largest upper bound, so the envelope follows the density's shape and
+most proposals are accepted.  The density itself is rarely evaluated:
+the same bounds accept or reject all but a few proposals, exactly as the
+density would.  The draws are checked against
 the numerically integrated distribution function.
 """
 import numpy as np

@@ -26,9 +26,8 @@ from .charfn import ArrayLike
 from .deviance import RegularityReport
 from .normalizer import RESIDUAL_TOL, KernelSpec, NormalizerSpec, convolution_residual
 
-ENVELOPE_SAFETY = 1.01
-# Equal cells of sample()'s step envelope; the normalizer's scan puts 16 of
-# its 4096 intervals in each, whatever the window grid.
+# Equal cells of sample()'s step envelope, each bounded on 16 equal
+# sub-intervals, whatever the window grid.
 ENVELOPE_CELLS = 256
 # Largest proposal batch in sample(): fixes which uniforms each proposal
 # reads; bounds the proposals decided after the n-th acceptance (each by
@@ -54,7 +53,9 @@ class DomainError(ValueError):
 
 
 class EnvelopeError(RuntimeError):
-    """Rejection sampling saw a density value above its envelope."""
+    """Rejection sampling evaluated a density value above its envelope,
+    which the declared ``bounds`` of the kernel or the normalizing function
+    should have ruled out."""
 
     def __init__(self, y: float, density: float, envelope: float, cell: tuple[float, float]):
         self.y = y
@@ -63,8 +64,8 @@ class EnvelopeError(RuntimeError):
         self.cell = cell
         super().__init__(
             f"density {density!r} at y={y!r} exceeds the rejection envelope {envelope!r} "
-            f"of the cell [{cell[0]!r}, {cell[1]!r}], whose density bound was not certified "
-            f"below its height"
+            f"of the cell [{cell[0]!r}, {cell[1]!r}]: the declared bounds of the kernel or "
+            f"the normalizing function do not hold there"
         )
 
 
@@ -139,53 +140,27 @@ def classify(m: DispersionModel) -> Classification:
 
 
 def _step_envelope(m: DispersionModel, mu: float):
-    """The step envelope that :func:`sample` proposes from.
+    """The step envelope that :func:`sample` proposes from, and the bounds
+    L <= density <= U that decide its proposals.
 
-    The window is cut into ``ENVELOPE_CELLS`` equal cells.  A cell's height
-    is ``ENVELOPE_SAFETY`` times the largest density at the scan points
-    inside it or bounding it (the last at or left of its left edge, the
-    first at or right of its right edge).  The scan points are the
-    normalizer's :meth:`~NormalizerSpec.scan_points`, where its positivity
-    was checked (a fixed grid of 16 intervals per cell, whatever the
-    window's ``n_grid``, and the critical points), and mu, where the
-    kernel peaks.  Returns the cell edges, the cell heights and the
-    trapezoid mass of the density on the scan points.
-
-    The heights are not the density bounds of :func:`_density_bounds`,
-    which would move every draw: those bounds only decide proposals, and
-    certify the cells whose height they stay below.
-    """
-    w = m.window
-    edges = np.linspace(w.lo, w.hi, ENVELOPE_CELLS + 1)
-    ys = np.sort(np.append(m.normalizer.scan_points(), mu))
-    ps = m.density(ys, mu)
-    first = np.searchsorted(ys, edges[:-1], side="right") - 1
-    last = np.searchsorted(ys, edges[1:], side="left")
-    env = ENVELOPE_SAFETY * np.array([ps[i:j + 1].max() for i, j in zip(first, last)])
-    mass = float(np.sum(0.5 * (ps[1:] + ps[:-1]) * np.diff(ys)))
-    return edges, env, mass
-
-
-def _density_bounds(m: DispersionModel, mu: float, edges: np.ndarray, env: np.ndarray):
-    """Bounds L <= density <= U on the 16 equal sub-intervals of each
-    envelope cell (the scan's count), flat, for every y that :func:`sample`
-    can propose there.  Sub-interval j of cell c ends at
+    The window is cut into ``ENVELOPE_CELLS`` equal cells, and each cell
+    into 16 equal sub-intervals.  Sub-interval j of cell c ends at
     ``edges[c] + width * (j / 16)``, clamped to the window: the proposal's
     own expression, monotone in p, so a proposal with floor(16 p) = j lies
     between its ends.  L and U are the products of the normalizer's and
     the kernel's ``bounds``, which hold the computed factors (see
     ``normalizer._SLACK``), and rounding of the product is monotone.  A
-    cell whose largest U exceeds its height, or is NaN, is not certified:
-    its L is -inf and its U inf.
+    cell's height is its largest U.  Returns the cell edges, the heights,
+    L and U (flat, cell * 16 + j), and the estimate sum (L + U) / 2 * width
+    of the density's mass, which lies between the masses of L and of U.
     """
+    edges = np.linspace(m.window.lo, m.window.hi, ENVELOPE_CELLS + 1)
     ends = np.minimum(edges[:-1, None] + (edges[1] - edges[0]) * (np.arange(17) / 16), m.window.hi)
     lo, hi = ends[:, :-1].ravel(), ends[:, 1:].ravel()
-    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN bounds decide nothing
-        (a_lo, a_hi), (k_lo, k_hi) = m.normalizer.bounds(lo, hi), m.kernel.bounds(lo - mu, hi - mu)
-        low, high = (a_lo * k_lo).reshape(-1, 16), (a_hi * k_hi).reshape(-1, 16)
-    uncertified = ~(high.max(axis=1) <= env)
-    low[uncertified], high[uncertified] = -np.inf, np.inf
-    return low.ravel(), high.ravel()
+    (a_lo, a_hi), (k_lo, k_hi) = m.normalizer.bounds(lo, hi), m.kernel.bounds(lo - mu, hi - mu)
+    low, high = a_lo * k_lo, a_hi * k_hi
+    mass = float(np.sum((0.5 * low + 0.5 * high) * (hi - lo)))
+    return edges, high.reshape(-1, 16).max(axis=1), low, high, mass
 
 
 def _guide_table(cdf: np.ndarray):
@@ -232,18 +207,20 @@ def sample(m: DispersionModel, mu: float, n: int, seed: int) -> np.ndarray:
     A proposal picks one of the envelope's cells (see :func:`_step_envelope`)
     in proportion to its envelope mass, then a point uniformly inside it,
     and is accepted when u * height <= density for a uniform u.  The
-    density is evaluated only where a squeeze (Marsaglia 1977; Devroye
-    1986, ch. II) leaves that open: a proposal in sub-interval
-    cell * 16 + floor(16 p) of :func:`_density_bounds`, p its placement
-    uniform, is accepted when u * height <= L and rejected when
-    u * height > U, as its density would decide, since L <= density <= U
-    holds for the computed density: the bounds carry a rounding margin,
-    2^-36 per factor and 2^-36 (1 + lam) in K's exponent, derived at
-    ``normalizer._SLACK``.  In a cell that is not certified every proposal
-    is evaluated, and a density above the cell's height aborts with
-    :class:`EnvelopeError` naming the first such proposal.  A batch holds
-    1.1 times the proposals the missing draws need at the expected
-    acceptance (the density's mass over the envelope's), at least 1024 and
+    height is the largest bound U of the cell's sub-intervals, so the
+    envelope bounds the density and rejection is exact in law (Devroye
+    1986, ch. II.3).  The density is evaluated only where a squeeze
+    (Marsaglia 1977; Devroye 1986, ch. II) leaves that open: a proposal in
+    sub-interval cell * 16 + floor(16 p), p its placement uniform, is
+    accepted when u * height <= L and rejected when u * height > U, as its
+    density would decide, since L <= density <= U holds for the computed
+    density: the bounds carry a rounding margin, 2^-36 per factor and
+    2^-36 (1 + lam) in K's exponent, derived at ``normalizer._SLACK``.  An
+    evaluated density above its cell's height can only come from declared
+    bounds that are wrong; it aborts with :class:`EnvelopeError` naming the
+    first such proposal evaluated.  A batch holds 1.1 times the proposals
+    the missing draws need at the expected acceptance (the mass estimate
+    of :func:`_step_envelope` over the envelope's mass), at least 1024 and
     at most ``MAX_PROPOSAL_BATCH``.
 
     A batch of B proposals reads the uniforms of ``default_rng(seed)`` in
@@ -253,8 +230,7 @@ def sample(m: DispersionModel, mu: float, n: int, seed: int) -> np.ndarray:
     ``SAMPLE_BLOCK`` proposals is picked, placed, decided and kept in one
     pass, the draws do not depend on the block size, and beside the n
     draws (8 bytes each) only one block's temporaries are alive.  The draws
-    and the first EnvelopeError are those of evaluating every proposal.
-    Deterministic for a fixed seed.
+    are those of evaluating every proposal.  Deterministic for a fixed seed.
     """
     if n < 0:
         raise ValueError(f"sample size must be >= 0, got {n}")
@@ -263,14 +239,13 @@ def sample(m: DispersionModel, mu: float, n: int, seed: int) -> np.ndarray:
     if n == 0:
         return np.empty(0)
 
-    edges, env, mass = _step_envelope(m, mu)
+    edges, env, low, high, mass = _step_envelope(m, mu)
     width = edges[1] - edges[0]
     cdf = np.cumsum(env)
     acceptance = mass / (cdf[-1] * width)
     cdf /= cdf[-1]  # ends at exactly 1, as _guide_table requires
     scaled, guide = _guide_table(cdf)
 
-    low, high = _density_bounds(m, mu, edges, env)
     out = np.empty(n)
     got = drawn = 0
     while got < n:

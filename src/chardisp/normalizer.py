@@ -116,11 +116,14 @@ class KernelSpec:
         """Bounds that hold :meth:`eval` at every float of each interval
         [lo, hi], from :meth:`UnitDeviancePair.bounds`.  The exponent is
         widened by the slack times 1 + lam, and the bounds by two subnormal
-        steps, which exp's rounding can cross below 2^-1034."""
+        steps, which exp's rounding can cross below 2^-1034.  The upper
+        exponent is capped at 0, as the computed K = exp(-lam d) with
+        lam d >= 0 is at most 1, so the upper bound is at most 1 for any
+        lam."""
         d_lo, d_hi = self.pair.bounds(lo, hi)
         slack = _SLACK * (1.0 + self.lam)
         return (np.maximum(np.exp(-self.lam * d_hi - slack) - 2.0 ** -1073, 0.0),
-                np.exp(slack - self.lam * d_lo) + 2.0 ** -1073)
+                np.exp(np.minimum(slack - self.lam * d_lo, 0.0)) + 2.0 ** -1073)
 
     @property
     def graded(self) -> bool:
@@ -173,11 +176,11 @@ class Perturbation(Spec, ABC):
         """True when f(y) = 0 for every y."""
         return False
 
+    @abstractmethod
     def bounds(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Bounds that hold :meth:`eval` at every float of each interval
-        [lo, hi], rounding included; (-inf, inf) unless the family declares
-        them."""
-        return np.full_like(lo, -np.inf), np.full_like(lo, np.inf)
+        """Finite bounds that hold :meth:`eval` at every float of each
+        interval [lo, hi], rounding included; the sampling envelope is
+        built from them."""
 
     def critical_points(self, lo: float, hi: float) -> tuple[float, ...]:
         """Abscissae that, with lo and hi, hold every extreme of f over the
@@ -185,10 +188,9 @@ class Perturbation(Spec, ABC):
         its maximum when that is positive.  Each family declares them,
         stationary points of a smooth perturbation or corners of a
         piecewise-linear table; points outside the window are ignored.  The
-        positivity check and the sampling envelope evaluate them beside a
-        grid that holds lo and hi, so the smallest value scanned is the
-        minimum of a(y) over the window, and :func:`window_convolve` cuts
-        its integrals there."""
+        positivity check evaluates them beside a grid that holds lo and hi,
+        so the smallest value scanned is the minimum of a(y) over the
+        window, and :func:`window_convolve` cuts its integrals there."""
         return ()
 
 
@@ -466,12 +468,11 @@ class NormalizerSpec:
         return () if self.perturbation is None else self.perturbation.critical_points(w.lo, w.hi)
 
     def scan_points(self) -> np.ndarray:
-        """Where the extremes of a(y) are looked for, by the positivity
-        check and by the sampling envelope: the grid of a default
-        :class:`Window` over the same span oversampled by
-        ``POSITIVITY_OVERSAMPLE`` (4096 intervals whatever ``n_grid`` is,
-        which sets only output resolution), followed by the perturbation's
-        critical points inside the window."""
+        """Where the extremes of a(y) are looked for by the positivity
+        check: the grid of a default :class:`Window` over the same span
+        oversampled by ``POSITIVITY_OVERSAMPLE`` (4096 intervals whatever
+        ``n_grid`` is, which sets only output resolution), followed by the
+        perturbation's critical points inside the window."""
         w = self.window
         extra = np.asarray(self.critical_points(), dtype=float)
         grid = Window(w.lo, w.hi).grid(POSITIVITY_OVERSAMPLE)

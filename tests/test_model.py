@@ -61,6 +61,11 @@ def fig2d_model(k=None, window=W20):
     return DispersionModel(k, perturbed_normalizer(base, CosineGaussian()))
 
 
+def perturbed_model(f, window=W20):
+    k = KernelSpec(NN, 1.0)
+    return DispersionModel(k, perturbed_normalizer(trivial_normalizer(k, window, 1e-10), f))
+
+
 def sharp_model():
     # a kernel of width about 0.03, sharper than the envelope's 256 cells
     k = KernelSpec(UnitDeviancePair(Normal(1.0), Cauchy(0.01)), 1000.0)
@@ -71,20 +76,72 @@ def sharp_model():
 OFF_GRID_MU = 0.0048828125
 
 
-class HiddenKnots(TabulatedEven):
-    """A table whose knots are not declared critical."""
+class EndsOnlyTable(TabulatedEven):
+    """A table whose bounds under-report it: between 0 and its values at an
+    interval's ends, blind to a knot inside the interval."""
 
-    def critical_points(self, lo, hi):
-        return ()
+    def bounds(self, lo, hi):
+        ends = self.eval(np.stack([lo, hi]))
+        return np.minimum(ends.min(axis=0), 0.0), ends.max(axis=0)
 
 
 def spike_model():
-    # a spike narrower than the envelope grid spacing, at a point the
-    # perturbation does not declare critical, escapes the supremum scan
+    # the spike's peak, the knot 0.2, lies inside the sub-interval
+    # [0.1953125, 0.205078125], whose ends its bounds read: the envelope
+    # misses it, and sampling evaluates most proposals there
     k = KernelSpec(NN, 1.0)
     base = trivial_normalizer(k, Window(-20.0, 20.0, 16))
-    spike = HiddenKnots(knots=(0.0, 0.1, 0.2, 0.3), values=(0.0, 0.0, 100.0, 0.0))
+    spike = EndsOnlyTable(knots=(0.0, 0.1, 0.2, 0.3), values=(0.0, 0.0, 100.0, 0.0))
     return DispersionModel(k, perturbed_normalizer(base, spike))
+
+
+def sub_interval_ends(m, edges):
+    """The ends of the 16 sub-intervals of each envelope cell, as
+    ``_step_envelope`` cuts them: one row per cell."""
+    return np.minimum(edges[:-1, None] + (edges[1] - edges[0]) * (np.arange(17) / 16), m.window.hi)
+
+
+def assert_envelope_holds(m, mu, edges, env, ys):
+    """No density at ys exceeds its cell's height; a point on an edge lies
+    in both cells it bounds."""
+    ps = m.density(ys, mu)
+    for side in ("left", "right"):
+        cell = np.clip(np.searchsorted(edges, ys, side=side) - 1, 0, ENVELOPE_CELLS - 1)
+        assert np.all(ps <= env[cell])
+
+
+def draw_model(data):
+    """A model and a position over catalog pairs, lam in [1e-2, 1e6], mu in
+    the position domain, a window with and one without 0, and each
+    perturbation family with amplitudes of either sign."""
+    scales = st.floats(min_value=0.3, max_value=3.0)
+    member = st.one_of(st.builds(Normal, scales), st.builds(Cauchy, scales), st.builds(Laplace, scales),
+                       st.builds(SymmetricStable, st.floats(min_value=0.1, max_value=2.0), scales),
+                       st.builds(SymmetricNIG, scales, scales))
+    lam = 10.0 ** data.draw(st.floats(min_value=-2.0, max_value=6.0))
+    k = KernelSpec(UnitDeviancePair(data.draw(member), data.draw(member)), lam)
+    window = data.draw(st.sampled_from([W20, Window(1.0, 30.0, 1024)]))
+    try:
+        base = trivial_normalizer(k, window, 1e-10)
+    except ValueError:  # a kernel too sharp for every quadrature node
+        assume(False)
+    a = base.a_tilde
+    ratio = st.one_of(st.floats(min_value=-0.45, max_value=-0.05), st.floats(min_value=0.05, max_value=2.0))
+    f = data.draw(st.one_of(
+        st.builds(lambda r, w, s: CosineGaussian(r * a, w, s), ratio,
+                  st.one_of(st.floats(min_value=-40.0, max_value=-0.5), st.floats(min_value=0.5, max_value=40.0)),
+                  st.floats(min_value=0.5, max_value=100.0)),
+        st.builds(lambda r, s: OddGaussian(r * a / s, s), ratio, st.floats(min_value=0.5, max_value=20.0)),
+        st.builds(lambda r: TabulatedEven((0.0, 2.0, 5.0, 9.0), tuple(a * x for x in r)),
+                  st.lists(ratio, min_size=4, max_size=4)),
+        st.none(), st.just(Zero()),
+    ))
+    try:
+        m = DispersionModel(k, base if f is None else perturbed_normalizer(base, f))
+    except PositivityError:
+        assume(False)
+    lo, hi = m.position_domain
+    return m, lo + (hi - lo) * data.draw(st.floats(min_value=0.0, max_value=1.0))
 
 
 def whole_batch_sample(m, mu, n, seed):
@@ -92,7 +149,7 @@ def whole_batch_sample(m, mu, n, seed):
     cells found by searchsorted: the reference its blocks must match bit
     for bit.  Returns the draws, or, when a proposal's density exceeds its
     height, that proposal's (index in its batch, y, density, height)."""
-    edges, env, mass = _step_envelope(m, mu)
+    edges, env, _, _, mass = _step_envelope(m, mu)
     width = edges[1] - edges[0]
     cdf = np.cumsum(env)
     acceptance = mass / (cdf[-1] * width)
@@ -262,8 +319,8 @@ class TestSample:
         assert ks_statistic(draws, grid, cdf) <= 1.95 / np.sqrt(draws.size)
 
     def test_envelope_sees_critical_points(self):
-        # a bump of width 0.002 between the envelope grid points (spacing
-        # 0.0098): the envelope must scan the table's knots, as the
+        # a bump of width 0.002 inside one of the envelope's sub-intervals
+        # (width 0.0098): its bounds must read the table's knots, as the
         # positivity check does, or the valid model cannot be sampled
         k = KernelSpec(NN, 1.0)
         bump = TabulatedEven((0.003, 0.004, 0.005, 1.0), (0.0, 1.0, 0.0, 0.0))
@@ -296,25 +353,62 @@ class TestSample:
     )
     def test_step_envelope_bounds_the_density(self, model, mu):
         m = model()
-        edges, env, _ = _step_envelope(m, mu)
+        edges, env = _step_envelope(m, mu)[:2]
         assert edges.size == ENVELOPE_CELLS + 1 and env.size == ENVELOPE_CELLS
         assert edges[0] == m.window.lo and edges[-1] == m.window.hi
-        ys = np.linspace(m.window.lo, m.window.hi, 400_001)
-        ps = m.density(ys, mu)
-        # a point on an edge lies in both cells it bounds
-        for side in ("left", "right"):
-            cell = np.clip(np.searchsorted(edges, ys, side=side) - 1, 0, ENVELOPE_CELLS - 1)
-            assert np.all(ps <= env[cell])
+        assert_envelope_holds(m, mu, edges, env, np.linspace(m.window.lo, m.window.hi, 400_001))
 
     def test_step_envelope_does_not_depend_on_the_grid(self):
         # the window grid sets output resolution only
-        (edges, env, mass), *rest = (
+        (*arrays, mass), *rest = (
             _step_envelope(fig2d_model(window=Window(-20.0, 20.0, n)), 1.3) for n in (16, 1000, 1024, 2048)
         )
-        for other_edges, other_env, other_mass in rest:
-            assert np.array_equal(other_edges, edges)
-            assert np.array_equal(other_env, env)
+        for *other_arrays, other_mass in rest:
+            assert all(np.array_equal(a, b) for a, b in zip(other_arrays, arrays))
             assert other_mass == mass
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(data=st.data())
+    def test_no_density_exceeds_its_cell_height(self, data):
+        # over the models of draw_model, on a dense grid, each sub-interval's
+        # ends and mu
+        m, mu = draw_model(data)
+        edges, env, _, high, _ = _step_envelope(m, mu)
+        assert np.all(np.isfinite(high))
+        assert_envelope_holds(m, mu, edges, env, np.concatenate([
+            np.linspace(m.window.lo, m.window.hi, 200_001), sub_interval_ends(m, edges).ravel(), [mu]]))
+
+    @pytest.mark.parametrize("make", [trivial_model, fig2d_model, lambda: trivial_model(lam=1e6),
+                                      lambda: trivial_model(lam=1e14)],
+                             ids=["normal", "laplace_cosgauss", "lam1e6", "lam1e14"])
+    def test_mass_estimate_lies_between_the_masses_of_the_bounds(self, make):
+        # at lam = 1e14 the mass of L alone is 0
+        m = make()
+        edges, _, low, high, mass = _step_envelope(m, 0.0)
+        w = np.diff(sub_interval_ends(m, edges), axis=1).ravel()
+        assert mass > 0.0
+        assert np.sum(low * w) <= mass <= np.sum(high * w)
+
+    @pytest.mark.parametrize("make, mu, least", [
+        (trivial_model, 0.0, 0.9883726512594111),
+        (fig2d_model, 0.0, 0.875502513074249),
+        (lambda: trivial_model(UnitDeviancePair(SymmetricStable(0.7, 1.0), Normal(1.0))), 0.0, 0.9870730515073041),
+        (lambda: perturbed_model(CosineGaussian(-0.01, 17.0, 100.0)), 0.0, 0.6739614773342449),
+        (lambda: perturbed_model(OddGaussian(0.01, 1.0)), 0.0, 0.9880590886066448),
+        (lambda: perturbed_model(CosineGaussian(-0.005, 17.0, 100.0), Window(1.0, 30.0)), 10.0, 0.9051216098107557),
+        (lambda: trivial_model(lam=1e6), 0.0, 0.974581436099551),
+    ], ids=["normal", "laplace_cosgauss", "stable07_normal", "normal_cosgauss_negative", "normal_oddgauss",
+            "offorigin_cosgauss", "normal_lam1e6"])
+    def test_acceptance_is_no_lower_than_the_scanned_envelopes(self, make, mu, least):
+        # the density's mass over the envelope's; ``least`` is that of the
+        # envelope that stood 1.01 times above the densities at 4,097 scan
+        # points of each window, with mu
+        m = make()
+        edges, env = _step_envelope(m, mu)[:2]
+        ys = np.linspace(m.window.lo, m.window.hi, 4_000_001)
+        ps = m.density(ys, mu)
+        mass = np.sum(0.5 * (ps[1:] + ps[:-1]) * np.diff(ys))
+        assert mass / (env.sum() * (edges[1] - edges[0])) >= least
 
     def test_proposals_per_draw_for_a_perturbed_model(self, monkeypatch):
         # the step envelope follows the cosine-gaussian's ripples; a flat
@@ -335,18 +429,17 @@ class TestSample:
     @pytest.mark.parametrize("pair, perturb, most", [(NN, False, 0.002), (LL, True, 0.04)],
                              ids=["normal", "laplace_cosgauss"])
     def test_the_squeeze_leaves_few_densities_to_evaluate(self, pair, perturb, most):
-        # the density bounds decide all but a few proposals: kernel abscissae
-        # per draw beside the envelope's, which are above 1 when every
-        # proposal is evaluated
+        # the envelope evaluates no density, and its bounds decide all but a
+        # few proposals: kernel abscissae per draw, which are above 1 when
+        # every proposal is evaluated
         k = CountingKernel(pair, 1.0)
         m = fig2d_model(k) if perturb else DispersionModel(k, trivial_normalizer(k, W20, 1e-10))
         n = 100_000
         k.tally.abscissae = 0
         _step_envelope(m, 0.0)
-        envelope_points = k.tally.abscissae
-        k.tally.abscissae = 0
+        assert k.tally.abscissae == 0
         assert sample(m, 0.0, n, seed=3).size == n
-        assert (k.tally.abscissae - envelope_points) / n <= most
+        assert k.tally.abscissae / n <= most
 
     def test_ks_of_a_perturbed_model(self):
         m = fig2d_model()
@@ -363,29 +456,35 @@ class TestSample:
         assert np.all(np.abs(draws - 0.0048828125) < 20.0)
 
     def test_envelope_failure_aborts_with_diagnostics(self):
-        # the spike escapes the envelope; sampling must notice and abort
+        # bounds that under-report the spike leave it above the envelope;
+        # sampling must notice and abort
         with pytest.raises(EnvelopeError) as exc:
             sample(spike_model(), 0.0, 500, seed=0)
         assert exc.value.density > exc.value.envelope
-        assert 0.05 < abs(exc.value.y) < 0.35
+        assert 0.195 < abs(exc.value.y) < 0.206
 
-    def test_envelope_failure_names_the_uncertified_cell(self):
+    def test_envelope_failure_names_the_cell(self):
         with pytest.raises(EnvelopeError) as exc:
             sample(spike_model(), 0.0, 500, seed=0)
         lo, hi = exc.value.cell
         assert lo <= exc.value.y <= hi and hi - lo == pytest.approx(40.0 / ENVELOPE_CELLS)
-        assert (f"of the cell [{lo!r}, {hi!r}], whose density bound was not certified below its height"
-                in str(exc.value))
+        assert (f"of the cell [{lo!r}, {hi!r}]: the declared bounds of the kernel or the normalizing "
+                f"function do not hold there" in str(exc.value))
 
-    def test_envelope_failure_in_a_later_block_names_the_first_proposal(self, monkeypatch):
+    def test_envelope_failure_in_a_later_block_names_the_first_evaluated_proposal(self, monkeypatch):
+        # the squeeze rejects some proposals above the envelope unevaluated,
+        # so the error names the first evaluated one, which no block size moves
         m = spike_model()
-        first, y, density, height = whole_batch_sample(m, 0.0, 500, seed=0)
+        with pytest.raises(EnvelopeError) as default:
+            sample(m, 0.0, 500, seed=0)
         block = 8
-        assert first >= 2 * block  # the culprit sits past the first two blocks
+        first = whole_batch_sample(m, 0.0, 500, seed=0)[0]
+        assert first >= 2 * block  # no proposal above the envelope in the first two blocks
         monkeypatch.setattr(model, "SAMPLE_BLOCK", block)
         with pytest.raises(EnvelopeError) as exc:
             sample(m, 0.0, 500, seed=0)
-        assert (exc.value.y, exc.value.density, exc.value.envelope) == (y, density, height)
+        assert (exc.value.y, exc.value.density, exc.value.envelope, exc.value.cell) == (
+            default.value.y, default.value.density, default.value.envelope, default.value.cell)
 
     @pytest.mark.parametrize("block", [1000, 4097, None])
     @pytest.mark.parametrize("batch_cap", [30_000, None])
@@ -404,41 +503,12 @@ class TestSample:
     @given(data=st.data())
     def test_the_squeeze_decides_as_the_density_does(self, data):
         # bit for bit the reference that evaluates every proposal, or the
-        # same EnvelopeError; over catalog pairs, lam in [1e-2, 1e6], mu in
-        # the position domain, a window with and one without 0, and each
-        # perturbation family with amplitudes of either sign
-        scales = st.floats(min_value=0.3, max_value=3.0)
-        member = st.one_of(st.builds(Normal, scales), st.builds(Cauchy, scales), st.builds(Laplace, scales),
-                           st.builds(SymmetricStable, st.floats(min_value=0.1, max_value=2.0), scales),
-                           st.builds(SymmetricNIG, scales, scales))
-        lam = 10.0 ** data.draw(st.floats(min_value=-2.0, max_value=6.0))
-        k = KernelSpec(UnitDeviancePair(data.draw(member), data.draw(member)), lam)
-        window = data.draw(st.sampled_from([W20, Window(1.0, 30.0, 1024)]))
-        # a kernel peak far narrower than the scan's spacing is sampled just
-        # as exactly, but its envelope mass is far above the density's, so
-        # it needs millions of proposals per draw: leave those out
-        assume(k.eval(window.width / 40_000) > 1e-3)
-        try:
-            base = trivial_normalizer(k, window, 1e-10)
-        except ValueError:  # a kernel too sharp for every quadrature node
-            assume(False)
-        a = base.a_tilde
-        ratio = st.one_of(st.floats(min_value=-0.45, max_value=-0.05), st.floats(min_value=0.05, max_value=2.0))
-        f = data.draw(st.one_of(
-            st.builds(lambda r, w, s: CosineGaussian(r * a, w, s), ratio,
-                      st.one_of(st.floats(min_value=-40.0, max_value=-0.5), st.floats(min_value=0.5, max_value=40.0)),
-                      st.floats(min_value=0.5, max_value=100.0)),
-            st.builds(lambda r, s: OddGaussian(r * a / s, s), ratio, st.floats(min_value=0.5, max_value=20.0)),
-            st.builds(lambda r: TabulatedEven((0.0, 2.0, 5.0, 9.0), tuple(a * x for x in r)),
-                      st.lists(ratio, min_size=4, max_size=4)),
-            st.none(), st.just(Zero()),
-        ))
-        try:
-            m = DispersionModel(k, base if f is None else perturbed_normalizer(base, f))
-        except PositivityError:
-            assume(False)
-        lo, hi = m.position_domain
-        mu = lo + (hi - lo) * data.draw(st.floats(min_value=0.0, max_value=1.0))
+        # same EnvelopeError, over the models of draw_model
+        m, mu = draw_model(data)
+        # a kernel peak far narrower than a sub-interval is sampled just as
+        # exactly, but its envelope mass is far above the density's, so it
+        # needs millions of proposals per draw: leave those out
+        assume(m.kernel.eval(m.window.width / 40_000) > 1e-3)
         seed = data.draw(st.integers(min_value=0, max_value=2 ** 32))
         reference = whole_batch_sample(m, mu, 3000, seed)
         if isinstance(reference, tuple):
@@ -450,7 +520,7 @@ class TestSample:
 
     def test_an_index_parameter_beyond_the_slack_warns_nothing(self):
         # above lam ~ 4.8e13 the kernel's upper bound exp(slack (1 + lam))
-        # overflows: the cells it bounds are evaluated, without a warning
+        # would overflow, but it is capped at 1
         m = trivial_model(lam=1e14)
         assert np.array_equal(sample(m, 0.0, 1000, seed=0), whole_batch_sample(m, 0.0, 1000, seed=0))
 

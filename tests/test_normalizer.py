@@ -600,6 +600,16 @@ class TestBounds:
         assert phi.non_increasing and psi.non_increasing
         assert_bounds_hold(KernelSpec(UnitDeviancePair(phi, psi), lam), *interval)
 
+    @settings(max_examples=300, deadline=None)
+    @given(phi=CATALOG_MEMBERS, psi=CATALOG_MEMBERS, lam=st.floats(min_value=1e6, max_value=1e300),
+           interval=INTERVALS)
+    def test_kernel_upper_bound_is_at_most_one(self, phi, psi, lam, interval):
+        # K = exp(-lam d) <= 1; uncapped, the bound exp(slack (1 + lam))
+        # overflows above lam ~ 4.88e13
+        k = KernelSpec(UnitDeviancePair(phi, psi), lam)
+        assert k.bounds(np.array([interval[0]]), np.array([interval[1]]))[1][0] <= 1.0
+        assert_bounds_hold(k, *interval)
+
     @settings(max_examples=100, deadline=None)
     @given(member=CATALOG_MEMBERS, lam=st.floats(min_value=1e-2, max_value=1e6), interval=INTERVALS)
     def test_kernel_of_an_undeclared_member(self, member, lam, interval):
