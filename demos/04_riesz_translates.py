@@ -28,7 +28,16 @@ k = KernelSpec(UnitDeviancePair(Laplace(1.0), Laplace(1.0)), 1.0)
 
 # --- the enumeration of translation points ---------------------------------
 
-print("first 11 translation points:", rational_enumeration(11))
+print("first 11 translation points:", ", ".join(map(str, rational_enumeration(11))))
+
+# The points are exact fractions, so a Gram entry, which depends only on
+# |p_i - p_j|, is integrated once per distinct exact displacement.  The
+# rounded points' differences split some of those into several floats.
+pts32 = rational_enumeration(32)
+exact = {abs(p - q) for p in pts32 for q in pts32}
+rounded = {abs(float(p) - float(q)) for p in pts32 for q in pts32}
+print(f"n = 32: {len(exact)} distinct exact displacements, one Gram integral each "
+      f"({len(rounded)} distinct differences of the rounded points)")
 
 # --- nested Gram matrices and their eigen-bounds ----------------------------
 

@@ -374,7 +374,7 @@ def _cmd_riesz(cfg: RunConfig) -> dict:
     rho = orthogonality_residual(f, k, mu_grid, tol=cfg.residual_tol, window=cfg.window)
 
     doc = {
-        "points": points,
+        "points": [float(p) for p in points],
         "gram_report": report.to_dict(),
         "frame_bounds": report.frame_bounds(),
         "perturbation": f.to_dict(),

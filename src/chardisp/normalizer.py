@@ -155,9 +155,16 @@ class Perturbation(Spec, ABC):
     transform, a cosine of any phase solves the normalization equation as
     well as the even one does, so its odd part solves it too.  The catalog
     holds even members and one odd one, :class:`OddGaussian`.
+
+    ``even`` declares the family's parity: True when f(-y) = f(y) for every
+    member.  The kernel is even too, so on a symmetric window the residual
+    curves of an even family are even, and each |mu| is integrated once
+    (see :func:`window_convolve`).  A family that does not declare it is
+    integrated at every mu.
     """
 
     kind = "perturbation"
+    even = False
 
     def __post_init__(self):
         super().__post_init__()
@@ -221,6 +228,7 @@ class Zero(Perturbation):
     """The trivial perturbation, identically zero."""
 
     family = "zero"
+    even = True
 
     def eval(self, y):
         return np.zeros(np.shape(y))[()]
@@ -240,6 +248,7 @@ class CosineGaussian(Perturbation):
     frequency: float = 3.0
     width: float = np.sqrt(5.0)
     family = "cosgauss"
+    even = True
 
     def eval(self, y):
         yy = np.asarray(y, dtype=float)
@@ -337,6 +346,7 @@ class TabulatedEven(Perturbation):
     knots: tuple[float, ...]
     values: tuple[float, ...]
     family = "custom"
+    even = True
 
     def __post_init__(self):
         object.__setattr__(self, "knots", tuple(self.knots))
@@ -461,6 +471,11 @@ class NormalizerSpec:
     def is_constant(self) -> bool:
         return self.perturbation is None or self.perturbation.is_zero()
 
+    def is_even(self) -> bool:
+        """True when a(-y) = a(y): the spec is trivial or its perturbation's
+        family is even (see :attr:`Perturbation.even`)."""
+        return self.perturbation is None or self.perturbation.even
+
     def critical_points(self) -> tuple[float, ...]:
         """The perturbation's critical points over the window (see
         :meth:`Perturbation.critical_points`), where a(y) may have corners."""
@@ -505,7 +520,7 @@ def perturbed_normalizer(base: NormalizerSpec, f: Perturbation) -> NormalizerSpe
     return NormalizerSpec(a_tilde=base.a_tilde, window=base.window, perturbation=f)
 
 
-def window_convolve(g, k: KernelSpec, shifts, window: Window, tol: float, corners=()) -> np.ndarray:
+def window_convolve(g, k: KernelSpec, shifts, window: Window, tol: float, corners=(), even=False) -> np.ndarray:
     """Integral over the window of g(y) K(s - y) dy, for each shift s.
 
     ``g`` is a vectorized elementwise callable and ``shifts`` an array of
@@ -516,7 +531,15 @@ def window_convolve(g, k: KernelSpec, shifts, window: Window, tol: float, corner
     when the kernel has one (see :attr:`KernelSpec.graded`); the cuts and
     cusps are given for the array of distinct shifts at once.  An
     unconverged integral raises :class:`QuadratureError` naming its shift.
+
+    When ``even`` declares g even and the window is symmetric (lo == -hi),
+    the integral at -s is that at s mirrored through y -> -y, K being even,
+    so each shift is integrated at |s|: a value at s >= 0 is the one
+    integrated for s alone, and the one at -s equals it, error bound
+    included.
     """
+    if even and window.lo == -window.hi:
+        shifts = np.abs(shifts)
     return integrate_shifts(lambda y, s: g(y) * k.eval(s - y), window.lo, window.hi, shifts, tol=tol,
                             breakpoints=lambda s: (s, 0.0, *corners),
                             cusps=(lambda s: (s,)) if k.graded else None)[0]
@@ -574,12 +597,15 @@ def convolution_residual(
 
     A measurement, not an assertion: truncation makes the residual drift
     away from zero near the window edges, and non-orthogonal perturbations
-    shift it everywhere.
+    shift it everywhere.  For an even a(y) (:meth:`NormalizerSpec.is_even`)
+    on a symmetric window, r(-mu) = r(mu), and each |mu| is integrated once
+    (see :func:`window_convolve`).
     """
     mu_grid = np.atleast_1d(np.asarray(mu_grid, dtype=float))
     if not norm.window.contains(mu_grid):
         raise ValueError("mu grid must lie inside the window")
-    return window_convolve(norm.value, k, mu_grid, norm.window, tol, norm.critical_points()) - 1.0
+    return window_convolve(norm.value, k, mu_grid, norm.window, tol, norm.critical_points(),
+                           norm.is_even()) - 1.0
 
 
 # ---------------------------------------------------------------------------

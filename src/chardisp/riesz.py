@@ -16,13 +16,17 @@ Inner products of translates depend only on the displacement between the
 translation points, so each Gram entry is computed in the displaced
 coordinate over the window.  That makes the diagonal exactly equal to the
 squared kernel norm, at the price of working with the window attached to
-the relative coordinate rather than to a fixed absolute frame.  Each entry
+the relative coordinate rather than to a fixed absolute frame.  Points
+that are exact rationals, as the enumeration's are, give each displacement
+as the correctly rounded float of the exact difference, so each distinct
+inner product is one integral.  Each entry
 is one integral folded about the midpoint of its integrand's symmetry
 (see :func:`gram_matrix`), which halves the panels the quadrature refines.
 The largest bound of a matrix is reported as ``max_entry_error_bound``.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -31,23 +35,29 @@ from .normalizer import KernelSpec, Perturbation, Window, window_autoconvolve, w
 from .quadrature import DEFAULT_TOL
 
 
-def rational_enumeration(n: int) -> list[float]:
-    """First n terms of a fixed enumeration of the rationals.
+def rational_enumeration(n: int) -> list:
+    """First n terms of a fixed enumeration of the rationals, as exact
+    :class:`fractions.Fraction` values.
 
     Zero first, then each positive rational in Calkin-Wilf order followed
     immediately by its negative: 0, 1, -1, 1/2, -1/2, 2, -2, 1/3, -1/3,
     3/2, -3/2, ...  Deterministic and duplicate-free.
 
     The current rational q = a/b is carried as two integers and stepped by
-    q -> 1 / (2 floor(q) - q + 1), i.e. (a, b) -> (b, 2 (a // b) b - a + b);
-    ``a / b`` of two ints is the correctly rounded float of the fraction.
+    q -> 1 / (2 floor(q) - q + 1), i.e. (a, b) -> (b, 2 (a // b) b - a + b).
+    ``float(q)`` is the correctly rounded float of the fraction; a
+    :class:`TranslateSystem` of these points knows their exact
+    displacements.  ``fractions`` is imported on the first call (about
+    2 ms), not with the package.
     """
+    from fractions import Fraction
+
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    out = [0.0]
+    out = [Fraction(0)]
     a, b = 1, 1
     while len(out) < n:
-        q = a / b
+        q = Fraction(a, b)
         out.append(q)
         if len(out) < n:
             out.append(-q)
@@ -60,23 +70,28 @@ class TranslateSystem:
     """Finitely many kernel translates K(. - p) over a common window.
 
     There must be at least one translation point.  The points must be
-    pairwise distinct and stay in the middle half of the window so the
-    translated kernels keep their mass away from the truncation edges.
+    pairwise distinct as floats and stay in the middle half of the window
+    so the translated kernels keep their mass away from the truncation
+    edges.  Points that are all exact rationals (ints or
+    :class:`fractions.Fraction`, such as :func:`rational_enumeration`'s)
+    are kept as given, and :func:`gram_matrix` takes their exact
+    displacements; any other points are kept as floats.
     """
 
     kernel: KernelSpec
-    points: tuple[float, ...]
+    points: tuple
     window: Window
 
     def __post_init__(self):
-        pts = tuple(float(p) for p in self.points)
-        object.__setattr__(self, "points", pts)
+        pts = tuple(self.points)
+        floats = tuple(float(p) for p in pts)
+        object.__setattr__(self, "points", pts if all(isinstance(p, numbers.Rational) for p in pts) else floats)
         if not pts:
             raise ValueError("a translate system needs at least one translation point")
-        if len(set(pts)) != len(pts):
+        if len(set(floats)) != len(floats):
             raise ValueError("translation points must be pairwise distinct")
         lo, hi = self.window.middle_half()
-        outside = [p for p in pts if not lo <= p <= hi]
+        outside = [p for p in floats if not lo <= p <= hi]
         if outside:
             raise ValueError(
                 f"{len(outside)} translation points lie outside the window's middle half "
@@ -95,7 +110,8 @@ class GramReport:
     off-diagonal magnitude: the distance of the finite system from an
     exactly orthogonal (tight) one.  ``max_entry_error_bound`` is the
     largest quadrature error bound (summed estimate plus rounding floor) of
-    the entries, over the distinct displacements.
+    the entries, over the distinct displacements.  Entries whose points lie
+    at an equal exact |displacement| hold one value.
     """
 
     gram: np.ndarray = field(repr=False)
@@ -109,11 +125,44 @@ class GramReport:
         return {**asdict(self), "gram": self.gram.tolist()}
 
     def frame_bounds(self) -> dict:
-        """The frame bounds over the squared kernel norm, as ``riesz.json`` holds them."""
+        """The frame bounds over the squared kernel norm, as ``riesz.json``
+        holds them, with the floor below which the lower one is not
+        resolved.
+
+        Each entry is within ``max_entry_error_bound`` of the exact inner
+        product, so an eigenvalue moves by at most n times that (Weyl), and
+        the symmetric eigensolver adds about n eps max_eigenvalue.
+        ``eigenvalue_floor`` is their sum, and ``lower_resolved`` is true
+        when ``min_eigenvalue`` exceeds it: only then is the exact smallest
+        eigenvalue certified positive.
+        """
+        n = self.gram.shape[0]
+        floor = float(n * self.max_entry_error_bound + n * np.finfo(float).eps * self.max_eigenvalue)
         return {
             "lower_over_k_norm_sq": self.min_eigenvalue / self.k_norm_sq,
             "upper_over_k_norm_sq": self.max_eigenvalue / self.k_norm_sq,
+            "eigenvalue_floor": floor,
+            "lower_resolved": self.min_eigenvalue > floor,
         }
+
+
+def _displacements(points: tuple) -> np.ndarray:
+    """|p_i - p_j| for every pair of the points.  Exact rationals a/b give
+    the correctly rounded float of |a_i b_j - a_j b_i| / (b_i b_j): from
+    int64 arrays while every product stays below 2^53, so that the
+    numerator and denominator convert to floats exactly and only the
+    division rounds, else from Python ints, whose true division rounds
+    correctly too.  Floats give the differences of the floats."""
+    if not isinstance(points[0], numbers.Rational):
+        pts = np.asarray(points)
+        return np.abs(np.subtract.outer(pts, pts))
+    a = [int(p.numerator) for p in points]
+    b = [int(p.denominator) for p in points]
+    top, den = max(map(abs, a)), max(b)
+    if top * den < 2 ** 52 and den * den < 2 ** 53:
+        a, b = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+        return np.abs(np.multiply.outer(a, b) - np.multiply.outer(b, a)) / np.multiply.outer(b, b)
+    return np.array([[abs(ai * bj - aj * bi) / (bi * bj) for aj, bj in zip(a, b)] for ai, bi in zip(a, b)])
 
 
 def gram_matrix(sys: TranslateSystem, tol: float = DEFAULT_TOL) -> GramReport:
@@ -123,9 +172,12 @@ def gram_matrix(sys: TranslateSystem, tol: float = DEFAULT_TOL) -> GramReport:
     Entry (i, j) is the integral over the window of K(u) K(u - (p_i - p_j)),
     the inner product of the two translates written in the coordinate of
     the first one; K is even, so that is K convolved with itself at shift
-    s = |p_i - p_j|.  Entries with equal |displacement| (the whole diagonal in
-    particular) share a single computed value, so the matrix is symmetric
-    exactly as stored and the diagonal is constant by construction.
+    s = |p_i - p_j|.  For exact rational points s is the correctly rounded
+    float of the exact difference, so equal rationals give one float
+    however the points round; float points give the difference of the
+    floats.  Entries with equal s (the whole diagonal in particular) share
+    a single computed value, so the matrix is symmetric exactly as stored
+    and the diagonal is constant by construction.
 
     The integrand h(y) = K(y) K(s - y) satisfies h(s - y) = h(y), so each
     entry is computed by :func:`normalizer.window_autoconvolve` as one
@@ -140,9 +192,8 @@ def gram_matrix(sys: TranslateSystem, tol: float = DEFAULT_TOL) -> GramReport:
     at every node, raises ValueError: the frame bounds are ratios to it.
     """
     k = sys.kernel
-    pts = np.asarray(sys.points)
-    n = pts.size
-    gram, bounds = window_autoconvolve(k, np.abs(np.subtract.outer(pts, pts)), sys.window, tol)
+    n = len(sys.points)
+    gram, bounds = window_autoconvolve(k, _displacements(sys.points), sys.window, tol)
     if not gram[0, 0] > 0.0:
         raise ValueError(f"squared kernel norm over the window is {float(gram[0, 0])!r}; no frame bound is measured")
 
@@ -175,9 +226,11 @@ def orthogonality_residual(
     quantities whose vanishing would make the perturbation orthogonal to
     the translate span; they are emitted as measurements and never asserted
     to be zero.  For nonnegative even f and a strictly positive kernel they
-    are strictly positive.
+    are strictly positive.  For an even f (:attr:`Perturbation.even`) on a
+    symmetric window, rho(-mu) = rho(mu), and each |mu| is integrated once
+    (see :func:`normalizer.window_convolve`).
     """
     mu_grid = np.atleast_1d(np.asarray(mu_grid, dtype=float))
     if not window.contains(mu_grid):
         raise ValueError("mu grid must lie inside the window")
-    return window_convolve(f.eval, k, mu_grid, window, tol, f.critical_points(window.lo, window.hi))
+    return window_convolve(f.eval, k, mu_grid, window, tol, f.critical_points(window.lo, window.hi), even=f.even)

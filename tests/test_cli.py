@@ -549,8 +549,8 @@ class TestVerify:
         digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
         assert digests == {
             "deconvolution.csv": "4d65bbc9b1cc15ca5d51d84996ee9fe7e3e58192f37942c7f4a2819744c3430a",
-            "residuals.csv": "764e09aa689bd898e3ce0492061d36afcfe5b5c25891aa1879be37e195a867cf",
-            "verify.json": "8e80632e0e8a2e8aa04250b9e4f2e46f43d09e1241243de53f3ddd7143127345",
+            "residuals.csv": "3c46ec4f6e56f9bdac9b1cc3735616f5471b88cf8d0c5fbf53fbfdd6d196903f",
+            "verify.json": "7eaef9f9eead01296c1495a891066b06ab0d3999123f685f8f3e2f369c87556a",
         }
 
     def test_document_keys(self, tmp_path):
@@ -636,8 +636,8 @@ class TestRiesz:
         assert run(["riesz", "--phi", "laplace:1", "--psi", "laplace:1", "--n", "8", "--out", str(out)]) == 0
         digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
         assert digests == {
-            "orthogonality.csv": "7b8bca21fd2147ba55e7c47effa543270dae2b47b01293a1b827917ae237a690",
-            "riesz.json": "24fbd4505ce00a640e4a6e206d90252a7c15668b53f2d31cd1234cc2bb23c602",
+            "orthogonality.csv": "7300a34d64e1c3ad66cd02665b94acdf2d9fa0731e9e1c86ff64a65cd1ed3f14",
+            "riesz.json": "d9a91d5264bd926f5036950a00c76952e99ea70719a6ae2bf01196e9ae5b24e4",
         }
 
     def test_document_keys(self, tmp_path):
@@ -650,6 +650,7 @@ class TestRiesz:
             "gram_report.gram", "gram_report.min_eigenvalue", "gram_report.max_eigenvalue",
             "gram_report.k_norm_sq", "gram_report.tight_claim_gap", "gram_report.max_entry_error_bound",
             "frame_bounds.lower_over_k_norm_sq", "frame_bounds.upper_over_k_norm_sq",
+            "frame_bounds.eigenvalue_floor", "frame_bounds.lower_resolved",
             "perturbation.family", "perturbation.params.amplitude", "perturbation.params.frequency",
             "perturbation.params.width",
         }
