@@ -303,13 +303,13 @@ def _put(o, indent: str, out: list, memo: _FloatMemo) -> None:
         out.extend((indent, "]"))
 
 
-def _symmetric_grid(w: Window, n: int) -> np.ndarray:
-    """Inclusive grid with n intervals; mirrored halves on symmetric windows
-    so even densities come out exactly symmetric."""
-    if w.lo == -w.hi and n % 2 == 0:
-        half = np.linspace(0.0, w.hi, n // 2 + 1)
+def _symmetric_grid(lo: float, hi: float, n: int) -> np.ndarray:
+    """Inclusive grid of [lo, hi] with n intervals; mirrored halves when
+    lo == -hi and n is even, so even curves come out exactly symmetric."""
+    if lo == -hi and n % 2 == 0:
+        half = np.linspace(0.0, hi, n // 2 + 1)
         return np.concatenate([-half[:0:-1], half])
-    return np.linspace(w.lo, w.hi, n + 1)
+    return np.linspace(lo, hi, n + 1)
 
 
 def _write(out: Optional[str], files: dict) -> None:
@@ -333,7 +333,7 @@ def _write(out: Optional[str], files: dict) -> None:
 
 def _cmd_density(cfg: RunConfig) -> dict:
     m = cfg.model()
-    ys = _symmetric_grid(cfg.window, cfg.window.n_grid)
+    ys = _symmetric_grid(cfg.window.lo, cfg.window.hi, cfg.window.n_grid)
     return {None: _csv("y,density", ys, m.density(ys, cfg.mu))}
 
 
@@ -342,7 +342,7 @@ def _cmd_verify(cfg: RunConfig) -> dict:
     lo, hi = m.position_domain
     span = np.linspace(lo, hi, 101)
     axioms = check_unit_deviance(m.kernel.pair, span, span)
-    mu_grid = np.linspace(lo, hi, 21)
+    mu_grid = _symmetric_grid(lo, hi, 20)
     diag = diagnostics(m, mu_grid=mu_grid, tol=cfg.residual_tol)
     residuals = diag.normalization_residuals
     fft = fft_deconvolve_check(m.kernel, cfg.window)
@@ -370,7 +370,7 @@ def _cmd_riesz(cfg: RunConfig) -> dict:
     f = cfg.perturb if cfg.perturb is not None else CosineGaussian()
     half = cfg.window.middle_half()
     mu_lo, mu_hi = max(half[0], -5.0), min(half[1], 5.0)
-    mu_grid = np.linspace(mu_lo, mu_hi, 21)
+    mu_grid = _symmetric_grid(mu_lo, mu_hi, 20)
     rho = orthogonality_residual(f, k, mu_grid, tol=cfg.residual_tol, window=cfg.window)
 
     doc = {
@@ -402,7 +402,7 @@ def _t3_pdf(y: np.ndarray) -> np.ndarray:
 def _cmd_figures(cfg: RunConfig) -> dict:
     """The four showcase models at the configured index parameter, plus the
     standard normal and t (3 degrees of freedom) reference densities."""
-    ys = _symmetric_grid(cfg.window, cfg.window.n_grid)
+    ys = _symmetric_grid(cfg.window.lo, cfg.window.hi, cfg.window.n_grid)
 
     def model(phi, psi):
         return replace(cfg, phi=phi, psi=psi, perturb=None).model()

@@ -18,7 +18,7 @@ the report reads it rather than measuring it.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -103,7 +103,7 @@ class AxiomReport:
     violations: tuple = field(default_factory=tuple)  # (y, mu, value) triples
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "violations": [list(v) for v in self.violations]}
+        return {**vars(self), "violations": [list(v) for v in self.violations]}
 
 
 def check_unit_deviance(pair, y_grid, mu_grid) -> AxiomReport:

@@ -8,16 +8,15 @@ with the position parameter restricted to an interval well inside the
 window so truncation effects stay small.  Models with a constant
 normalizing function are proper dispersion models (PDM); perturbed
 normalizing functions produce candidates for models that are neither
-proper nor of the additive exponential-family form.  The latter exclusion
-is structural: a deviance of the product form used here never decomposes
-as y f(mu) + g(mu) + h(y), so the flag is a constant tag rather than a
-fitted test.
+proper nor exponential dispersion models (see :func:`classify`).  Draws
+come by exact rejection from a step envelope whose equal cells each carry
+a certified height and squeeze (see :func:`sample`).
 """
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -26,21 +25,18 @@ from .charfn import ArrayLike
 from .deviance import RegularityReport
 from .normalizer import RESIDUAL_TOL, KernelSpec, NormalizerSpec, convolution_residual
 
-# Equal cells of sample()'s step envelope, each bounded on 16 equal
-# sub-intervals, whatever the window grid.
-ENVELOPE_CELLS = 256
+# Equal cells of sample()'s step envelope, each with its own height and
+# squeeze, whatever the window grid.
+ENVELOPE_CELLS = 4096
 # Largest proposal batch in sample(): fixes which uniforms each proposal
 # reads; bounds the proposals decided after the n-th acceptance (each by
 # the density bounds or, where they leave it open, by the density).
 MAX_PROPOSAL_BATCH = 2 ** 21
 # Proposals per block of sample()'s one pass over a batch; bounds its working memory.
 SAMPLE_BLOCK = 65536
-# Buckets of sample()'s guide table; a power of two, so u * GUIDE_BUCKETS is exact.
-GUIDE_BUCKETS = 1024
-EDM_EXCLUSION_NOTE = (
-    "unit deviances of the product form (1 - phi)|psi| do not decompose "
-    "into the additive form y*f(mu) + g(mu) + h(y)"
-)
+# Buckets of sample()'s guide table, one per envelope cell; a power of two,
+# so u * GUIDE_BUCKETS is exact.
+GUIDE_BUCKETS = 4096
 
 
 class Classification(str, enum.Enum):
@@ -133,7 +129,10 @@ def classify(m: DispersionModel) -> Classification:
     non-standard model.  The tag is structural: a non-constant a(y) is a
     candidate whether or not it solves the integral equation, which is not
     checked (a cosine normalizer solves it at a zero of the kernel's
-    transform, so at one lam only)."""
+    transform, so at one lam only).  No model here is an exponential
+    dispersion model, whose unit deviance is y f(mu) + g(mu) + h(y):
+    d(y; mu) = D(y - mu) would make D'' constant, and d <= 2 rules out a
+    nonzero quadratic."""
     if m.normalizer.is_constant():
         return Classification.PDM
     return Classification.NSDM_CANDIDATE
@@ -143,24 +142,22 @@ def _step_envelope(m: DispersionModel, mu: float):
     """The step envelope that :func:`sample` proposes from, and the bounds
     L <= density <= U that decide its proposals.
 
-    The window is cut into ``ENVELOPE_CELLS`` equal cells, and each cell
-    into 16 equal sub-intervals.  Sub-interval j of cell c ends at
-    ``edges[c] + width * (j / 16)``, clamped to the window: the proposal's
-    own expression, monotone in p, so a proposal with floor(16 p) = j lies
-    between its ends.  L and U are the products of the normalizer's and
-    the kernel's ``bounds``, which hold the computed factors (see
-    ``normalizer._SLACK``), and rounding of the product is monotone.  A
-    cell's height is its largest U.  Returns the cell edges, the heights,
-    L and U (flat, cell * 16 + j), and the estimate sum (L + U) / 2 * width
+    The window is cut into ``ENVELOPE_CELLS`` equal cells.  Cell c is
+    bounded on [edges[c], min(edges[c] + width, hi)]: the proposal's own
+    expression at p = 1, monotone in p, so every proposal in the cell lies
+    there.  L and U are the products of the normalizer's and the kernel's
+    ``bounds``, which hold the computed factors (see ``normalizer._SLACK``),
+    and rounding of the product is monotone.  Returns the cell edges, each
+    cell's height U and squeeze L, and the estimate sum (L + U) / 2 * width
     of the density's mass, which lies between the masses of L and of U.
     """
     edges = np.linspace(m.window.lo, m.window.hi, ENVELOPE_CELLS + 1)
-    ends = np.minimum(edges[:-1, None] + (edges[1] - edges[0]) * (np.arange(17) / 16), m.window.hi)
-    lo, hi = ends[:, :-1].ravel(), ends[:, 1:].ravel()
+    lo = edges[:-1]
+    hi = np.minimum(lo + (edges[1] - edges[0]), m.window.hi)
     (a_lo, a_hi), (k_lo, k_hi) = m.normalizer.bounds(lo, hi), m.kernel.bounds(lo - mu, hi - mu)
     low, high = a_lo * k_lo, a_hi * k_hi
     mass = float(np.sum((0.5 * low + 0.5 * high) * (hi - lo)))
-    return edges, high.reshape(-1, 16).max(axis=1), low, high, mass
+    return edges, high, low, mass
 
 
 def _guide_table(cdf: np.ndarray):
@@ -206,22 +203,20 @@ def sample(m: DispersionModel, mu: float, n: int, seed: int) -> np.ndarray:
 
     A proposal picks one of the envelope's cells (see :func:`_step_envelope`)
     in proportion to its envelope mass, then a point uniformly inside it,
-    and is accepted when u * height <= density for a uniform u.  The
-    height is the largest bound U of the cell's sub-intervals, so the
-    envelope bounds the density and rejection is exact in law (Devroye
-    1986, ch. II.3).  The density is evaluated only where a squeeze
-    (Marsaglia 1977; Devroye 1986, ch. II) leaves that open: a proposal in
-    sub-interval cell * 16 + floor(16 p), p its placement uniform, is
-    accepted when u * height <= L and rejected when u * height > U, as its
-    density would decide, since L <= density <= U holds for the computed
-    density: the bounds carry a rounding margin, 2^-36 per factor and
-    2^-36 (1 + lam) in K's exponent, derived at ``normalizer._SLACK``.  An
-    evaluated density above its cell's height can only come from declared
-    bounds that are wrong; it aborts with :class:`EnvelopeError` naming the
-    first such proposal evaluated.  A batch holds 1.1 times the proposals
-    the missing draws need at the expected acceptance (the mass estimate
-    of :func:`_step_envelope` over the envelope's mass), at least 1024 and
-    at most ``MAX_PROPOSAL_BATCH``.
+    and is accepted when u * U <= density for a uniform u, U the cell's
+    height.  U bounds the density over the cell, so rejection is exact in
+    law (Devroye 1986, ch. II.3).  The density is evaluated only where the
+    cell's squeeze L (Marsaglia 1977; Devroye 1986, ch. II) leaves that
+    open: a proposal with u * U <= L is accepted, as its density would
+    decide, since L <= density <= U holds for the computed density: the
+    bounds carry a rounding margin, 2^-36 per factor and 2^-36 (1 + lam) in
+    K's exponent, derived at ``normalizer._SLACK``.  An evaluated density
+    above its cell's height can only come from declared bounds that are
+    wrong; it aborts with :class:`EnvelopeError` naming the first such
+    proposal evaluated.  A batch holds 1.1 times the proposals the missing
+    draws need at the expected acceptance (the mass estimate of
+    :func:`_step_envelope` over the envelope's mass), at least 1024 and at
+    most ``MAX_PROPOSAL_BATCH``.
 
     A batch of B proposals reads the uniforms of ``default_rng(seed)`` in
     three runs, each from its own generator (:func:`_stream_at`): [d, d+B)
@@ -239,9 +234,9 @@ def sample(m: DispersionModel, mu: float, n: int, seed: int) -> np.ndarray:
     if n == 0:
         return np.empty(0)
 
-    edges, env, low, high, mass = _step_envelope(m, mu)
+    edges, high, low, mass = _step_envelope(m, mu)
     width = edges[1] - edges[0]
-    cdf = np.cumsum(env)
+    cdf = np.cumsum(high)
     acceptance = mass / (cdf[-1] * width)
     cdf /= cdf[-1]  # ends at exactly 1, as _guide_table requires
     scaled, guide = _guide_table(cdf)
@@ -255,20 +250,17 @@ def sample(m: DispersionModel, mu: float, n: int, seed: int) -> np.ndarray:
         for start in range(0, batch, SAMPLE_BLOCK):
             size = min(SAMPLE_BLOCK, batch - start)
             cell = _pick_cells(scaled, guide, cells.random(size))
-            p = positions.random(size)
             # rounding may carry a point of the last cell an ulp past the window
-            y = np.minimum(edges.take(cell) + width * p, m.window.hi)
-            uh = accepts.random(size) * env.take(cell)
-            sub = (p * 16).astype(np.intp)  # floor(16 p), as 16 p is exact
-            sub += cell * 16
-            accept = uh <= low.take(sub)
-            check = np.flatnonzero((uh <= high.take(sub)) > accept)  # neither accepted nor rejected
+            y = np.minimum(edges.take(cell) + width * positions.random(size), m.window.hi)
+            uh = accepts.random(size) * high.take(cell)
+            accept = uh <= low.take(cell)
+            check = np.flatnonzero(~accept)
             ps = m.density(y.take(check), mu)
-            too_high = ps > env.take(cell.take(check))
+            too_high = ps > high.take(cell.take(check))
             if too_high.any():
                 j = int(np.argmax(too_high))
                 i, c = check[j], cell[check[j]]
-                raise EnvelopeError(float(y[i]), float(ps[j]), float(env[c]), (float(edges[c]), float(edges[c + 1])))
+                raise EnvelopeError(float(y[i]), float(ps[j]), float(high[c]), (float(edges[c]), float(edges[c + 1])))
             accept[check] = uh.take(check) <= ps
             acc = y[accept]
             take = min(n - got, acc.size)
@@ -283,16 +275,15 @@ class DiagnosticsReport:
 
     normalization_residuals: dict = field(repr=False)  # mu -> residual
     classification: Classification = Classification.PDM
-    edm_excluded: bool = True
-    edm_exclusion_note: str = EDM_EXCLUSION_NOTE
     regularity: Optional[RegularityReport] = None
     truncation_drift: float = 0.0
 
     def to_dict(self) -> dict:
         return {
-            **asdict(self),
             "normalization_residuals": {str(k): v for k, v in self.normalization_residuals.items()},
             "classification": self.classification.value,
+            "regularity": None if self.regularity is None else dict(vars(self.regularity)),
+            "truncation_drift": self.truncation_drift,
         }
 
 
@@ -317,7 +308,6 @@ def diagnostics(
     return DiagnosticsReport(
         normalization_residuals={float(mu): float(r) for mu, r in zip(mu_grid, residuals)},
         classification=classify(m),
-        edm_excluded=True,
         regularity=m.kernel.pair.regularity(),
         truncation_drift=float(residuals.max() - residuals.min()),
     )

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import numbers
 from abc import ABC, abstractmethod
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -487,8 +487,12 @@ class NormalizerSpec:
         check: the grid of a default :class:`Window` over the same span
         oversampled by ``POSITIVITY_OVERSAMPLE`` (4096 intervals whatever
         ``n_grid`` is, which sets only output resolution), followed by the
-        perturbation's critical points inside the window."""
+        perturbation's critical points inside the window.  A trivial spec's
+        value is ``a_tilde`` everywhere, so it is scanned at the window's
+        lower end alone."""
         w = self.window
+        if self.perturbation is None:
+            return np.array([w.lo])
         extra = np.asarray(self.critical_points(), dtype=float)
         grid = Window(w.lo, w.hi).grid(POSITIVITY_OVERSAMPLE)
         return np.concatenate([grid, extra[(extra >= w.lo) & (extra <= w.hi)]])
@@ -629,7 +633,7 @@ class DeconvolutionReport:
     n_grid: int
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 def fft_deconvolve_check(k: KernelSpec, w: Window) -> DeconvolutionReport:

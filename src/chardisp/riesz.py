@@ -27,7 +27,7 @@ The largest bound of a matrix is reported as ``max_entry_error_bound``.
 from __future__ import annotations
 
 import numbers
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -122,7 +122,7 @@ class GramReport:
     max_entry_error_bound: float = 0.0
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "gram": self.gram.tolist()}
+        return {**vars(self), "gram": self.gram.tolist()}
 
     def frame_bounds(self) -> dict:
         """The frame bounds over the squared kernel norm, as ``riesz.json``

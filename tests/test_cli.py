@@ -550,7 +550,7 @@ class TestVerify:
         assert digests == {
             "deconvolution.csv": "4d65bbc9b1cc15ca5d51d84996ee9fe7e3e58192f37942c7f4a2819744c3430a",
             "residuals.csv": "3c46ec4f6e56f9bdac9b1cc3735616f5471b88cf8d0c5fbf53fbfdd6d196903f",
-            "verify.json": "7eaef9f9eead01296c1495a891066b06ab0d3999123f685f8f3e2f369c87556a",
+            "verify.json": "cd3a10a43eeadf67e31468bcfb4d26110306292ebdc8b47c3c3ea601d946ddef",
         }
 
     def test_document_keys(self, tmp_path):
@@ -570,7 +570,7 @@ class TestVerify:
         assert _key_paths(doc) == {f"model.{key}" for key in model} | {
             "axioms.passed", "axioms.max_abs_diagonal", "axioms.min_off_diagonal", "axioms.n_diagonal",
             "axioms.n_off_diagonal", "axioms.diagonal_tol", "axioms.violations",
-            "diagnostics.classification", "diagnostics.edm_excluded", "diagnostics.edm_exclusion_note",
+            "diagnostics.classification",
             "diagnostics.regularity.is_regular", "diagnostics.regularity.kink_detected",
             "diagnostics.regularity.local_exponent", "diagnostics.truncation_drift",
             "fft_deconvolution.dc_value", "fft_deconvolution.n_guarded", "fft_deconvolution.n_grid",
@@ -604,7 +604,17 @@ class TestVerify:
         assert code == 0
         doc = json.loads((out / "verify.json").read_text())
         assert doc["diagnostics"]["classification"] == "NSDM_candidate"
-        assert doc["diagnostics"]["edm_excluded"] is True
+
+    def test_residual_curve_is_even_on_any_symmetric_window(self, tmp_path):
+        # the 21 mu of [-3.5, 3.5] mirrored about 0, though linspace's step
+        # 0.35 is not exact, so each |mu| is integrated once
+        out = tmp_path / "verify"
+        assert run(["verify", "--phi", "cauchy:1", "--psi", "normal:1", "--window", "-7", "7",
+                    "--out", str(out)]) == 0
+        rows = [line.split(",") for line in (out / "residuals.csv").read_text().splitlines()[1:]]
+        mus, values = [float(mu) for mu, _ in rows], [value for _, value in rows]
+        assert len(rows) == 21 and mus == [-mu for mu in mus[::-1]]
+        assert values == values[::-1]
 
     def test_zero_amplitude_is_a_constant_normalizer(self, tmp_path):
         out = tmp_path / "verify"
@@ -639,6 +649,15 @@ class TestRiesz:
             "orthogonality.csv": "7300a34d64e1c3ad66cd02665b94acdf2d9fa0731e9e1c86ff64a65cd1ed3f14",
             "riesz.json": "d9a91d5264bd926f5036950a00c76952e99ea70719a6ae2bf01196e9ae5b24e4",
         }
+
+    def test_orthogonality_curve_is_even_on_any_symmetric_window(self, tmp_path):
+        out = tmp_path / "riesz"
+        assert run(["riesz", "--phi", "laplace:1", "--psi", "laplace:1", "--n", "2", "--window", "-8", "8",
+                    "--out", str(out)]) == 0
+        rows = [line.split(",") for line in (out / "orthogonality.csv").read_text().splitlines()[1:]]
+        mus, values = [float(mu) for mu, _ in rows], [value for _, value in rows]
+        assert len(rows) == 21 and mus == [-mu for mu in mus[::-1]]
+        assert values == values[::-1]
 
     def test_document_keys(self, tmp_path):
         # every key of riesz.json; a new one is a deliberate output change
@@ -690,7 +709,7 @@ class TestSample:
         assert run(["sample", "--phi", "normal:1", "--psi", "normal:1", "--n", "1000",
                     "--seed", "7", "--grid", "64", "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "a9eb5b2371ce03f8456c009aaa3dc16d8d95258b716b05c497aaea6b5464235d"
+            "5f30853c50da0a89b40972b3f82285c3905ea279b2f94f5b11c2f0d0c9706da5"
         )
 
     def test_seeded_draws_of_a_perturbed_model_are_pinned(self, tmp_path):
@@ -699,7 +718,7 @@ class TestSample:
         assert run(["sample", "--phi", "laplace:1", "--psi", "laplace:1", "--perturb", "cosgauss",
                     "--n", "100000", "--seed", "11", "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "e762951685d0ef1e13f14682ebbf31ab18380cb84d84670dd3dba9f43f73196a"
+            "d8611690e23f7bdc9f31cd65f0f87b9df8b1121624289cdc2ffedd97b4981740"
         )
 
     def test_draws_do_not_depend_on_the_grid(self, tmp_path):
