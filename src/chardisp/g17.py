@@ -122,6 +122,7 @@ def csv_text(table: np.ndarray) -> bytes:
     a = np.fmin(np.fmax(np.abs(v), 1e-5), 1e17)
     k = np.floor(np.log10(a.astype(np.float32)))  # may be off by one; see redo
     q = _Q_BY_K.take(k.astype(np.intp) + 6, mode="clip")
+    del k
     p, e = _scaled(a, q)
     # q starts in [0, 21]; a redo never lowers q = 0, whose product is a
     # itself, so q stays within the table of powers.
@@ -129,21 +130,28 @@ def csv_text(table: np.ndarray) -> bytes:
     if redo.size:
         q[redo] += 1 - 2 * (p[redo] > 1e16)
         p[redo], e[redo] = _scaled(a[redo], q[redo])
+        redo = redo[_outside(p[redo], e[redo])]  # still outside: slow path
+    # Each temporary is dropped at its last use, so that the peak holds as
+    # few per-cell arrays at once as the steps allow.
+    del a
     n = p.astype(np.int64) + np.rint(e).astype(np.int64)
+    del p, e
     rolled = n == 10**17
     n[rolled] = 10**16
     ix = 22 - q + rolled  # x + 6 for the decimal exponent x
+    del q, rolled
     fast = _FIXED.take(ix)
-    if redo.size:
-        fast[redo[_outside(p[redo], e[redo])]] = False
+    fast[redo] = False
 
     # Body byte j is digit j up to the point's slot, digit j - 1 after it,
     # computed as digit values, then as ASCII less a space.
     digits = np.empty((19, v.size), dtype=np.uint8)  # digit j - 1 in row j
     _digits(n, digits[1:18])
+    del n
     last = (_BODY_SLOTS[:17] * (digits[1:18] != 0).view(np.uint8)).max(axis=0)
     point, lead_len = _POINT_LEAD.take(ix, axis=1)
     body_len = _BODY_LEN.take(ix * 17 + last)
+    del ix, last
 
     buf = np.empty((_WIDTH + 1, v.size), dtype=np.uint8)
     np.multiply((v < 0).view(np.uint8), np.uint8(ord("-") - _SPACE), out=buf[0])
@@ -153,9 +161,11 @@ def csv_text(table: np.ndarray) -> bytes:
     np.subtract(left, right, out=body)  # multiplied away or lies past body_len
     body *= (_BODY_SLOTS <= point).view(np.uint8)
     body += right
+    del digits, left, right
     body += np.uint8(ord("0") - _SPACE)
     is_point = (_BODY_SLOTS == point + np.uint8(1)).view(np.uint8)
     body += is_point * (np.uint8(ord(".") - _SPACE) - body)  # wraps mod 256
+    del is_point
     body *= (_BODY_SLOTS < body_len).view(np.uint8)
     buf[:_WIDTH] += np.uint8(_SPACE)
     ends = buf[_WIDTH].reshape(rows, cols)
@@ -167,4 +177,6 @@ def csv_text(table: np.ndarray) -> bytes:
         text = (f"%-{_WIDTH}.17g" * slow.size) % tuple(v[slow].tolist())
         cells = np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(slow.size, _WIDTH)
         buf[:_WIDTH, slow] = cells.T
-    return buf.T.tobytes().translate(None, b" ")
+    spaced = buf.T.tobytes()
+    del buf, body, ends
+    return spaced.translate(None, b" ")

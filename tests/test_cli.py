@@ -215,7 +215,7 @@ class TestCsv:
 
     def test_working_memory_is_bounded(self):
         # the chunks are rendered as they are read: one chunk's temporaries
-        # and the previous chunk, about 200 bytes a row, whatever n is
+        # and the previous chunk, about 104 bytes a row, whatever n is
         for n in (2 ** 18, 2 ** 21):
             column = np.random.default_rng(0).uniform(-20.0, 20.0, n)
             tracemalloc.start()
@@ -225,7 +225,7 @@ class TestCsv:
             finally:
                 tracemalloc.stop()
             assert size > 17 * n
-            assert peak <= 250 * cli.CSV_CHUNK_ROWS, n
+            assert peak <= 160 * cli.CSV_CHUNK_ROWS, n
 
     def test_bad_column_fails_before_any_text(self):
         with pytest.raises(ValueError):

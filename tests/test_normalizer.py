@@ -2,13 +2,14 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass, field
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chardisp import quadrature
+from chardisp import normalizer, quadrature
 from chardisp.charfn import Cauchy, InvalidSpecError, Laplace, Normal, SymmetricNIG, SymmetricStable
 from chardisp.deviance import UnitDeviancePair
 from chardisp.normalizer import (
@@ -173,8 +174,9 @@ class TestKernelIntegral:
     )
     def test_is_the_plain_integral_of_the_kernel(self, charfn):
         # the window convolution of 1 with K at shift 0 integrates K(0 - y),
-        # which equals K(y) bit for bit, cut at the same single point and
-        # graded there only for the fractional stable exponent
+        # which equals K(y) bit for bit, graded at 0 only for the fractional
+        # stable exponent; each kernel bisects at least KERNEL_SEED_LEVELS
+        # times toward 0, so the seeded cuts leave the value as it is
         k = KernelSpec(UnitDeviancePair(charfn, Normal(1.0)), 1.0)
         assert k.graded == isinstance(charfn, SymmetricStable)
         plain = integrate(k.eval, W20.lo, W20.hi, tol=1e-10, breakpoints=(0.0,), cusps=(0.0,) if k.graded else ()).value
@@ -208,6 +210,101 @@ class TestKernelIntegral:
             kernel = lambda y: mp.exp(-(1 - mp.exp(-abs(y) ** a)) * mp.exp(-y * y / 2))
             assert abs(mp.mpf(one_sided.value) - mp.quad(kernel, [0, 1])) <= one_sided.error_bound
             assert abs(mp.mpf(window.value) - 2 * mp.quad(kernel, [0, 1, 2, 4, 8, 20])) <= window.error_bound
+
+
+def plain_kernel_integral(k, w, tol=1e-10):
+    """(value, bound, panels) of K over the window cut at 0 alone, as
+    :func:`window_convolve` integrates it at shift 0, and the number of
+    integrand calls."""
+    calls = []
+    out = integrate_shifts(lambda y, s: calls.append(1) or k.eval(s - y), w.lo, w.hi, 0.0, tol=tol,
+                           breakpoints=lambda s: (s, 0.0), cusps=(lambda s: (s,)) if k.graded else None)
+    return tuple(v.item() for v in out), len(calls)
+
+
+def seeded_kernel_integral(k, w, tol=1e-10):
+    """(value, bound, panels) of :func:`kernel_integral`'s own quadrature
+    call, and the number of integrand calls it made."""
+    calls, results = [], []
+
+    def spy(f, *args, **kwargs):
+        results.append(integrate_shifts(lambda y, s: calls.append(1) or f(y, s), *args, **kwargs))
+        return results[-1]
+
+    with mock.patch.object(normalizer, "integrate_shifts", spy):
+        value = kernel_integral(k, w, tol)
+    (got,) = results
+    got = tuple(v.item() for v in got)
+    assert value == got[0]
+    return got, len(calls)
+
+
+# the five benchmark pairs at their reference scales, and the graded stable
+# 0.7 x normal kernel at unit scales
+BENCHMARK_KERNELS = {
+    "normal": (Normal(1.0866), Normal(0.9214)),
+    "laplace": (Laplace(0.8184), Laplace(0.8074)),
+    "cauchy_normal": (Cauchy(1.166), Normal(1.2107)),
+    "nig": (SymmetricNIG(1.0, 1.073), SymmetricNIG(1.0, 1.1283)),
+    "stable07_normal": (SymmetricStable(0.7, 1.0446), Normal(1.2208)),
+    "stable07_unit": (SymmetricStable(0.7, 1.0), Normal(1.0)),
+}
+# the kernels of the figures command, on its default window
+FIGURES_KERNELS = {
+    "fig1A": (Normal(1.0), Normal(1.0)),
+    "fig1B": (Cauchy(1.0), Normal(1.0)),
+    "fig2C": (Laplace(1.0), Laplace(1.0)),
+}
+SEEDED_CASES = [pytest.param(pair, w, id=f"{name}[{w.lo:g},{w.hi:g}]")
+                for w in (W20, Window(-12.0, 20.0)) for name, pair in BENCHMARK_KERNELS.items()]
+SEEDED_CASES += [pytest.param(pair, W20, id=name) for name, pair in FIGURES_KERNELS.items()]
+_SEED_SCALES = st.floats(min_value=0.1, max_value=10.0)
+SEED_MEMBERS = st.one_of(
+    st.builds(Normal, _SEED_SCALES), st.builds(Cauchy, _SEED_SCALES), st.builds(Laplace, _SEED_SCALES),
+    st.builds(SymmetricStable, st.floats(min_value=0.1, max_value=2.0), _SEED_SCALES),
+    st.builds(SymmetricNIG, _SEED_SCALES, _SEED_SCALES),
+)
+
+
+class TestSeededKernelMesh:
+    @pytest.mark.parametrize("pair, w", SEEDED_CASES)
+    def test_bit_identical_in_fewer_calls(self, pair, w):
+        # each of these bisects at least KERNEL_SEED_LEVELS times toward 0
+        # on its own, so the seeded run ends on the plain run's mesh
+        k = KernelSpec(UnitDeviancePair(*pair), 1.0)
+        plain, plain_calls = plain_kernel_integral(k, w)
+        seeded, seeded_calls = seeded_kernel_integral(k, w)
+        assert seeded == plain
+        assert seeded_calls < plain_calls
+
+    @pytest.mark.parametrize("w", [Window(1.0, 30.0), Window(0.0, 20.0)], ids=["[1,30]", "[0,20]"])
+    @pytest.mark.parametrize("pair", list(BENCHMARK_KERNELS.values()), ids=list(BENCHMARK_KERNELS))
+    def test_no_cuts_without_zero_inside(self, pair, w):
+        k = KernelSpec(UnitDeviancePair(*pair), 1.0)
+        assert seeded_kernel_integral(k, w) == plain_kernel_integral(k, w)
+
+    def test_cuts_are_the_engines_bisection_points(self):
+        # the first levels toward 0 of each half, bit for bit as the engine
+        # splits a panel: 0.5 * lo + 0.5 * hi
+        cuts = []
+        with mock.patch.object(normalizer, "window_convolve", lambda g, k, s, w, tol, corners: cuts.extend(corners) or 1.0):
+            kernel_integral(KernelSpec(NN, 1.0), Window(-12.0, 20.0))
+        levels = normalizer.KERNEL_SEED_LEVELS
+        assert cuts == [-12.0 / 2 ** j for j in range(1, levels + 1)] + [20.0 / 2 ** j for j in range(1, levels + 1)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(phi=SEED_MEMBERS, psi=SEED_MEMBERS, log_lam=st.floats(min_value=-2.0, max_value=2.0),
+           w=st.one_of(st.sampled_from([Window(-2.0, 2.0), Window(-7.0, 7.0), Window(-12.0, 20.0), W20]),
+                       st.builds(Window, st.floats(min_value=-20.0, max_value=-2.0),
+                                 st.floats(min_value=2.0, max_value=20.0))))
+    def test_within_the_plain_bound(self, phi, psi, log_lam, w):
+        # a kernel resolved on a coarser mesh than the seeded one (a narrow
+        # window beside its structure, a nearly flat kernel) gets more
+        # panels; the value moves within the plain run's error bound
+        k = KernelSpec(UnitDeviancePair(phi, psi), 10.0 ** log_lam)
+        (plain, bound, _), _ = plain_kernel_integral(k, w)
+        (seeded, _, _), _ = seeded_kernel_integral(k, w)
+        assert abs(seeded - plain) <= bound
 
 
 class TestWindowConvolve:
