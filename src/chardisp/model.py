@@ -28,11 +28,7 @@ from .normalizer import RESIDUAL_TOL, KernelSpec, NormalizerSpec, convolution_re
 # Equal cells of sample()'s step envelope, each with its own height and
 # squeeze, whatever the window grid.
 ENVELOPE_CELLS = 4096
-# Largest proposal batch in sample(): fixes which uniforms each proposal
-# reads; bounds the proposals decided after the n-th acceptance (each by
-# the density bounds or, where they leave it open, by the density).
-MAX_PROPOSAL_BATCH = 2 ** 21
-# Proposals per block of sample()'s one pass over a batch; bounds its working memory.
+# Most proposals in one block of sample(); bounds its working memory.
 SAMPLE_BLOCK = 65536
 # Buckets of sample()'s guide table, one per envelope cell; a power of two,
 # so u * GUIDE_BUCKETS is exact.
@@ -191,13 +187,6 @@ def _pick_cells(scaled: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndar
     return cell
 
 
-def _stream_at(seed: int, offset: int) -> np.random.Generator:
-    """``default_rng(seed)`` past its first ``offset`` uniforms (one PCG64 output each)."""
-    bits = np.random.PCG64(seed)
-    bits.advance(offset)
-    return np.random.Generator(bits)
-
-
 def sample(m: DispersionModel, mu: float, n: int, seed: int) -> np.ndarray:
     """Draw n values by rejection from a step envelope over the window.
 
@@ -213,19 +202,18 @@ def sample(m: DispersionModel, mu: float, n: int, seed: int) -> np.ndarray:
     K's exponent, derived at ``normalizer._SLACK``.  An evaluated density
     above its cell's height can only come from declared bounds that are
     wrong; it aborts with :class:`EnvelopeError` naming the first such
-    proposal evaluated.  A batch holds 1.1 times the proposals the missing
-    draws need at the expected acceptance (the mass estimate of
-    :func:`_step_envelope` over the envelope's mass), at least 1024 and at
-    most ``MAX_PROPOSAL_BATCH``.
+    proposal at or before the n-th acceptance.
 
-    A batch of B proposals reads the uniforms of ``default_rng(seed)`` in
-    three runs, each from its own generator (:func:`_stream_at`): [d, d+B)
-    pick the cells, [d+B, d+2B) place the points and [d+2B, d+3B) accept
-    them, where d counts the uniforms of earlier batches.  So each block of
-    ``SAMPLE_BLOCK`` proposals is picked, placed, decided and kept in one
-    pass, the draws do not depend on the block size, and beside the n
-    draws (8 bytes each) only one block's temporaries are alive.  The draws
-    are those of evaluating every proposal.  Deterministic for a fixed seed.
+    Three generators, spawned once from ``SeedSequence(seed)``, pick the
+    cells, place the points and accept them: proposal i reads the i-th
+    uniform of each.  The draws are the first n accepted proposals of that
+    one sequence, so ``sample(n)`` is the first n of ``sample(n')`` for
+    n < n', and they are those of evaluating every proposal.  Proposals are
+    decided in blocks of 1.1 times the proposals the missing draws need at
+    the expected acceptance (the mass estimate of :func:`_step_envelope`
+    over the envelope's mass), at least 1024 and at most ``SAMPLE_BLOCK``;
+    the block size moves neither the draws nor an error, and beside the n
+    draws (8 bytes each) only one block's temporaries are alive.
     """
     if n < 0:
         raise ValueError(f"sample size must be >= 0, got {n}")
@@ -240,32 +228,30 @@ def sample(m: DispersionModel, mu: float, n: int, seed: int) -> np.ndarray:
     acceptance = mass / (cdf[-1] * width)
     cdf /= cdf[-1]  # ends at exactly 1, as _guide_table requires
     scaled, guide = _guide_table(cdf)
+    cells, positions, accepts = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3))
 
     out = np.empty(n)
-    got = drawn = 0
+    got = 0
     while got < n:
-        batch = min(max(1024, math.ceil(1.1 * (n - got) / acceptance)), MAX_PROPOSAL_BATCH)
-        cells, positions, accepts = (_stream_at(seed, drawn + k * batch) for k in range(3))
-        drawn += 3 * batch
-        for start in range(0, batch, SAMPLE_BLOCK):
-            size = min(SAMPLE_BLOCK, batch - start)
-            cell = _pick_cells(scaled, guide, cells.random(size))
-            # rounding may carry a point of the last cell an ulp past the window
-            y = np.minimum(edges.take(cell) + width * positions.random(size), m.window.hi)
-            uh = accepts.random(size) * high.take(cell)
-            accept = uh <= low.take(cell)
-            check = np.flatnonzero(~accept)
-            ps = m.density(y.take(check), mu)
-            too_high = ps > high.take(cell.take(check))
-            if too_high.any():
-                j = int(np.argmax(too_high))
-                i, c = check[j], cell[check[j]]
-                raise EnvelopeError(float(y[i]), float(ps[j]), float(high[c]), (float(edges[c]), float(edges[c + 1])))
-            accept[check] = uh.take(check) <= ps
-            acc = y[accept]
-            take = min(n - got, acc.size)
-            out[got:got + take] = acc[:take]
-            got += take
+        size = min(SAMPLE_BLOCK, max(1024, math.ceil(1.1 * (n - got) / acceptance)))
+        cell = _pick_cells(scaled, guide, cells.random(size))
+        # rounding may carry a point of the last cell an ulp past the window
+        y = np.minimum(edges.take(cell) + width * positions.random(size), m.window.hi)
+        uh = accepts.random(size) * high.take(cell)
+        accept = uh <= low.take(cell)
+        check = np.flatnonzero(~accept)
+        ps = m.density(y.take(check), mu)
+        accept[check] = uh.take(check) <= ps
+        kept = np.flatnonzero(accept)[:n - got]
+        # proposals past the n-th acceptance are not part of the draws
+        last = kept[-1] if kept.size == n - got else size - 1
+        too_high = (ps > high.take(cell.take(check))) & (check <= last)
+        if too_high.any():
+            j = int(np.argmax(too_high))
+            i, c = check[j], cell[check[j]]
+            raise EnvelopeError(float(y[i]), float(ps[j]), float(high[c]), (float(edges[c]), float(edges[c + 1])))
+        out[got:got + kept.size] = y.take(kept)
+        got += kept.size
     return out
 
 

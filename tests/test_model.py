@@ -144,32 +144,35 @@ def draw_model(data):
     return m, lo + (hi - lo) * data.draw(st.floats(min_value=0.0, max_value=1.0))
 
 
-def whole_batch_sample(m, mu, n, seed):
-    """sample() with each stream drawn and used as one whole-batch array and
-    cells found by searchsorted: the reference its blocks must match bit
-    for bit.  Returns the draws, or, when a proposal's density exceeds its
-    height, that proposal's (index in its batch, y, density, height)."""
+def reference_sample(m, mu, n, seed):
+    """sample() with enough proposals drawn at once from its three spawned
+    streams, cells found by searchsorted and every density evaluated: the
+    reference its blocks must match bit for bit.  Returns the first n
+    accepted draws, or, when a proposal at or before the n-th acceptance
+    has a density above its cell's height, the first such proposal's
+    (index, y, density, height)."""
     edges, env, _, mass = _step_envelope(m, mu)
     width = edges[1] - edges[0]
     cdf = np.cumsum(env)
     acceptance = mass / (cdf[-1] * width)
     cdf /= cdf[-1]
-    rng = np.random.default_rng(seed)
-    out, got = [], 0
-    while got < n:
-        batch = min(max(1024, math.ceil(1.1 * (n - got) / acceptance)), model.MAX_PROPOSAL_BATCH)
-        cell = np.searchsorted(cdf, rng.random(batch), side="right")
-        ys = np.minimum(edges[cell] + width * rng.random(batch), m.window.hi)
+    count = min(math.ceil(1.1 * n / acceptance) + 1024, 2 ** 21)
+    while True:
+        cells, positions, accepts = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3))
+        cell = np.searchsorted(cdf, cells.random(count), side="right")
+        ys = np.minimum(edges[cell] + width * positions.random(count), m.window.hi)
         height = env[cell]
         ps = m.density(ys, mu)
-        bad = np.flatnonzero(ps > height)
-        if bad.size:
-            i = int(bad[0])
-            return i, float(ys[i]), float(ps[i]), float(height[i])
-        acc = ys[rng.random(batch) * height <= ps][:n - got]
-        out.append(acc)
-        got += acc.size
-    return np.concatenate(out)
+        accepted = np.flatnonzero(accepts.random(count) * height <= ps)
+        if accepted.size >= n:
+            break
+        count *= 2
+    last = accepted[n - 1] + 1
+    bad = np.flatnonzero(ps[:last] > height[:last])
+    if bad.size:
+        i = int(bad[0])
+        return i, float(ys[i]), float(ps[i]), float(height[i])
+    return ys[accepted[:n]]
 
 
 @dataclass
@@ -294,15 +297,6 @@ class TestSample:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
-    def test_proposal_batches_are_capped(self, monkeypatch):
-        m = trivial_model()
-        monkeypatch.setattr("chardisp.model.MAX_PROPOSAL_BATCH", 1024)
-        a = sample(m, 0.0, 5000, seed=42)
-        assert a.size == 5000
-        assert a.min() >= -20.0 and a.max() <= 20.0
-        assert np.array_equal(a, sample(m, 0.0, 5000, seed=42))
-        assert not np.array_equal(a, sample(m, 0.0, 5000, seed=43))
-
     def test_draws_respect_window(self):
         draws = sample(trivial_model(), 0.0, 20000, seed=3)
         assert draws.min() >= -20.0 and draws.max() <= 20.0
@@ -424,7 +418,7 @@ class TestSample:
         n = 100_000
         draws = sample(fig2d_model(), 0.0, n, seed=42)
         assert draws.size == n
-        assert sum(picked) / n <= 1.3
+        assert sum(picked) / n <= 1.1
 
     @pytest.mark.parametrize("pair, perturb, most", [(NN, False, 0.002), (LL, True, 0.04)],
                              ids=["normal", "laplace_cosgauss"])
@@ -480,7 +474,7 @@ class TestSample:
         with pytest.raises(EnvelopeError) as default:
             sample(m, 0.0, 500, seed=0)
         block = 8
-        first = whole_batch_sample(m, 0.0, 500, seed=0)[0]
+        first = reference_sample(m, 0.0, 500, seed=0)[0]
         assert first >= 2 * block  # no proposal above the envelope in the first two blocks
         monkeypatch.setattr(model, "SAMPLE_BLOCK", block)
         with pytest.raises(EnvelopeError) as exc:
@@ -489,17 +483,36 @@ class TestSample:
             default.value.y, default.value.density, default.value.envelope, default.value.cell)
 
     @pytest.mark.parametrize("block", [1000, 4097, None])
-    @pytest.mark.parametrize("batch_cap", [30_000, None])
-    def test_draws_do_not_depend_on_the_block_size(self, monkeypatch, block, batch_cap):
-        # 30,000-proposal batches end in a partial block and take several
-        # batches; the default cap takes one batch
+    def test_draws_do_not_depend_on_the_block_size(self, monkeypatch, block):
+        # blocks of 1000 and 4097 proposals, and the default: a block of
+        # 65536, then one sized for the missing draws
         if block is not None:
             monkeypatch.setattr(model, "SAMPLE_BLOCK", block)
-        if batch_cap is not None:
-            monkeypatch.setattr(model, "MAX_PROPOSAL_BATCH", batch_cap)
         for m in (trivial_model(), fig2d_model()):
             draws = sample(m, 0.0, 100_000, seed=7)
-            assert np.array_equal(draws, whole_batch_sample(m, 0.0, 100_000, seed=7))
+            assert np.array_equal(draws, reference_sample(m, 0.0, 100_000, seed=7))
+        # the first proposal above its height is evaluated here, so the
+        # error names the one the reference finds
+        m = spike_model(height=1.0)
+        _, y, density, envelope = reference_sample(m, 0.0, 500, seed=0)
+        with pytest.raises(EnvelopeError) as exc:
+            sample(m, 0.0, 500, seed=0)
+        assert (exc.value.y, exc.value.density, exc.value.envelope) == (y, density, envelope)
+        # and one after the n-th acceptance, in the same block, raises nothing
+        few = reference_sample(m, 0.0, 10, seed=0)
+        assert isinstance(few, np.ndarray) and np.array_equal(sample(m, 0.0, 10, seed=0), few)
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(data=st.data())
+    def test_fewer_draws_are_a_prefix_of_more(self, data):
+        # over the models of draw_model: the draws are the first accepted
+        # proposals of one sequence that n does not move
+        m, mu = draw_model(data)
+        assume(m.kernel.eval(m.window.width / 40_000) > 1e-3)  # as in the squeeze test below
+        seed = data.draw(st.integers(min_value=0, max_value=2 ** 32))
+        more = data.draw(st.integers(min_value=2, max_value=5000))
+        fewer = data.draw(st.integers(min_value=1, max_value=more - 1))
+        assert np.array_equal(sample(m, mu, fewer, seed), sample(m, mu, more, seed)[:fewer])
 
     @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
     @given(data=st.data())
@@ -512,7 +525,7 @@ class TestSample:
         # needs millions of proposals per draw: leave those out
         assume(m.kernel.eval(m.window.width / 40_000) > 1e-3)
         seed = data.draw(st.integers(min_value=0, max_value=2 ** 32))
-        reference = whole_batch_sample(m, mu, 3000, seed)
+        reference = reference_sample(m, mu, 3000, seed)
         if isinstance(reference, tuple):
             with pytest.raises(EnvelopeError) as exc:
                 sample(m, mu, 3000, seed)
@@ -524,12 +537,12 @@ class TestSample:
         # above lam ~ 4.8e13 the kernel's upper bound exp(slack (1 + lam))
         # would overflow, but it is capped at 1
         m = trivial_model(lam=1e14)
-        assert np.array_equal(sample(m, 0.0, 1000, seed=0), whole_batch_sample(m, 0.0, 1000, seed=0))
+        assert np.array_equal(sample(m, 0.0, 1000, seed=0), reference_sample(m, 0.0, 1000, seed=0))
 
     @pytest.mark.parametrize("make", [trivial_model, fig2d_model], ids=["normal", "laplace_cosgauss"])
     def test_working_memory_is_bounded(self, make):
         # the draws and one block's temporaries: under 2 x 8n bytes, as no
-        # array of batch length is held
+        # array longer than a block is held
         m = make()
         n = 2 ** 20
         tracemalloc.start()
