@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chardisp import normalizer, quadrature
@@ -222,6 +222,16 @@ def plain_kernel_integral(k, w, tol=1e-10):
     return tuple(v.item() for v in out), len(calls)
 
 
+def reference_kernel_integral(k, w, tol=1e-12, levels=40):
+    """(value, bound, panels) of K over the window cut at 0 and at its
+    first ``levels`` bisection points toward 0 from each end, so that no
+    panel beside K's corner is wider than 2**-levels of the window."""
+    cuts = (0.0, *(end * 0.5 ** j for end in (w.lo, w.hi) for j in range(1, levels + 1)))
+    out = integrate_shifts(lambda y, s: k.eval(s - y), w.lo, w.hi, 0.0, tol=tol,
+                           breakpoints=lambda s: cuts, cusps=(lambda s: (0.0,)) if k.graded else None)
+    return tuple(v.item() for v in out)
+
+
 def seeded_kernel_integral(k, w, tol=1e-10):
     """(value, bound, panels) of :func:`kernel_integral`'s own quadrature
     call, and the number of integrand calls it made."""
@@ -297,14 +307,26 @@ class TestSeededKernelMesh:
            w=st.one_of(st.sampled_from([Window(-2.0, 2.0), Window(-7.0, 7.0), Window(-12.0, 20.0), W20]),
                        st.builds(Window, st.floats(min_value=-20.0, max_value=-2.0),
                                  st.floats(min_value=2.0, max_value=20.0))))
+    # a spike at 0 some 0.002 wide, which the plain run's panels [-7, 0] and
+    # [0, 7] step over: it returns 9.2e-11 with a bound of 2.7e-11, where
+    # the integral is 2.2e-3
+    @example(phi=Cauchy(9.0), psi=Normal(0.25), log_lam=2.0, w=Window(-7.0, 7.0))
     def test_within_the_plain_bound(self, phi, psi, log_lam, w):
         # a kernel resolved on a coarser mesh than the seeded one (a narrow
         # window beside its structure, a nearly flat kernel) gets more
-        # panels; the value moves within the plain run's error bound
+        # panels; the value moves within the plain run's error bound.  The
+        # plain value is the oracle where it holds that bound against a
+        # reference cut 40 levels toward 0; where it does not, the seeded
+        # value comes no farther from the reference than the plain one, with
+        # the same slack
         k = KernelSpec(UnitDeviancePair(phi, psi), 10.0 ** log_lam)
         (plain, bound, _), _ = plain_kernel_integral(k, w)
         (seeded, _, _), _ = seeded_kernel_integral(k, w)
-        assert abs(seeded - plain) <= bound
+        ref, ref_bound, _ = reference_kernel_integral(k, w)
+        if abs(plain - ref) <= bound + ref_bound:
+            assert abs(seeded - plain) <= bound
+        else:
+            assert abs(seeded - ref) <= abs(plain - ref) + bound
 
 
 class TestWindowConvolve:
