@@ -156,7 +156,7 @@ def reference_sample(m, mu, n, seed):
     cdf = np.cumsum(env)
     acceptance = mass / (cdf[-1] * width)
     cdf /= cdf[-1]
-    count = min(math.ceil(1.1 * n / acceptance) + 1024, 2 ** 21)
+    count = math.ceil(1.1 * n / acceptance) + 1024
     while True:
         cells, positions, accepts = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3))
         cell = np.searchsorted(cdf, cells.random(count), side="right")
